@@ -1,0 +1,106 @@
+"""Build, cache and load the compiled alignment kernel in `_dp.c`.
+
+The shared library is compiled with the system C compiler on the first
+kernel call, never at import.  It is cached under a name keyed by a hash
+of the source and the compiler flags, first in the package's
+`__pycache__` directory and, when that is not writable, in
+`~/.cache/odse`.  Each build writes a temporary file and moves it into
+place with `os.replace`, so a concurrent process never loads a partial
+library.  When no compiler is found or no build succeeds, `load` returns
+None and the caller runs the numpy loop instead.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import logging
+import os
+import shutil
+import subprocess
+import tempfile
+import threading
+from pathlib import Path
+
+SOURCE = Path(__file__).with_name("_dp.c")
+# -ffp-contract=off keeps every multiply and add separate, as numpy does
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+COMPILERS = ("cc", "gcc", "clang")
+
+_log = logging.getLogger(__name__)
+_lock = threading.Lock()
+_UNSET = object()
+_kernel = _UNSET
+
+
+def compiler() -> str | None:
+    """Path of the first C compiler found on PATH, or None."""
+    for name in COMPILERS:
+        path = shutil.which(name)
+        if path is not None:
+            return path
+    return None
+
+
+def library_name() -> str:
+    digest = hashlib.sha256(SOURCE.read_bytes() + " ".join(FLAGS).encode()).hexdigest()
+    return f"_dp-{digest[:16]}.so"
+
+
+def cache_dirs() -> tuple[Path, ...]:
+    return (SOURCE.parent / "__pycache__", Path.home() / ".cache" / "odse")
+
+
+def _build(cc: str, target: Path) -> None:
+    target.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=target.stem, suffix=".so", dir=target.parent)
+    os.close(fd)
+    try:
+        subprocess.run(
+            [cc, *FLAGS, "-o", tmp, str(SOURCE)],
+            check=True, capture_output=True, timeout=120,
+        )
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _open(path: Path):
+    fn = ctypes.CDLL(str(path)).odse_cost_rows
+    ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
+    fn.argtypes = (ptr, size, ptr, size, size, ptr, ptr, size, ctypes.c_double, ptr)
+    fn.restype = ctypes.c_int
+    return fn
+
+
+def _find_or_build():
+    cc = compiler()
+    failures = []
+    for directory in cache_dirs():
+        try:
+            path = directory / library_name()
+            if not path.exists():
+                if cc is None:
+                    continue
+                _build(cc, path)
+            return _open(path)
+        except (OSError, subprocess.SubprocessError) as exc:
+            stderr = getattr(exc, "stderr", None) or b""
+            failures.append(f"{directory}: {exc} {stderr.decode(errors='replace').strip()}")
+    if failures:
+        _log.warning("alignment kernel unavailable, using the numpy loop: %s", "; ".join(failures))
+    elif cc is None:
+        _log.debug("no C compiler on PATH; using the numpy alignment loop")
+    return None
+
+
+def load():
+    """The compiled kernel's ctypes function, built on the first call;
+    None when it cannot be built or loaded."""
+    global _kernel
+    if _kernel is _UNSET:
+        with _lock:
+            if _kernel is _UNSET:
+                _kernel = _find_or_build()
+    return _kernel

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _dp
 from .errors import CostModelError, MatrixFormatError, SymbolError
 from .sequences import Sequence
 
@@ -211,6 +212,48 @@ def alignment_cost_rows(
     """Global-alignment costs of one encoded query against a batch of
     encoded, padded targets.
 
+    Runs the compiled kernel in `_dp.c`, built on the first call, or the
+    numpy loop `numpy_cost_rows` when the kernel cannot be built.
+    Both do the same floating-point operations in the same order, so
+    they agree bit for bit.
+    """
+    kernel = _dp.load()
+    if kernel is None:
+        return numpy_cost_rows(query, proto_mat, proto_lens, sub_cost, gap)
+    query = np.ascontiguousarray(query, dtype=np.intp)
+    proto_mat = np.ascontiguousarray(proto_mat, dtype=np.intp)
+    proto_lens = np.ascontiguousarray(proto_lens, dtype=np.intp)
+    sub_cost = np.ascontiguousarray(sub_cost, dtype=np.float64)
+    n_targets, width = proto_mat.shape
+    n_alpha = sub_cost.shape[0]
+    if sub_cost.shape != (n_alpha, n_alpha) or proto_lens.shape != (n_targets,):
+        raise ValueError("cost table or target lengths do not match the batch")
+    if proto_lens.size and (proto_lens.min() < 0 or proto_lens.max() > width):
+        raise ValueError("target lengths must lie within the padded width")
+    for codes in (query, proto_mat):
+        if codes.size and (codes.min() < 0 or codes.max() >= n_alpha):
+            raise IndexError("symbol code outside the cost table")
+    out = np.empty(n_targets, dtype=np.float64)
+    status = kernel(
+        query.ctypes.data, len(query), proto_mat.ctypes.data, n_targets, width,
+        proto_lens.ctypes.data, sub_cost.ctypes.data, n_alpha, float(gap),
+        out.ctypes.data,
+    )
+    if status != 0:
+        raise MemoryError("alignment kernel could not allocate its scratch row")
+    return out
+
+
+def numpy_cost_rows(
+    query: np.ndarray,
+    proto_mat: np.ndarray,
+    proto_lens: np.ndarray,
+    sub_cost: np.ndarray,
+    gap: float,
+) -> np.ndarray:
+    """The numpy form of `alignment_cost_rows`: the fallback without a C
+    compiler, and the reference the compiled kernel is tested against.
+
     Runs the classic dynamic program one query symbol at a time across the
     whole batch.  The within-row insertion recurrence
     cur[j] = min(m[j], cur[j-1] + gap) is solved as a prefix minimum of
@@ -233,7 +276,8 @@ def alignment_cost_rows(
     return state[np.arange(n_targets), proto_lens]
 
 
-def _encode_batch(targets, cm: AlignmentCostModel):
+def encode_batch(targets, cm: AlignmentCostModel) -> tuple[np.ndarray, np.ndarray]:
+    """Encoded targets zero-padded to a common width, and their lengths."""
     codes = [cm.encode(t) for t in targets]
     lens = np.array([len(c) for c in codes], dtype=np.intp)
     width = int(lens.max()) if len(codes) else 0
@@ -243,18 +287,25 @@ def _encode_batch(targets, cm: AlignmentCostModel):
     return mat, lens
 
 
-def dissimilarities_to_targets(
-    s: Sequence, targets, cm: AlignmentCostModel
+def encoded_dissimilarities(
+    query: np.ndarray, mat: np.ndarray, lens: np.ndarray, cm: AlignmentCostModel
 ) -> np.ndarray:
-    """Vector of alignment dissimilarities from `s` to each target."""
-    mat, lens = _encode_batch(targets, cm)
-    query = cm.encode(s)
+    """Dissimilarities from one encoded query to a batch from
+    `encode_batch`, normalized as `cm` says."""
     out = alignment_cost_rows(query, mat, lens, cm.sub_cost, cm.gap_cost)
     if cm.normalization == BY_MAX_LENGTH:
         denom = np.maximum(len(query), lens).astype(np.float64)
         with np.errstate(invalid="ignore"):
             out = np.where(denom > 0.0, out / denom, 0.0)
     return out
+
+
+def dissimilarities_to_targets(
+    s: Sequence, targets, cm: AlignmentCostModel
+) -> np.ndarray:
+    """Vector of alignment dissimilarities from `s` to each target."""
+    mat, lens = encode_batch(targets, cm)
+    return encoded_dissimilarities(cm.encode(s), mat, lens, cm)
 
 
 def levenshtein(s: Sequence, t: Sequence, cm: AlignmentCostModel) -> float:

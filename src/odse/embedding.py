@@ -9,7 +9,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alignment import AlignmentCostModel, dissimilarities_to_targets
+from .alignment import (
+    AlignmentCostModel,
+    dissimilarities_to_targets,
+    encode_batch,
+    encoded_dissimilarities,
+)
 from .errors import OdseError
 from .sequences import Sequence
 
@@ -87,19 +92,23 @@ def compute_matrix(
 ) -> DissimilarityMatrix:
     """Dissimilarity matrix of `data` (rows) against `r` (columns).
 
-    Rows are independent, so worker count never changes the result.
+    The prototypes are encoded once per table.  Rows are independent, so
+    worker count never changes the result.
     """
     if not data:
         raise OdseError("cannot embed an empty dataset")
+    mat, lens = encode_batch(r.prototypes, cm)
     values = np.empty((len(data), len(r)), dtype=np.float64)
+
+    def fill(i):
+        values[i] = encoded_dissimilarities(cm.encode(data[i]), mat, lens, cm)
+
     if threads > 1:
-        def fill(i):
-            values[i] = embed_one(data[i], r, cm)
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(fill, range(len(data))))
     else:
-        for i, s in enumerate(data):
-            values[i] = embed_one(s, r, cm)
+        for i in range(len(data)):
+            fill(i)
     return DissimilarityMatrix(
         values=values,
         row_ids=tuple(s.id for s in data),

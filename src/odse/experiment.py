@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import t as student_t
 
 from .alignment import RAW, SimilarityMatrix, build_cost_model
 from .classifiers import (
@@ -56,6 +55,11 @@ def welch_t_test(a, b) -> float:
     have zero variance the p-value degenerates to 1 for equal means and
     0 otherwise.
     """
+    # imported here, not at start-up: only evaluation needs the Student-t
+    # tail.  scipy.special's stdtr is what scipy.stats.t.sf computes, at
+    # a third of the import time and memory of scipy.stats.
+    from scipy.special import stdtr
+
     x = np.asarray(a, dtype=np.float64)
     y = np.asarray(b, dtype=np.float64)
     if x.size < 2 or y.size < 2:
@@ -68,7 +72,7 @@ def welch_t_test(a, b) -> float:
     sx, sy = vx / x.size, vy / y.size
     tstat = (mx - my) / math.sqrt(sx + sy)
     df = (sx + sy) ** 2 / (sx**2 / (x.size - 1) + sy**2 / (y.size - 1))
-    return float(2.0 * student_t.sf(abs(tstat), df))
+    return float(2.0 * stdtr(df, -abs(tstat)))
 
 
 @dataclass(frozen=True)
@@ -200,6 +204,12 @@ def run_experiment(data, sim: SimilarityMatrix, cfg: ExperimentConfig) -> Evalua
     the master seed.  A failing resample aborts the experiment and names
     the derived seed so the case can be replayed alone.
     """
+    # scipy.special, which the Welch tests at the end need, is loaded
+    # first: loaded after the resamples, its ~20 MB would stack on what
+    # the worker threads' malloc arenas still hold, which varies from run
+    # to run, and so would the evaluation's peak memory
+    import scipy.special  # noqa: F401
+
     n_resamples = 1 if cfg.split.name == DS200 else cfg.split.resamples
     seeds = [
         int(s)

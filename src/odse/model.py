@@ -619,7 +619,21 @@ def model_to_json(model: OdseModel) -> str:
 
 
 def model_from_json(text: str) -> OdseModel:
-    doc = json.loads(text)
+    """Rebuild a model from `model_to_json` output; a malformed archive
+    raises `OdseError`."""
+    try:
+        return _model_from_doc(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise OdseError(f"model archive is not JSON: {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise OdseError(
+            f"malformed model archive: {type(exc).__name__}: {exc}"
+        ) from None
+
+
+def _model_from_doc(doc) -> OdseModel:
+    if not isinstance(doc, dict):
+        raise OdseError("model archive must be a JSON object")
     if doc.get("format") != _FORMAT:
         raise OdseError(f"unsupported model archive format {doc.get('format')!r}")
     genome = OdseGenome(**doc["genome"])

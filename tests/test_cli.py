@@ -192,6 +192,41 @@ class TestSynthesizeAndClassify:
         assert [int(g[1]) for g in got] == list(want)
 
 
+class TestMalformedModelFiles:
+    @pytest.fixture(scope="class")
+    def model_text(self, workdir):
+        out = workdir / "model.json"
+        if not out.exists():
+            assert TestSynthesizeAndClassify().synth(workdir, out) == 0
+        return out.read_text(encoding="utf-8")
+
+    def classify(self, workdir, path):
+        return main(
+            [
+                "classify",
+                "--model", str(path),
+                "--fasta", str(workdir / "small.fasta"),
+                "--out", str(workdir / "bad_labels.csv"),
+            ]
+        )
+
+    @pytest.mark.parametrize("kind", ["truncated", "no-inner", "not-json"])
+    def test_one_error_line_and_exit_one(self, kind, workdir, model_text, tmp_path, capsys):
+        if kind == "truncated":
+            text = model_text[: len(model_text) // 2]
+        elif kind == "no-inner":
+            doc = json.loads(model_text)
+            del doc["inner"]
+            text = json.dumps(doc)
+        else:
+            text = "odse model, but not in JSON\n"
+        path = tmp_path / "model.json"
+        path.write_text(text, encoding="utf-8")
+        assert self.classify(workdir, path) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+
 class TestEvaluateCommand:
     def test_reports_written(self, workdir, capsys):
         outdir = workdir / "reports"

@@ -1,10 +1,14 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import odse
 from odse.classifiers import (
     EMBEDDED_GAUSSIAN,
     INPUT_LEVENSHTEIN_KERNEL,
@@ -101,6 +105,31 @@ class TestWelch:
             welch_t_test([1.0], [1.0, 2.0])
         with pytest.raises(OdseError, match="two samples"):
             welch_t_test([1.0, 2.0], [])
+
+    def test_equals_scipy_stats_two_sided_tail_exactly(self):
+        from scipy.stats import t as student_t
+
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            a = rng.normal(0.0, 1.0, size=int(rng.integers(2, 15)))
+            b = rng.normal(rng.uniform(-1, 1), rng.uniform(0.1, 3), size=int(rng.integers(2, 15)))
+            sx, sy = a.var(ddof=1) / a.size, b.var(ddof=1) / b.size
+            tstat = (a.mean() - b.mean()) / math.sqrt(sx + sy)
+            df = (sx + sy) ** 2 / (sx**2 / (a.size - 1) + sy**2 / (b.size - 1))
+            assert welch_t_test(a, b) == float(2.0 * student_t.sf(abs(tstat), df))
+
+    def test_import_and_welch_test_leave_scipy_stats_unloaded(self):
+        # scipy.stats takes about a second and some 60 MB to import, at
+        # start-up or, when the Welch test loads it, at the end of an
+        # evaluation; only the tests need it
+        src = str(Path(odse.__file__).resolve().parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import odse; "
+            "assert 'scipy.stats' not in sys.modules; "
+            "odse.welch_t_test([0.9, 0.8, 0.95], [0.7, 0.75, 0.6]); "
+            "assert 'scipy.stats' not in sys.modules"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 
 
 class TestExperimentConfig:

@@ -1,0 +1,163 @@
+"""The compiled alignment kernel against the numpy reference loop, the
+fallback when it cannot be built, and how and when it is built."""
+
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import odse
+from odse import _dp, alignment
+from odse.alignment import (
+    BY_MAX_LENGTH,
+    RAW,
+    alignment_cost_rows,
+    build_cost_model,
+    dissimilarities_to_targets,
+    load_similarity_matrix,
+    numpy_cost_rows,
+    pam120_path,
+)
+from odse.embedding import RepresentationSet, compute_matrix
+
+from conftest import RESIDUES, random_sequences
+
+needs_kernel = pytest.mark.skipif(
+    _dp.load() is None, reason="no C compiler to build the alignment kernel"
+)
+
+
+@pytest.fixture(scope="module")
+def pam120():
+    return load_similarity_matrix(pam120_path())
+
+
+@pytest.fixture
+def fresh_build(monkeypatch, tmp_path):
+    """Forget the loaded kernel and cache new builds under tmp_path."""
+    monkeypatch.setattr(_dp, "_kernel", _dp._UNSET)
+    monkeypatch.setattr(_dp, "cache_dirs", lambda: (tmp_path / "a", tmp_path / "b"))
+    return tmp_path
+
+
+def random_batch(rng, n_alpha, max_len=120):
+    """Encoded query and padded target batch with ragged lengths 0..max_len,
+    padded past the longest target by up to four columns."""
+    query = rng.integers(0, n_alpha, size=int(rng.integers(0, max_len + 1)))
+    n_targets = int(rng.integers(0, 12))
+    lens = rng.integers(0, max_len + 1, size=n_targets)
+    width = (int(lens.max()) if n_targets else 0) + int(rng.integers(0, 5))
+    mat = rng.integers(0, n_alpha, size=(n_targets, width))
+    return query, mat, lens
+
+
+@needs_kernel
+class TestCompiledKernel:
+    def test_compiled_kernel_is_the_one_in_use(self, monkeypatch):
+        def reference_called(*args):
+            raise AssertionError("the numpy loop ran with a compiled kernel available")
+
+        monkeypatch.setattr(alignment, "numpy_cost_rows", reference_called)
+        out = alignment_cost_rows(
+            np.array([0, 1]), np.array([[1, 0, 2]]), np.array([3]),
+            np.zeros((3, 3)), 1.0,
+        )
+        assert out.tolist() == [1.0]
+
+    @pytest.mark.parametrize("table", ["pam120", "toy"])
+    def test_equals_numpy_reference_bit_for_bit(self, table, pam120, toy_sim):
+        sim = pam120 if table == "pam120" else toy_sim
+        rng = np.random.default_rng(3)
+        for gap_weight in np.concatenate(([1e-6, 4.0], rng.uniform(0.0, 4.0, 60))):
+            cm = build_cost_model(sim, gap_weight=float(gap_weight))
+            query, mat, lens = random_batch(rng, len(cm.alphabet))
+            want = numpy_cost_rows(query, mat, lens, cm.sub_cost, cm.gap_cost)
+            got = alignment_cost_rows(query, mat, lens, cm.sub_cost, cm.gap_cost)
+            assert np.array_equal(got, want)
+
+    def test_empty_query_and_empty_targets(self, toy_cm):
+        sub, gap = toy_cm.sub_cost, toy_cm.gap_cost
+        mat, lens = np.array([[1, 2, 3], [0, 0, 0]]), np.array([3, 0])
+        for query in (np.array([], dtype=np.intp), np.array([2, 1])):
+            assert np.array_equal(
+                alignment_cost_rows(query, mat, lens, sub, gap),
+                numpy_cost_rows(query, mat, lens, sub, gap),
+            )
+        empty = np.zeros((0, 0), dtype=np.intp), np.zeros(0, dtype=np.intp)
+        assert alignment_cost_rows(np.array([1]), *empty, sub, gap).shape == (0,)
+
+    @pytest.mark.parametrize("normalization", [RAW, BY_MAX_LENGTH])
+    def test_normalizations_match_numpy_fallback(self, normalization, pam120, monkeypatch):
+        rng = np.random.default_rng(5)
+        targets = random_sequences(rng, 15, lo=0, hi=60, alphabet=RESIDUES, prefix="t")
+        queries = random_sequences(rng, 6, lo=0, hi=60, alphabet=RESIDUES, prefix="q")
+        cm = build_cost_model(pam120, gap_weight=0.7, normalization=normalization)
+        compiled = [dissimilarities_to_targets(q, targets, cm) for q in queries]
+        monkeypatch.setattr(_dp, "load", lambda: None)
+        for q, got in zip(queries, compiled):
+            assert np.array_equal(got, dissimilarities_to_targets(q, targets, cm))
+
+    def test_bad_codes_and_lengths_rejected(self, toy_cm):
+        sub, gap = toy_cm.sub_cost, toy_cm.gap_cost
+        with pytest.raises(IndexError):
+            alignment_cost_rows(np.array([4]), np.array([[0]]), np.array([1]), sub, gap)
+        with pytest.raises(IndexError):
+            alignment_cost_rows(np.array([0]), np.array([[-1]]), np.array([1]), sub, gap)
+        with pytest.raises(ValueError, match="width"):
+            alignment_cost_rows(np.array([0]), np.array([[0]]), np.array([2]), sub, gap)
+
+    def test_concurrent_first_calls_build_once(self, fresh_build):
+        loaded = []
+        threads = [threading.Thread(target=lambda: loaded.append(_dp.load())) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert len(loaded) == 4 and loaded[0] is not None
+        assert all(k is loaded[0] for k in loaded)
+        assert [p.name for p in (fresh_build / "a").iterdir()] == [_dp.library_name()]
+
+    def test_unwritable_cache_dir_falls_through_to_the_next(self, fresh_build):
+        (fresh_build / "a").write_text("not a directory", encoding="utf-8")
+        assert _dp.load() is not None
+        assert (fresh_build / "b" / _dp.library_name()).exists()
+
+
+def test_fallback_gives_unchanged_results(pam120, monkeypatch):
+    rng = np.random.default_rng(7)
+    seqs = random_sequences(rng, 20, lo=0, hi=40, alphabet=RESIDUES)
+    r = RepresentationSet(tuple(seqs[:8]))
+    cm = build_cost_model(pam120, gap_weight=1.3)
+    before = compute_matrix(seqs, r, cm, threads=2).values
+    monkeypatch.setattr(_dp, "load", lambda: None)
+    after = compute_matrix(seqs, r, cm, threads=2).values
+    assert np.array_equal(before, after)
+
+
+def test_failed_build_falls_back_to_numpy(fresh_build, monkeypatch, toy_cm):
+    monkeypatch.setattr(_dp, "compiler", lambda: "false")
+    assert _dp.load() is None
+    query, mat, lens = np.array([0, 3]), np.array([[1, 2]]), np.array([2])
+    got = alignment_cost_rows(query, mat, lens, toy_cm.sub_cost, toy_cm.gap_cost)
+    want = numpy_cost_rows(query, mat, lens, toy_cm.sub_cost, toy_cm.gap_cost)
+    assert np.array_equal(got, want)
+
+
+def test_compiler_on_path_means_compiled_kernel():
+    # a build that breaks would otherwise fall back to numpy unnoticed
+    if _dp.compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    assert _dp.load() is not None
+
+
+def test_import_builds_no_kernel():
+    src = str(Path(odse.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import odse; "
+        "from odse import _dp; assert _dp._kernel is _dp._UNSET"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
