@@ -20,18 +20,11 @@ from .alignment import (
     parse_similarity_matrix,
 )
 from .classifiers import (
-    EMBEDDED_EUCLIDEAN,
-    EMBEDDED_GAUSSIAN,
-    INPUT_LEVENSHTEIN,
-    INPUT_LEVENSHTEIN_KERNEL,
     MEDIAN_HEURISTIC,
     KnnConfig,
     SvmConfig,
     TrainedSvm,
-    gaussian_kernel,
     knn_label_from_distances,
-    knn_predict,
-    levenshtein_kernel,
     svm_decision,
     svm_predict,
     svm_train,
@@ -54,10 +47,10 @@ from .embedding import (
     EXPANSION_MEDOID,
     INITIAL,
     DissimilarityMatrix,
-    EmbeddedDataset,
     RepresentationSet,
     compute_matrix,
     embed_one,
+    euclidean_distances,
     matrix_from_csv,
     matrix_to_csv,
 )

@@ -1,10 +1,12 @@
-"""kNN and binary C-SVM classifiers.
+"""kNN and binary C-SVM classifiers on precomputed distances.
 
-Both classifiers run in two spaces: on plain feature vectors (Euclidean
-distance, Gaussian kernel) and directly on symbol sequences (alignment
-distance, kernel exp(-gamma * d^2) used without any positive-definiteness
-correction).  The SVM is trained by a deterministic SMO loop so that
-training is reproducible bit for bit.
+The classifiers never compute a distance: the caller's space does.  The
+embedded space gives Euclidean distances between dissimilarity vectors
+(`embedding.euclidean_distances`); the input space gives alignment
+dissimilarities between sequences (`embedding.compute_matrix` tables).
+The SVM kernel is exp(-gamma * d^2) in both spaces, used without any
+positive-definiteness correction.  The SVM is trained by a deterministic
+SMO loop so that training is reproducible bit for bit.
 
 Class labels are 0 and 1 throughout; the SVM maps them to -1/+1
 internally and a decision value of exactly zero resolves to class 0.
@@ -17,14 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import AlignmentCostModel, dissimilarities_to_targets, levenshtein
 from .errors import OdseError, TrainingError
-from .sequences import Sequence
 
-EMBEDDED_EUCLIDEAN = "embedded-euclidean"
-INPUT_LEVENSHTEIN = "input-levenshtein"
-EMBEDDED_GAUSSIAN = "embedded-gaussian"
-INPUT_LEVENSHTEIN_KERNEL = "input-levenshtein-kernel"
 MEDIAN_HEURISTIC = "median-heuristic"
 
 # A pair step smaller than this does not count as progress; it is well
@@ -37,13 +33,10 @@ _SUPPORT_EPS = 1e-10
 @dataclass(frozen=True)
 class KnnConfig:
     k: int = 5
-    space: str = EMBEDDED_EUCLIDEAN
 
     def __post_init__(self):
         if self.k < 1 or self.k % 2 == 0:
             raise OdseError("k must be a positive odd integer")
-        if self.space not in (EMBEDDED_EUCLIDEAN, INPUT_LEVENSHTEIN):
-            raise OdseError(f"unknown kNN space {self.space!r}")
 
 
 @dataclass(frozen=True)
@@ -52,7 +45,6 @@ class SvmConfig:
     kernel_gamma: float | str = MEDIAN_HEURISTIC
     kkt_tolerance: float = 1e-3
     max_passes: int = 200
-    space: str = EMBEDDED_GAUSSIAN
 
     def __post_init__(self):
         if not self.c > 0.0:
@@ -65,21 +57,18 @@ class SvmConfig:
             raise OdseError("kkt_tolerance must be positive")
         if self.max_passes < 1:
             raise OdseError("max_passes must be at least 1")
-        if self.space not in (EMBEDDED_GAUSSIAN, INPUT_LEVENSHTEIN_KERNEL):
-            raise OdseError(f"unknown SVM space {self.space!r}")
 
 
 @dataclass(frozen=True)
 class TrainedSvm:
     """Support set of a trained binary SVM.
 
-    inputs holds the support items: a float matrix of vectors in the
-    embedded space, a tuple of Sequence in the input space.  targets are
-    the mapped -1/+1 labels of those items.
+    support holds the training-set indices of the support items in
+    increasing order; alphas and targets (the mapped -1/+1 labels) follow
+    the same order, and so must the distances a query is decided on.
     """
 
-    space: str
-    inputs: object
+    support: np.ndarray
     alphas: np.ndarray
     targets: np.ndarray
     bias: float
@@ -115,53 +104,8 @@ def knn_label_from_distances(distances, labels, k: int) -> int:
     return min(tied, key=lambda lab: (math.fsum(votes[lab]) / len(votes[lab]), lab))
 
 
-def knn_predict(train_inputs, train_labels, query, cfg: KnnConfig,
-                cm: AlignmentCostModel | None = None) -> int:
-    if cfg.space == EMBEDDED_EUCLIDEAN:
-        x = np.asarray(train_inputs, dtype=np.float64)
-        q = np.asarray(query, dtype=np.float64)
-        if x.ndim != 2 or q.shape != (x.shape[1],):
-            raise OdseError("query dimension does not match training vectors")
-        dist = np.sqrt(np.einsum("ij,ij->i", x - q, x - q))
-    else:
-        if cm is None:
-            raise OdseError("input-space kNN needs a cost model")
-        dist = dissimilarities_to_targets(query, list(train_inputs), cm)
-    return knn_label_from_distances(dist, train_labels, cfg.k)
-
-
 # --------------------------------------------------------------------------
-# kernels
-
-
-def gaussian_kernel(x, y, gamma: float) -> float:
-    a = np.asarray(x, dtype=np.float64)
-    b = np.asarray(y, dtype=np.float64)
-    if a.shape != b.shape:
-        raise OdseError("kernel arguments must have the same dimension")
-    d = a - b
-    return float(np.exp(-gamma * np.dot(d, d)))
-
-
-def levenshtein_kernel(s: Sequence, t: Sequence, gamma: float,
-                       cm: AlignmentCostModel) -> float:
-    d = levenshtein(s, t, cm)
-    return float(np.exp(-gamma * d * d))
-
-
-def _euclidean_pairwise(x: np.ndarray) -> np.ndarray:
-    diff = x[:, None, :] - x[None, :, :]
-    sq = np.einsum("ijk,ijk->ij", diff, diff)
-    return np.sqrt(np.maximum(sq, 0.0))
-
-
-def _sequence_pairwise(seqs, cm: AlignmentCostModel) -> np.ndarray:
-    n = len(seqs)
-    out = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        # one row per batched call; mirror for symmetry
-        out[i] = dissimilarities_to_targets(seqs[i], seqs, cm)
-    return out
+# SVM
 
 
 def median_heuristic_gamma(distances: np.ndarray) -> float:
@@ -176,10 +120,6 @@ def median_heuristic_gamma(distances: np.ndarray) -> float:
     if med <= 0.0:
         return 1.0
     return 1.0 / (2.0 * med * med)
-
-
-# --------------------------------------------------------------------------
-# SMO
 
 
 def smo_solve(gram, targets, c: float, tol: float, max_passes: int):
@@ -253,38 +193,20 @@ def smo_solve(gram, targets, c: float, tol: float, max_passes: int):
     return alphas, b
 
 
-def svm_train(train_inputs, train_labels, cfg: SvmConfig,
-              cm: AlignmentCostModel | None = None,
-              pairwise_dist=None) -> TrainedSvm:
-    """Train a binary C-SVM on vectors or sequences.
+def svm_train(dist, labels, cfg: SvmConfig) -> TrainedSvm:
+    """Train a binary C-SVM from the symmetric training distance matrix.
 
-    pairwise_dist, when given, must be the full symmetric training
-    distance matrix and skips recomputing it (the Gram matrix and the
-    median-heuristic width are both derived from distances).
+    The Gram matrix exp(-gamma * d^2) and the median-heuristic width are
+    both derived from dist, so training is the same in every space.
     """
-    labels = np.asarray(train_labels)
+    labels = np.asarray(labels)
     n = labels.shape[0]
     classes = set(int(v) for v in labels)
     if not classes <= {0, 1}:
         raise TrainingError(f"labels must be 0/1, got {sorted(classes)}")
     if len(classes) != 2:
         raise TrainingError("training set must contain both classes")
-    if cfg.space == EMBEDDED_GAUSSIAN:
-        x = np.asarray(train_inputs, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] != n:
-            raise TrainingError("expected one training vector per label")
-        dist = np.asarray(pairwise_dist, dtype=np.float64) if pairwise_dist is not None \
-            else _euclidean_pairwise(x)
-        stored = x
-    else:
-        if cm is None:
-            raise TrainingError("input-space SVM needs a cost model")
-        seqs = tuple(train_inputs)
-        if len(seqs) != n:
-            raise TrainingError("expected one training sequence per label")
-        dist = np.asarray(pairwise_dist, dtype=np.float64) if pairwise_dist is not None \
-            else _sequence_pairwise(seqs, cm)
-        stored = seqs
+    dist = np.asarray(dist, dtype=np.float64)
     if dist.shape != (n, n):
         raise TrainingError("pairwise distance matrix has the wrong shape")
     gamma = cfg.kernel_gamma if cfg.kernel_gamma != MEDIAN_HEURISTIC \
@@ -293,16 +215,13 @@ def svm_train(train_inputs, train_labels, cfg: SvmConfig,
     y = np.where(labels == 1, 1.0, -1.0)
     alphas, bias = smo_solve(gram, y, cfg.c, cfg.kkt_tolerance, cfg.max_passes)
     keep = alphas > _SUPPORT_EPS
-    if cfg.space == EMBEDDED_GAUSSIAN:
-        support = stored[keep]
-    else:
-        support = tuple(s for s, f in zip(stored, keep) if f)
-    return TrainedSvm(space=cfg.space, inputs=support, alphas=alphas[keep],
+    return TrainedSvm(support=np.flatnonzero(keep), alphas=alphas[keep],
                       targets=y[keep], bias=float(bias), gamma=float(gamma))
 
 
-def svm_decision_from_distances(model: TrainedSvm, distances) -> float:
-    """Decision value given precomputed query-to-support distances."""
+def svm_decision(model: TrainedSvm, distances) -> float:
+    """Decision value of one query given its distances to the support
+    items, in the order of model.support."""
     dist = np.asarray(distances, dtype=np.float64)
     if dist.shape != model.alphas.shape:
         raise OdseError("expected one distance per support item")
@@ -310,24 +229,5 @@ def svm_decision_from_distances(model: TrainedSvm, distances) -> float:
     return float(np.dot(model.alphas * model.targets, kvals) + model.bias)
 
 
-def svm_decision(model: TrainedSvm, query,
-                 cm: AlignmentCostModel | None = None) -> float:
-    if len(model.alphas) == 0:
-        return model.bias
-    if model.space == EMBEDDED_GAUSSIAN:
-        x = np.asarray(model.inputs, dtype=np.float64)
-        q = np.asarray(query, dtype=np.float64)
-        if q.shape != (x.shape[1],):
-            raise OdseError("query dimension does not match support vectors")
-        d = x - q
-        dist = np.sqrt(np.einsum("ij,ij->i", d, d))
-    else:
-        if cm is None:
-            raise OdseError("input-space SVM needs a cost model")
-        dist = dissimilarities_to_targets(query, list(model.inputs), cm)
-    return svm_decision_from_distances(model, dist)
-
-
-def svm_predict(model: TrainedSvm, query,
-                cm: AlignmentCostModel | None = None) -> int:
-    return 1 if svm_decision(model, query, cm) > 0.0 else 0
+def svm_predict(model: TrainedSvm, distances) -> int:
+    return 1 if svm_decision(model, distances) > 0.0 else 0

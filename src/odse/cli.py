@@ -51,99 +51,99 @@ from .model import (
 )
 from .sequences import read_fasta
 
-_DEFAULTS = {
-    "split": {"name": "DS-200", "seed": "0", "resamples": "10"},
+_INT = ("an integer", int)
+_FLOAT = ("a number", float)
+_TEXT = ("text", str)
+_GAMMA = (
+    f"a number or {MEDIAN_HEURISTIC!r}",
+    lambda text: text if text == MEDIAN_HEURISTIC else float(text),
+)
+
+# section -> key -> (type, default); the [svm] and [ga] keys are the
+# field names of SvmConfig and GaConfig
+_SETTINGS = {
+    "split": {"name": (_TEXT, "DS-200"), "seed": (_INT, "0"), "resamples": (_INT, "10")},
     "ga": {
-        "population_size": "20",
-        "crossover_prob": "0.9",
-        "mutation_prob": "0.2",
-        "max_generations": "50",
-        "stall_epsilon": "1e-4",
+        "population_size": (_INT, "20"),
+        "crossover_prob": (_FLOAT, "0.9"),
+        "mutation_prob": (_FLOAT, "0.2"),
+        "max_generations": (_INT, "50"),
+        "stall_epsilon": (_FLOAT, "1e-4"),
     },
     "svm": {
-        "c": "2",
-        "kernel_gamma": MEDIAN_HEURISTIC,
-        "kkt_tolerance": "1e-3",
-        "max_passes": "200",
+        "c": (_FLOAT, "2"),
+        "kernel_gamma": (_GAMMA, MEDIAN_HEURISTIC),
+        "kkt_tolerance": (_FLOAT, "1e-3"),
+        "max_passes": (_INT, "200"),
     },
-    "knn": {"k": "5", "input_k": "5"},
-    "estimator": {"kind": "QRE", "sigma": "0.5", "alpha": "0.5"},
+    "knn": {"k": (_INT, "5"), "input_k": (_INT, "5")},
+    "estimator": {"kind": (_TEXT, "QRE"), "sigma": (_FLOAT, "0.5"), "alpha": (_FLOAT, "0.5")},
     "experiment": {
-        "systems": ",".join(ALL_SYSTEMS),
-        "inner": "svm",
-        "normalization": RAW,
-        "input_gap_weight": "1.0",
-        "w_acc": "0.8",
-        "w_card": "0.1",
-        "w_ent": "0.1",
+        "systems": (_TEXT, ",".join(ALL_SYSTEMS)),
+        "inner": (_TEXT, "svm"),
+        "normalization": (_TEXT, RAW),
+        "input_gap_weight": (_FLOAT, "1.0"),
+        "w_acc": (_FLOAT, "0.8"),
+        "w_card": (_FLOAT, "0.1"),
+        "w_ent": (_FLOAT, "0.1"),
     },
 }
 
 
-def _load_config(path: str | None) -> configparser.ConfigParser:
+def _load_config(path: str | None) -> dict[str, dict]:
+    """Settings of the INI file over the defaults, each converted to its
+    type here, so that a bad value fails before any data is read."""
     cp = configparser.ConfigParser()
-    cp.read_dict(_DEFAULTS)
-    if path is not None:
-        if not os.path.exists(path):
-            raise OdseError(f"config file {path!r} does not exist")
-        cp.read(path)
-    return cp
-
-
-def _parse_gamma(text: str):
-    if text == MEDIAN_HEURISTIC:
-        return text
+    cp.read_dict(
+        {sec: {key: text for key, (_, text) in keys.items()} for sec, keys in _SETTINGS.items()}
+    )
+    if path is not None and not os.path.exists(path):
+        raise OdseError(f"config file {path!r} does not exist")
+    cfg: dict[str, dict] = {}
     try:
-        return float(text)
-    except ValueError:
-        raise OdseError(
-            f"kernel_gamma must be a number or {MEDIAN_HEURISTIC!r}, got {text!r}"
-        ) from None
+        if path is not None:
+            cp.read(path)
+        for sec, keys in _SETTINGS.items():
+            cfg[sec] = {}
+            for key, ((kind, convert), _) in keys.items():
+                text = cp[sec][key]
+                try:
+                    cfg[sec][key] = convert(text)
+                except ValueError:
+                    raise OdseError(f"[{sec}] {key} must be {kind}, got {text!r}") from None
+    except configparser.Error as exc:
+        raise OdseError(f"config file {path!r}: {str(exc).splitlines()[0]}") from None
+    return cfg
 
 
-def _svm_config(cp, space: str) -> SvmConfig:
-    sec = cp["svm"]
-    return SvmConfig(
-        c=sec.getfloat("c"),
-        kernel_gamma=_parse_gamma(sec.get("kernel_gamma")),
-        kkt_tolerance=sec.getfloat("kkt_tolerance"),
-        max_passes=sec.getint("max_passes"),
-        space=space,
+def _inner_config(cfg):
+    inner = cfg["experiment"]["inner"].lower()
+    if inner == "knn":
+        return KnnConfig(k=cfg["knn"]["k"])
+    if inner == "svm":
+        return SvmConfig(**cfg["svm"])
+    raise OdseError(f"[experiment] inner must be 'knn' or 'svm', got {inner!r}")
+
+
+def _estimator_config(cfg) -> EstimatorConfig:
+    sec = cfg["estimator"]
+    return EstimatorConfig(kind=sec["kind"].upper(), sigma=sec["sigma"], alpha=sec["alpha"])
+
+
+def _fitness_weights(cfg) -> FitnessWeights:
+    sec = cfg["experiment"]
+    return FitnessWeights(w_acc=sec["w_acc"], w_card=sec["w_card"], w_ent=sec["w_ent"])
+
+
+def _input_cost_model(cfg, sim):
+    sec = cfg["experiment"]
+    return build_cost_model(
+        sim, gap_weight=sec["input_gap_weight"], normalization=sec["normalization"]
     )
 
 
-def _ga_config(cp, seed: int) -> GaConfig:
-    sec = cp["ga"]
-    return GaConfig(
-        population_size=sec.getint("population_size"),
-        crossover_prob=sec.getfloat("crossover_prob"),
-        mutation_prob=sec.getfloat("mutation_prob"),
-        max_generations=sec.getint("max_generations"),
-        stall_epsilon=sec.getfloat("stall_epsilon"),
-        rng_seed=seed,
-    )
-
-
-def _estimator_config(cp) -> EstimatorConfig:
-    sec = cp["estimator"]
-    return EstimatorConfig(
-        kind=sec.get("kind").upper(),
-        sigma=sec.getfloat("sigma"),
-        alpha=sec.getfloat("alpha"),
-    )
-
-
-def _fitness_weights(cp) -> FitnessWeights:
-    sec = cp["experiment"]
-    return FitnessWeights(
-        w_acc=sec.getfloat("w_acc"),
-        w_card=sec.getfloat("w_card"),
-        w_ent=sec.getfloat("w_ent"),
-    )
-
-
-def _split_seed(cp, args) -> int:
-    return args.seed if args.seed is not None else cp["split"].getint("seed")
+def _split_seed(cfg, args) -> int:
+    return args.seed if args.seed is not None else cfg["split"]["seed"]
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -168,16 +168,11 @@ def _cmd_matrix(args) -> int:
 def _cmd_splits(args) -> int:
     import json
 
-    cp = _load_config(args.config)
+    cfg = _load_config(args.config)
+    name = args.split or cfg["split"]["name"]
+    seed = _split_seed(cfg, args)
     data = load_dataset(args.fasta, args.solubility)
-    name = args.split or cp["split"].get("name")
-    seed = _split_seed(cp, args)
-    sim = load_similarity_matrix(args.matrix)
-    cm = build_cost_model(
-        sim,
-        gap_weight=cp["experiment"].getfloat("input_gap_weight"),
-        normalization=cp["experiment"].get("normalization"),
-    )
+    cm = _input_cost_model(cfg, load_similarity_matrix(args.matrix))
     train, test = make_split(name, data, seed, cm=cm, threads=args.threads)
     doc = {
         "split": name,
@@ -193,35 +188,27 @@ def _cmd_splits(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    cp = _load_config(args.config)
+    cfg = _load_config(args.config)
+    seed = _split_seed(cfg, args)
+    name = args.split or cfg["split"]["name"]
+    inner = _inner_config(cfg)
+    fitness = _fitness_weights(cfg)
+    estimator = _estimator_config(cfg)
+    ga = GaConfig(**cfg["ga"], rng_seed=seed)
     data = load_dataset(args.fasta, args.solubility)
     sim = load_similarity_matrix(args.matrix)
-    seed = _split_seed(cp, args)
-    name = args.split or cp["split"].get("name")
-    normalization = cp["experiment"].get("normalization")
-    cm = build_cost_model(
-        sim,
-        gap_weight=cp["experiment"].getfloat("input_gap_weight"),
-        normalization=normalization,
-    )
+    cm = _input_cost_model(cfg, sim)
     train, _ = make_split(name, data, seed, cm=cm, threads=args.threads)
-    inner_kind = cp["experiment"].get("inner").lower()
-    if inner_kind == "knn":
-        inner = KnnConfig(k=cp["knn"].getint("k"))
-    elif inner_kind == "svm":
-        inner = _svm_config(cp, "embedded-gaussian")
-    else:
-        raise OdseError(f"[experiment] inner must be 'knn' or 'svm', got {inner_kind!r}")
     model = ga_optimize(
         train,
         None,
         sim,
         inner,
-        _fitness_weights(cp),
-        _estimator_config(cp),
-        _ga_config(cp, seed),
+        fitness,
+        estimator,
+        ga,
         threads=args.threads,
-        normalization=normalization,
+        normalization=cfg["experiment"]["normalization"],
     )
     out = args.out or "model.json"
     save_model(model, out)
@@ -245,29 +232,28 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    cp = _load_config(args.config)
-    data = load_dataset(args.fasta, args.solubility)
-    sim = load_similarity_matrix(args.matrix)
-    seed = _split_seed(cp, args)
-    name = args.split or cp["split"].get("name")
-    systems = tuple(
-        s.strip() for s in cp["experiment"].get("systems").split(",") if s.strip()
-    )
-    cfg = ExperimentConfig(
-        split=SplitSpec(name, seed, cp["split"].getint("resamples")),
-        systems=systems,
-        ga=_ga_config(cp, seed),
-        fitness=_fitness_weights(cp),
-        estimator=_estimator_config(cp),
-        knn_k=cp["knn"].getint("k"),
-        svm=_svm_config(cp, "embedded-gaussian"),
-        input_knn_k=cp["knn"].getint("input_k"),
-        input_svm=_svm_config(cp, "input-levenshtein-kernel"),
-        input_gap_weight=cp["experiment"].getfloat("input_gap_weight"),
-        normalization=cp["experiment"].get("normalization"),
+    cfg = _load_config(args.config)
+    seed = _split_seed(cfg, args)
+    name = args.split or cfg["split"]["name"]
+    exp = cfg["experiment"]
+    svm = SvmConfig(**cfg["svm"])
+    config = ExperimentConfig(
+        split=SplitSpec(name, seed, cfg["split"]["resamples"]),
+        systems=tuple(s.strip() for s in exp["systems"].split(",") if s.strip()),
+        ga=GaConfig(**cfg["ga"], rng_seed=seed),
+        fitness=_fitness_weights(cfg),
+        estimator=_estimator_config(cfg),
+        knn_k=cfg["knn"]["k"],
+        svm=svm,
+        input_knn_k=cfg["knn"]["input_k"],
+        input_svm=svm,
+        input_gap_weight=exp["input_gap_weight"],
+        normalization=exp["normalization"],
         threads=args.threads,
     )
-    report = run_experiment(data, sim, cfg)
+    data = load_dataset(args.fasta, args.solubility)
+    sim = load_similarity_matrix(args.matrix)
+    report = run_experiment(data, sim, config)
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "report.csv"), "w", encoding="utf-8") as fh:

@@ -67,18 +67,6 @@ class DissimilarityMatrix:
         return self.values[:, j]
 
 
-@dataclass(frozen=True)
-class EmbeddedDataset:
-    """Rows of a dissimilarity matrix with their class labels."""
-
-    vectors: np.ndarray
-    labels: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return int(self.vectors.shape[1])
-
-
 def embed_one(s: Sequence, r: RepresentationSet, cm: AlignmentCostModel) -> np.ndarray:
     """Dissimilarity vector of one sequence against every prototype."""
     return dissimilarities_to_targets(s, r.prototypes, cm)
@@ -114,6 +102,25 @@ def compute_matrix(
         row_ids=tuple(s.id for s in data),
         col_ids=r.ids,
     )
+
+
+def euclidean_distances(x, y, squared: bool = False) -> np.ndarray:
+    """Euclidean distances between the rows of x and the rows of y, as an
+    x-rows by y-rows array; squared=True returns the squared distances.
+
+    This is the one place the package measures distances between
+    embedded vectors: the inner kNN and SVM and both entropy estimators
+    use it.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
+        raise OdseError(
+            f"vector dimension mismatch: shapes {x.shape} and {y.shape}"
+        )
+    diff = x[:, None, :] - y[None, :, :]
+    sq = np.einsum("ijk,ijk->ij", diff, diff)
+    return sq if squared else np.sqrt(sq)
 
 
 def matrix_to_csv(d: DissimilarityMatrix) -> str:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .embedding import euclidean_distances
 from .errors import OdseError
 
 QRE = "QRE"
@@ -24,10 +25,6 @@ class EstimatorConfig:
     kind: str = QRE
     sigma: float = 0.5
     alpha: float = 0.5
-    # Bias constant of the spanning-tree estimator, kept at 0: it shifts
-    # every estimate equally and the thresholds comparing entropies are
-    # learned, so the offset is absorbed.
-    mst_beta_log: float = 0.0
 
     def __post_init__(self):
         if self.kind not in (QRE, MST):
@@ -55,11 +52,6 @@ def _as_matrix(samples) -> np.ndarray:
     return x
 
 
-def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
-    diff = x[:, None, :] - x[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
-
-
 def qre_entropy(samples, sigma: float) -> float:
     """Quadratic Renyi entropy via a Parzen window.
 
@@ -72,7 +64,7 @@ def qre_entropy(samples, sigma: float) -> float:
         raise OdseError("QRE estimator needs at least one sample")
     if not sigma > 0.0:
         raise OdseError("sigma must be positive")
-    sq = _pairwise_sq_dists(x)
+    sq = euclidean_distances(x, x, squared=True)
     # kernel G_{sigma*sqrt(2)}: normalizer (4*pi*sigma^2)^(-d/2)
     kernel_sum = float(np.sum(np.exp(-sq / (4.0 * sigma * sigma))))
     mean = kernel_sum / (n * n)
@@ -111,7 +103,7 @@ def mst_total_length(samples, gamma: float) -> float:
         raise OdseError("spanning-tree length needs at least two samples")
     if not gamma > 0.0:
         raise OdseError("gamma must be positive")
-    dist = np.sqrt(np.maximum(_pairwise_sq_dists(x), 0.0))
+    dist = euclidean_distances(x, x)
     lengths = _prim_mst_lengths(dist)
     return float(np.sum(np.sort(lengths**gamma)))
 
@@ -120,7 +112,9 @@ def mst_entropy(samples, cfg: EstimatorConfig) -> float:
     """Renyi entropy of order alpha from the power-weighted spanning tree.
 
     With gamma = d * (1 - alpha):
-        (1 / (1 - alpha)) * (ln(L_gamma / N**alpha) - beta_log)
+        (1 / (1 - alpha)) * ln(L_gamma / N**alpha)
+    The estimator's bias constant is left out: it shifts every estimate
+    equally, and the thresholds comparing entropies are learned.
     Returns -inf when every sample coincides (zero tree length).
     """
     x = _as_matrix(samples)
@@ -131,7 +125,7 @@ def mst_entropy(samples, cfg: EstimatorConfig) -> float:
     total = mst_total_length(x, gamma)
     if total == 0.0:
         return float("-inf")
-    return (math.log(total / n**cfg.alpha) - cfg.mst_beta_log) / (1.0 - cfg.alpha)
+    return math.log(total / n**cfg.alpha) / (1.0 - cfg.alpha)
 
 
 def _estimate_raw(x: np.ndarray, cfg: EstimatorConfig) -> float:

@@ -20,12 +20,10 @@ import numpy as np
 
 from .alignment import RAW, SimilarityMatrix, build_cost_model
 from .classifiers import (
-    EMBEDDED_GAUSSIAN,
-    INPUT_LEVENSHTEIN_KERNEL,
     KnnConfig,
     SvmConfig,
     knn_label_from_distances,
-    svm_decision_from_distances,
+    svm_predict,
     svm_train,
 )
 from .datasets import DS200, SplitSpec, make_split
@@ -85,7 +83,7 @@ class ExperimentConfig:
     knn_k: int = 5
     svm: SvmConfig = SvmConfig()
     input_knn_k: int = 5
-    input_svm: SvmConfig = SvmConfig(space=INPUT_LEVENSHTEIN_KERNEL)
+    input_svm: SvmConfig = SvmConfig()
     input_gap_weight: float = 1.0
     normalization: str = RAW
     threads: int = 1
@@ -96,10 +94,6 @@ class ExperimentConfig:
         unknown = [s for s in self.systems if s not in ALL_SYSTEMS]
         if unknown:
             raise OdseError(f"unknown systems {unknown}; choose from {ALL_SYSTEMS}")
-        if self.svm.space != EMBEDDED_GAUSSIAN:
-            raise OdseError("the inner SVM must use the embedded space")
-        if self.input_svm.space != INPUT_LEVENSHTEIN_KERNEL:
-            raise OdseError("the reference SVM must use the input space")
 
 
 @dataclass(frozen=True)
@@ -161,11 +155,14 @@ def _system_params(system: str, cfg: ExperimentConfig) -> str:
     return f"C={cfg.input_svm.c:g}"
 
 
-def _run_system(system, train, test, sim, cfg, cm_ref, d_train, d_test, seed):
-    """Predicted labels for the test set under one system."""
-    train_seqs = [s for s, _ in train]
+def _run_system(system, train, test, sim, cfg, d_train, d_test, seed):
+    """Predicted labels for the test set under one system.
+
+    The input-space references read their distances from d_train and
+    d_test, the alignment tables of the split under the reference cost
+    model.
+    """
     train_labels = np.array([lab for _, lab in train])
-    test_seqs = [s for s, _ in test]
     if system in (ODSE_KNN, ODSE_SVM):
         inner = KnnConfig(k=cfg.knn_k) if system == ODSE_KNN else cfg.svm
         ga = dataclasses.replace(cfg.ga, rng_seed=seed)
@@ -180,20 +177,14 @@ def _run_system(system, train, test, sim, cfg, cm_ref, d_train, d_test, seed):
             threads=cfg.threads,
             normalization=cfg.normalization,
         )
-        return classify_all(model, test_seqs, threads=cfg.threads)
+        return classify_all(model, [s for s, _ in test], threads=cfg.threads)
     if system == INPUT_KNN:
         return [
             knn_label_from_distances(row, train_labels, cfg.input_knn_k)
             for row in d_test
         ]
-    svm = svm_train(train_seqs, train_labels, cfg.input_svm, cm_ref,
-                    pairwise_dist=d_train)
-    position = {s.id: i for i, s in enumerate(train_seqs)}
-    support_cols = [position[s.id] for s in svm.inputs]
-    return [
-        1 if svm_decision_from_distances(svm, row[support_cols]) > 0.0 else 0
-        for row in d_test
-    ]
+    svm = svm_train(d_train, train_labels, cfg.input_svm)
+    return [svm_predict(svm, row[svm.support]) for row in d_test]
 
 
 def run_experiment(data, sim: SimilarityMatrix, cfg: ExperimentConfig) -> EvaluationReport:
@@ -237,7 +228,7 @@ def run_experiment(data, sim: SimilarityMatrix, cfg: ExperimentConfig) -> Evalua
                 d_test = compute_matrix(test_seqs, proto, cm_ref, cfg.threads).values
             for system in cfg.systems:
                 preds = _run_system(
-                    system, train, test, sim, cfg, cm_ref, d_train, d_test, seed
+                    system, train, test, sim, cfg, d_train, d_test, seed
                 )
                 err0 = sum(
                     1 for (_, lab), p in zip(test, preds) if lab == 0 and p != 0

@@ -23,11 +23,8 @@ from .alignment import (
     AlignmentCostModel,
     SimilarityMatrix,
     build_cost_model,
-    dissimilarities_to_targets,
 )
 from .classifiers import (
-    EMBEDDED_EUCLIDEAN,
-    EMBEDDED_GAUSSIAN,
     KnnConfig,
     SvmConfig,
     TrainedSvm,
@@ -41,6 +38,7 @@ from .embedding import (
     RepresentationSet,
     compute_matrix,
     embed_one,
+    euclidean_distances,
 )
 from .entropy import (
     MST,
@@ -145,34 +143,33 @@ class KnnInner:
     config: KnnConfig
 
     def predict(self, vector) -> int:
-        q = np.asarray(vector, dtype=np.float64)
-        d = self.vectors - q
-        dist = np.sqrt(np.einsum("ij,ij->i", d, d))
+        dist = euclidean_distances([vector], self.vectors)[0]
         return knn_label_from_distances(dist, self.labels, self.config.k)
 
 
 @dataclass(frozen=True, eq=False)
 class SvmInner:
+    """Inner SVM over embedded vectors; keeps its support vectors, one
+    row per support item of the model."""
+
     model: TrainedSvm
+    support: np.ndarray
     config: SvmConfig
 
     def predict(self, vector) -> int:
-        return svm_predict(self.model, vector)
+        return svm_predict(self.model, euclidean_distances([vector], self.support)[0])
 
 
 def train_inner(vectors: np.ndarray, labels, cfg):
     """Train the configured inner classifier on embedded vectors."""
     labels = np.asarray(labels)
     if isinstance(cfg, KnnConfig):
-        if cfg.space != EMBEDDED_EUCLIDEAN:
-            raise TrainingError("inner kNN must use the embedded space")
         if vectors.shape[0] < cfg.k:
             raise TrainingError("fewer training vectors than k")
         return KnnInner(vectors=np.array(vectors), labels=labels, config=cfg)
     if isinstance(cfg, SvmConfig):
-        if cfg.space != EMBEDDED_GAUSSIAN:
-            raise TrainingError("inner SVM must use the embedded space")
-        return SvmInner(model=svm_train(vectors, labels, cfg), config=cfg)
+        svm = svm_train(euclidean_distances(vectors, vectors), labels, cfg)
+        return SvmInner(model=svm, support=vectors[svm.support], config=cfg)
     raise TrainingError(f"unknown inner classifier config {type(cfg).__name__}")
 
 
@@ -219,12 +216,12 @@ def compress(
     return reduced, tuple(kept)
 
 
-def _per_class_medoids(train, cm: AlignmentCostModel, pairwise=None):
+def _per_class_medoids(train, pairwise: np.ndarray):
     """One medoid per class: the member minimizing the summed input-space
     dissimilarity to its classmates, ties to the lowest dataset index.
 
-    pairwise, when given, is the full train-by-train dissimilarity matrix
-    in dataset order.
+    pairwise is the full train-by-train dissimilarity matrix in dataset
+    order.
     """
     by_class: dict[int, list[int]] = {}
     for i, (_, label) in enumerate(train):
@@ -232,13 +229,7 @@ def _per_class_medoids(train, cm: AlignmentCostModel, pairwise=None):
     medoids = []
     for label in sorted(by_class):
         idx = by_class[label]
-        members = [train[i][0] for i in idx]
-        if pairwise is not None:
-            sums = pairwise[np.ix_(idx, idx)].sum(axis=0)
-        else:
-            sums = np.zeros(len(idx))
-            for s in members:
-                sums += dissimilarities_to_targets(s, members, cm)
+        sums = pairwise[np.ix_(idx, idx)].sum(axis=0)
         best = int(np.argmin(sums))
         medoids.append((label, train[idx[best]][0]))
     return medoids
@@ -249,19 +240,21 @@ def expand(
     r: RepresentationSet,
     tau_e: float,
     train,
-    cm: AlignmentCostModel,
+    pairwise: np.ndarray,
     est: EstimatorConfig,
-    pairwise=None,
 ) -> RepresentationSet:
     """Replace prototypes whose column scores at or above tau_e.
 
     Removed prototypes are replaced collectively by one medoid per class
-    drawn from the training data; medoids whose id already survives are
-    not re-added.  When no column reaches tau_e the set is returned
-    unchanged.
+    drawn from the training data, found on pairwise, the train-by-train
+    input-space dissimilarity matrix in dataset order; medoids whose id
+    already survives are not re-added.  When no column reaches tau_e the
+    set is returned unchanged.
     """
     if not train:
         raise SynthesisError("expansion needs a non-empty training set")
+    if np.shape(pairwise) != (len(train), len(train)):
+        raise SynthesisError("expansion needs the train-by-train dissimilarity matrix")
     scores = np.array(
         [normalized_column_entropy(d.column(j), est).normalized for j in range(len(r))]
     )
@@ -271,7 +264,7 @@ def expand(
     protos = [p for j, p in enumerate(r.prototypes) if not removed[j]]
     tags = [t for j, t in enumerate(r.provenance) if not removed[j]]
     present = {p.id for p in protos}
-    for _, medoid in _per_class_medoids(train, cm, pairwise):
+    for _, medoid in _per_class_medoids(train, pairwise):
         if medoid.id in present:
             continue
         present.add(medoid.id)
@@ -327,7 +320,7 @@ def synthesize_instance(
     dc = DissimilarityMatrix(d0.values[:, list(kept)], d0.row_ids, rc.ids)
     # with the initial prototypes equal to the training set, d0 doubles as
     # the input-space pairwise matrix the medoid search needs
-    r1 = expand(dc, rc, g.tau_e, train, cm, est_g, pairwise=d0.values)
+    r1 = expand(dc, rc, g.tau_e, train, d0.values, est_g)
 
     # every prototype of r1 is a training sequence, so the embedded
     # training matrix is a column selection of d0 (bit-identical to a
@@ -528,13 +521,17 @@ def classify_all(model: OdseModel, seqs, threads: int = 1) -> list[int]:
 # persistence
 
 _FORMAT = "odse-model/1"
+# the space tags the format has always carried; an inner classifier only
+# ever works on embedded vectors, so these are the only values accepted
+_KNN_SPACE = "embedded-euclidean"
+_SVM_SPACE = "embedded-gaussian"
 
 
 def _inner_to_dict(inner) -> dict:
     if isinstance(inner, KnnInner):
         return {
             "kind": "knn",
-            "config": {"k": inner.config.k, "space": inner.config.space},
+            "config": {"k": inner.config.k, "space": _KNN_SPACE},
             "vectors": inner.vectors.tolist(),
             "labels": [int(v) for v in inner.labels],
         }
@@ -548,10 +545,10 @@ def _inner_to_dict(inner) -> dict:
                 "kernel_gamma": cfg.kernel_gamma,
                 "kkt_tolerance": cfg.kkt_tolerance,
                 "max_passes": cfg.max_passes,
-                "space": cfg.space,
+                "space": _SVM_SPACE,
             },
-            "space": svm.space,
-            "support": np.asarray(svm.inputs).tolist(),
+            "space": _SVM_SPACE,
+            "support": inner.support.tolist(),
             "alphas": svm.alphas.tolist(),
             "targets": svm.targets.tolist(),
             "bias": svm.bias,
@@ -560,9 +557,15 @@ def _inner_to_dict(inner) -> dict:
     raise OdseError(f"cannot serialize inner classifier {type(inner).__name__}")
 
 
-def _inner_from_dict(rec: dict):
+def _check_space(found, want: str) -> None:
+    if found != want:
+        raise OdseError(f"inner classifier space {found!r} is not {want!r}")
+
+
+def _inner_from_dict(rec: dict, width: int):
     if rec["kind"] == "knn":
-        cfg = KnnConfig(k=rec["config"]["k"], space=rec["config"]["space"])
+        _check_space(rec["config"]["space"], _KNN_SPACE)
+        cfg = KnnConfig(k=rec["config"]["k"])
         return KnnInner(
             vectors=np.array(rec["vectors"], dtype=np.float64),
             labels=np.array(rec["labels"], dtype=np.int64),
@@ -570,22 +573,26 @@ def _inner_from_dict(rec: dict):
         )
     if rec["kind"] == "svm":
         c = rec["config"]
+        _check_space(c["space"], _SVM_SPACE)
+        _check_space(rec["space"], _SVM_SPACE)
         cfg = SvmConfig(
             c=c["c"],
             kernel_gamma=c["kernel_gamma"],
             kkt_tolerance=c["kkt_tolerance"],
             max_passes=c["max_passes"],
-            space=c["space"],
         )
+        alphas = np.array(rec["alphas"], dtype=np.float64)
+        # the stored support vectors are the whole training set a loaded
+        # model knows, so its support indices are 0..n-1
         svm = TrainedSvm(
-            space=rec["space"],
-            inputs=np.array(rec["support"], dtype=np.float64),
-            alphas=np.array(rec["alphas"], dtype=np.float64),
+            support=np.arange(len(alphas)),
+            alphas=alphas,
             targets=np.array(rec["targets"], dtype=np.float64),
             bias=float(rec["bias"]),
             gamma=float(rec["gamma"]),
         )
-        return SvmInner(model=svm, config=cfg)
+        support = np.array(rec["support"], dtype=np.float64).reshape(-1, width)
+        return SvmInner(model=svm, support=support, config=cfg)
     raise OdseError(f"unknown inner classifier kind {rec.get('kind')!r}")
 
 
@@ -656,7 +663,7 @@ def _model_from_doc(doc) -> OdseModel:
         genome=genome,
         representation=rep,
         cost_model=cm,
-        inner=_inner_from_dict(doc["inner"]),
+        inner=_inner_from_dict(doc["inner"], len(rep)),
         fitness=float(doc["fitness"]),
         synthesis_log=log,
     )

@@ -20,7 +20,6 @@ from odse.alignment import (
     parse_similarity_matrix,
 )
 from odse.classifiers import (
-    INPUT_LEVENSHTEIN_KERNEL,
     KnnConfig,
     SvmConfig,
     svm_decision,
@@ -34,6 +33,7 @@ from odse.embedding import (
     DissimilarityMatrix,
     RepresentationSet,
     compute_matrix,
+    euclidean_distances,
 )
 from odse.entropy import (
     EstimatorConfig,
@@ -182,7 +182,7 @@ def test_criterion_05_prototype_compression_expansion_contracts(toy_cm):
     train_seqs = [s for s, _ in train2]
     r2 = RepresentationSet(tuple(train_seqs))
     d2 = compute_matrix(train_seqs, r2, toy_cm)
-    expanded = expand(d2, r2, 0.0, train2, toy_cm, est)
+    expanded = expand(d2, r2, 0.0, train2, d2.values, est)
     assert expanded.provenance == (EXPANSION_MEDOID, EXPANSION_MEDOID)
     for label in (0, 1):
         group = [s for s, lab in train2 if lab == label]
@@ -248,7 +248,7 @@ def test_criterion_07_svm_dual_constraints_and_oracle(toy_cm):
             rng.normal(3.0, 1.0, size=(20, 2)),
         ])
         y = np.array([0] * 20 + [1] * 20)
-        svm = svm_train(x, y, SvmConfig())
+        svm = svm_train(euclidean_distances(x, x), y, SvmConfig())
         assert np.all(svm.alphas >= -1e-3)
         assert np.all(svm.alphas <= 2.0 + 1e-3)
         balance = abs(float(np.dot(svm.alphas, svm.targets)))
@@ -259,8 +259,9 @@ def test_criterion_07_svm_dual_constraints_and_oracle(toy_cm):
     r, gamma = 1.2, 0.8
     q = math.exp(-gamma * r * r)
     want_alpha = 1.0 / (1.0 - q)
+    x = np.array([[0.0], [r]])
     svm = svm_train(
-        np.array([[0.0], [r]]), np.array([1, 0]),
+        euclidean_distances(x, x), np.array([1, 0]),
         SvmConfig(c=10.0, kernel_gamma=gamma),
     )
     assert np.allclose(np.sort(svm.alphas), [want_alpha, want_alpha],
@@ -268,22 +269,20 @@ def test_criterion_07_svm_dual_constraints_and_oracle(toy_cm):
     assert abs(svm.bias) < 1e-12
     # the midpoint decision is analytically 0; the two squared distances
     # round differently, so allow ulp-level residue and demand class 0
-    assert abs(svm_decision(svm, [r / 2.0])) < 1e-12
-    assert svm_predict(svm, [r / 2.0]) == 0
+    mid = euclidean_distances([[r / 2.0]], x[svm.support])[0]
+    assert abs(svm_decision(svm, mid)) < 1e-12
+    assert svm_predict(svm, mid) == 0
 
     # c) indefinite input-space kernel still terminates and predicts
     rng = np.random.default_rng(31)
     seqs = random_sequences(rng, 50, lo=3, hi=10)
     labels = np.array([i % 2 for i in range(50)])
     t0 = time.perf_counter()
-    model = svm_train(
-        seqs, labels,
-        SvmConfig(space=INPUT_LEVENSHTEIN_KERNEL, max_passes=50),
-        cm=toy_cm,
-    )
+    table = compute_matrix(seqs, RepresentationSet(tuple(seqs)), toy_cm).values
+    model = svm_train(table, labels, SvmConfig(max_passes=50))
     elapsed = time.perf_counter() - t0
     assert np.all(np.isfinite(model.alphas)) and math.isfinite(model.bias)
-    preds = {svm_predict(model, s, cm=toy_cm) for s in seqs[:8]}
+    preds = {svm_predict(model, row[model.support]) for row in table[:8]}
     assert preds <= {0, 1}
     print(f"[acceptance 07] PASS: worst |sum(alpha*y)| = {worst_sum:.2e}; "
           f"two-point duals match within 1e-12; indefinite-kernel fit on "

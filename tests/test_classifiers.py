@@ -4,26 +4,20 @@ import numpy as np
 import pytest
 
 from odse.classifiers import (
-    EMBEDDED_EUCLIDEAN,
-    EMBEDDED_GAUSSIAN,
-    INPUT_LEVENSHTEIN,
-    INPUT_LEVENSHTEIN_KERNEL,
     KnnConfig,
     SvmConfig,
     TrainedSvm,
-    gaussian_kernel,
     knn_label_from_distances,
-    knn_predict,
-    levenshtein_kernel,
     median_heuristic_gamma,
     smo_solve,
     svm_decision,
-    svm_decision_from_distances,
     svm_predict,
     svm_train,
 )
 from odse.alignment import levenshtein
+from odse.embedding import RepresentationSet, compute_matrix, euclidean_distances
 from odse.errors import OdseError, TrainingError
+from odse.model import train_inner
 from odse.sequences import Sequence
 
 from conftest import random_sequences
@@ -37,19 +31,34 @@ def blobs(rng, n_per_class=20, sep=6.0, dim=2):
     return x, y
 
 
+def fit(x, y, cfg):
+    """SVM on vectors, trained from their Euclidean distance table."""
+    return svm_train(euclidean_distances(x, x), y, cfg)
+
+
+def decision(model, x, q):
+    """Decision value of query vector q for a model fit on the rows of x."""
+    return svm_decision(model, euclidean_distances([q], x[model.support])[0])
+
+
+def single_support(gamma):
+    return TrainedSvm(
+        support=np.array([0]),
+        alphas=np.array([1.0]),
+        targets=np.array([1.0]),
+        bias=0.0,
+        gamma=gamma,
+    )
+
+
 class TestKnnConfig:
     def test_defaults(self):
-        cfg = KnnConfig()
-        assert cfg.k == 5 and cfg.space == EMBEDDED_EUCLIDEAN
+        assert KnnConfig().k == 5
 
     @pytest.mark.parametrize("k", [0, -1, 2, 4])
     def test_k_must_be_positive_odd(self, k):
         with pytest.raises(OdseError, match="odd"):
             KnnConfig(k=k)
-
-    def test_space_checked(self):
-        with pytest.raises(OdseError, match="space"):
-            KnnConfig(space="embedded-manhattan")
 
 
 class TestKnnTieRules:
@@ -115,66 +124,62 @@ class TestKnnPredict:
     def test_embedded_space_separable(self):
         rng = np.random.default_rng(67)
         x, y = blobs(rng)
-        cfg = KnnConfig(k=3)
+        inner = train_inner(x, y, KnnConfig(k=3))
         for i in range(len(y)):
-            assert knn_predict(x, y, x[i], cfg) == y[i]
+            assert inner.predict(x[i]) == y[i]
 
     def test_dimension_mismatch_rejected(self):
+        inner = train_inner(np.zeros((4, 3)), [0, 0, 1, 1], KnnConfig(k=1))
         with pytest.raises(OdseError, match="dimension"):
-            knn_predict(np.zeros((4, 3)), [0, 0, 1, 1], np.zeros(2), KnnConfig(k=1))
+            inner.predict(np.zeros(2))
 
     def test_input_space_exact_match_wins(self, toy_cm):
         rng = np.random.default_rng(71)
         seqs = random_sequences(rng, 8, lo=4, hi=8)
         labels = [i % 2 for i in range(8)]
-        cfg = KnnConfig(k=1, space=INPUT_LEVENSHTEIN)
-        for s, lab in zip(seqs, labels):
-            assert knn_predict(seqs, labels, s, cfg, cm=toy_cm) == lab
-
-    def test_input_space_requires_cost_model(self):
-        cfg = KnnConfig(k=1, space=INPUT_LEVENSHTEIN)
-        with pytest.raises(OdseError, match="cost model"):
-            knn_predict([Sequence("a", "AR")], [0], Sequence("q", "AR"), cfg)
+        table = compute_matrix(seqs, RepresentationSet(tuple(seqs)), toy_cm).values
+        for row, lab in zip(table, labels):
+            assert knn_label_from_distances(row, labels, k=1) == lab
 
 
 class TestKernels:
+    """The kernel exp(-gamma * d^2) as the SVM applies it to the
+    distances of either space."""
+
     def test_gaussian_kernel_values(self):
-        assert gaussian_kernel([1.0, 2.0], [1.0, 2.0], 3.0) == 1.0
-        assert gaussian_kernel([0.0], [1.0], 1.0) == pytest.approx(
-            math.exp(-1.0), abs=1e-15
+        cases = (
+            ([1.0, 2.0], [1.0, 2.0], 3.0, 1.0, 0.0),
+            ([0.0], [1.0], 1.0, math.exp(-1.0), 1e-15),
+            ([0.0, 0.0], [3.0, 4.0], 0.1, math.exp(-2.5), 1e-12),
         )
-        assert gaussian_kernel([0.0, 0.0], [3.0, 4.0], 0.1) == pytest.approx(
-            math.exp(-2.5), abs=1e-12
-        )
+        for a, b, gamma, want, tol in cases:
+            d = euclidean_distances([a], [b])[0]
+            assert svm_decision(single_support(gamma), d) == pytest.approx(want, abs=tol)
 
     def test_gaussian_kernel_shape_mismatch(self):
         with pytest.raises(OdseError, match="dimension"):
-            gaussian_kernel([1.0], [1.0, 2.0], 1.0)
+            euclidean_distances([[1.0]], [[1.0, 2.0]])
 
     def test_gaussian_gram_is_positive_semidefinite(self):
         rng = np.random.default_rng(73)
         x = rng.normal(size=(15, 3))
-        gram = np.array(
-            [[gaussian_kernel(a, b, 0.7) for b in x] for a in x]
-        )
+        gram = np.exp(-0.7 * euclidean_distances(x, x, squared=True))
         eig = np.linalg.eigvalsh(gram)
         assert eig.min() >= -1e-10
 
     def test_levenshtein_kernel_diag_and_symmetry(self, toy_cm):
         rng = np.random.default_rng(79)
         seqs = random_sequences(rng, 5, lo=2, hi=7)
-        for s in seqs:
-            assert levenshtein_kernel(s, s, 0.5, toy_cm) == 1.0
-        for s in seqs:
-            for t in seqs:
-                assert levenshtein_kernel(s, t, 0.5, toy_cm) == pytest.approx(
-                    levenshtein_kernel(t, s, 0.5, toy_cm), abs=1e-15
-                )
+        table = compute_matrix(seqs, RepresentationSet(tuple(seqs)), toy_cm).values
+        gram = np.exp(-0.5 * table * table)
+        assert np.all(np.diag(gram) == 1.0)
+        assert np.allclose(gram, gram.T, rtol=0.0, atol=1e-15)
 
     def test_levenshtein_kernel_matches_distance(self, toy_cm):
         s, t = Sequence("a", "ARND"), Sequence("b", "ARD")
         d = levenshtein(s, t, toy_cm)
-        assert levenshtein_kernel(s, t, 2.0, toy_cm) == pytest.approx(
+        row = compute_matrix([s], RepresentationSet((t,)), toy_cm).values[0]
+        assert svm_decision(single_support(2.0), row) == pytest.approx(
             math.exp(-2.0 * d * d), abs=1e-15
         )
 
@@ -201,8 +206,6 @@ class TestSvmConfig:
             SvmConfig(kkt_tolerance=0.0)
         with pytest.raises(OdseError, match="max_passes"):
             SvmConfig(max_passes=0)
-        with pytest.raises(OdseError, match="space"):
-            SvmConfig(space=EMBEDDED_EUCLIDEAN)
 
 
 class TestSmoTwoPointOracle:
@@ -215,8 +218,9 @@ class TestSmoTwoPointOracle:
 
         x = np.array([[0.0], [r]])
         cfg = SvmConfig(c=c, kernel_gamma=gamma)
-        model = svm_train(x, [1, 0], cfg)
+        model = fit(x, [1, 0], cfg)
 
+        assert list(model.support) == [0, 1]
         assert model.alphas.shape == (2,)
         assert model.alphas[0] == pytest.approx(expected_alpha, abs=1e-12)
         assert model.alphas[1] == pytest.approx(expected_alpha, abs=1e-12)
@@ -224,14 +228,14 @@ class TestSmoTwoPointOracle:
         assert model.bias == pytest.approx(0.0, abs=1e-12)
 
         # midpoint is exactly on the boundary: resolves to class 0
-        assert svm_decision(model, np.array([1.0])) == pytest.approx(0.0, abs=1e-12)
-        assert svm_predict(model, np.array([0.1])) == 1
-        assert svm_predict(model, np.array([1.9])) == 0
+        assert decision(model, x, [1.0]) == pytest.approx(0.0, abs=1e-12)
+        assert decision(model, x, [0.1]) > 0.0
+        assert decision(model, x, [1.9]) < 0.0
 
     def test_alpha_clipped_at_c(self):
         gamma, r, c = 0.5, 2.0, 0.5  # analytic optimum 1.156... exceeds C
         x = np.array([[0.0], [r]])
-        model = svm_train(x, [1, 0], SvmConfig(c=c, kernel_gamma=gamma))
+        model = fit(x, [1, 0], SvmConfig(c=c, kernel_gamma=gamma))
         assert np.all(model.alphas <= c + 1e-15)
 
 
@@ -240,7 +244,7 @@ def trained_blobs():
     rng = np.random.default_rng(83)
     x, y = blobs(rng, n_per_class=20)
     cfg = SvmConfig(c=5.0)
-    return x, y, cfg, svm_train(x, y, cfg)
+    return x, y, cfg, fit(x, y, cfg)
 
 
 class TestSvmOnBlobs:
@@ -277,14 +281,15 @@ class TestSvmOnBlobs:
 
     def test_separable_training_set_classified_perfectly(self, trained_blobs):
         x, y, _, model = trained_blobs
-        preds = [svm_predict(model, xi) for xi in x]
+        preds = [1 if decision(model, x, xi) > 0.0 else 0 for xi in x]
         assert preds == list(y)
 
     def test_precomputed_distances_give_identical_model(self, trained_blobs):
         x, y, cfg, model = trained_blobs
         diff = x[:, None, :] - x[None, :, :]
         dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        again = svm_train(x, y, cfg, pairwise_dist=dist)
+        again = svm_train(dist, y, cfg)
+        assert np.array_equal(again.support, model.support)
         assert np.array_equal(again.alphas, model.alphas)
         assert again.bias == model.bias
         assert again.gamma == model.gamma
@@ -293,15 +298,15 @@ class TestSvmOnBlobs:
         rng = np.random.default_rng(89)
         x, y = blobs(rng, n_per_class=12)
         cfg = SvmConfig(c=3.0, kernel_gamma=0.2)
-        m_pos = svm_train(x, y, cfg)
-        m_neg = svm_train(x, 1 - y, cfg)
+        m_pos = fit(x, y, cfg)
+        m_neg = fit(x, 1 - y, cfg)
         queries = rng.normal(size=(20, 2)) * 3.0 + 3.0
         for q in queries:
-            f = svm_decision(m_pos, q)
-            g = svm_decision(m_neg, q)
+            f = decision(m_pos, x, q)
+            g = decision(m_neg, x, q)
             assert g == pytest.approx(-f, abs=1e-9)
             if abs(f) > 1e-9:
-                assert svm_predict(m_neg, q) == 1 - svm_predict(m_pos, q)
+                assert (g > 0.0) == (f <= 0.0)
 
 
 class TestSvmDegenerateInputs:
@@ -310,7 +315,7 @@ class TestSvmDegenerateInputs:
         # curvature and must be skipped, not divided by
         x = np.array([[0.0], [0.0], [1.0], [1.0]])
         y = [0, 1, 0, 1]
-        model = svm_train(x, y, SvmConfig(c=1.0, kernel_gamma=1.0))
+        model = fit(x, y, SvmConfig(c=1.0, kernel_gamma=1.0))
         assert np.all(model.alphas >= 0.0)
         assert np.all(model.alphas <= 1.0 + 1e-12)
 
@@ -318,56 +323,46 @@ class TestSvmDegenerateInputs:
         rng = np.random.default_rng(97)
         seqs = random_sequences(rng, 30, lo=3, hi=9)
         labels = [i % 2 for i in range(30)]
-        cfg = SvmConfig(
-            c=2.0, space=INPUT_LEVENSHTEIN_KERNEL, max_passes=50
-        )
-        model = svm_train(seqs, labels, cfg, cm=toy_cm)
+        table = compute_matrix(seqs, RepresentationSet(tuple(seqs)), toy_cm).values
+        model = svm_train(table, labels, SvmConfig(c=2.0, max_passes=50))
         assert np.all(model.alphas >= 0.0)
         assert np.all(model.alphas <= 2.0 + 1e-12)
-        # prediction path works on sequences
-        assert svm_predict(model, seqs[0], cm=toy_cm) in (0, 1)
+        # a sequence is decided on its table row at the support columns
+        assert svm_predict(model, table[0][model.support]) in (0, 1)
 
     def test_single_class_rejected(self):
         with pytest.raises(TrainingError, match="both classes"):
-            svm_train(np.zeros((3, 1)), [1, 1, 1], SvmConfig())
+            svm_train(np.zeros((3, 3)), [1, 1, 1], SvmConfig())
 
     def test_foreign_labels_rejected(self):
         with pytest.raises(TrainingError, match="0/1"):
-            svm_train(np.zeros((2, 1)), [0, 2], SvmConfig())
+            svm_train(np.zeros((2, 2)), [0, 2], SvmConfig())
 
     def test_wrong_pairwise_shape_rejected(self):
-        x = np.array([[0.0], [1.0]])
         with pytest.raises(TrainingError, match="shape"):
-            svm_train(x, [0, 1], SvmConfig(), pairwise_dist=np.zeros((3, 3)))
-
-    def test_input_space_requires_cost_model(self):
-        seqs = [Sequence("a", "AR"), Sequence("b", "ND")]
-        with pytest.raises(TrainingError, match="cost model"):
-            svm_train(seqs, [0, 1], SvmConfig(space=INPUT_LEVENSHTEIN_KERNEL))
+            svm_train(np.zeros((3, 3)), [0, 1], SvmConfig())
 
     def test_zero_decision_resolves_to_class_zero(self):
         model = TrainedSvm(
-            space=EMBEDDED_GAUSSIAN,
-            inputs=np.zeros((0, 2)),
+            support=np.zeros(0, dtype=np.int64),
             alphas=np.zeros(0),
             targets=np.zeros(0),
             bias=0.0,
             gamma=1.0,
         )
-        assert svm_decision(model, np.array([5.0, 5.0])) == 0.0
-        assert svm_predict(model, np.array([5.0, 5.0])) == 0
+        assert svm_decision(model, np.zeros(0)) == 0.0
+        assert svm_predict(model, np.zeros(0)) == 0
 
     def test_decision_from_distances_shape_checked(self):
         model = TrainedSvm(
-            space=EMBEDDED_GAUSSIAN,
-            inputs=np.zeros((2, 1)),
+            support=np.arange(2),
             alphas=np.array([0.5, 0.5]),
             targets=np.array([1.0, -1.0]),
             bias=0.0,
             gamma=1.0,
         )
         with pytest.raises(OdseError, match="one distance per support"):
-            svm_decision_from_distances(model, np.zeros(3))
+            svm_decision(model, np.zeros(3))
 
 
 class TestSmoDirect:

@@ -306,3 +306,51 @@ class TestErrorPaths:
         )
         assert rc == 1
         assert "inner" in capsys.readouterr().err
+
+
+class TestBadConfigValues:
+    """A mistyped INI value ends in one error line naming its key, before
+    any dataset is read: the FASTA and table paths here do not exist."""
+
+    @pytest.mark.parametrize("command", ["synthesize", "evaluate"])
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("[ga]\npopulation_size = ten\n", "[ga] population_size"),
+            ("[split]\nseed = x\n", "[split] seed"),
+            ("[ga]\nmutation_prob = often\n", "[ga] mutation_prob"),
+            ("[svm]\nkernel_gamma = wide\n", "[svm] kernel_gamma"),
+        ],
+        ids=["int", "split-seed", "float", "gamma"],
+    )
+    def test_one_error_line_naming_the_key(self, command, text, key, workdir, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text, encoding="utf-8")
+        rc = main(
+            [
+                command,
+                "--fasta", str(tmp_path / "absent.fasta"),
+                "--solubility", str(tmp_path / "absent.csv"),
+                "--matrix", str(workdir / "toy_matrix.txt"),
+                "--config", str(cfg),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {key} must be")
+
+    def test_file_without_sections_exits_one(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "flat.ini"
+        cfg.write_text("population_size = 4\n", encoding="utf-8")
+        rc = main(
+            [
+                "synthesize",
+                "--fasta", str(tmp_path / "absent.fasta"),
+                "--solubility", str(tmp_path / "absent.csv"),
+                "--config", str(cfg),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config file")

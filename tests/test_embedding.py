@@ -7,6 +7,7 @@ from odse.embedding import (
     RepresentationSet,
     compute_matrix,
     embed_one,
+    euclidean_distances,
     matrix_from_csv,
     matrix_to_csv,
 )
@@ -122,3 +123,41 @@ class TestCsv:
     def test_empty_text_rejected(self):
         with pytest.raises(OdseError, match="'id' header"):
             matrix_from_csv("")
+
+
+class TestEuclideanDistances:
+    """The one Euclidean helper equals, bit for bit, both einsum forms it
+    replaced: the per-query row form of the inner kNN and SVM and the
+    pairwise form of SVM training and the entropy estimators."""
+
+    @staticmethod
+    def row_form(x, q):
+        d = x - q
+        return np.einsum("ij,ij->i", d, d)
+
+    @staticmethod
+    def pairwise_form(x):
+        diff = x[:, None, :] - x[None, :, :]
+        return np.einsum("ijk,ijk->ij", diff, diff)
+
+    def test_equals_both_einsum_forms(self):
+        rng = np.random.default_rng(5)
+        shapes = [(1, 1), (1, 7), (9, 1), (2, 3)] + [
+            (int(rng.integers(1, 40)), int(rng.integers(1, 160))) for _ in range(60)
+        ]
+        for n, d in shapes:
+            x = rng.normal(size=(n, d)) * rng.choice([1e-3, 1.0, 300.0])
+            q = rng.normal(size=d) * rng.choice([1e-3, 1.0, 300.0])
+            row = self.row_form(x, q)
+            assert np.array_equal(euclidean_distances([q], x, squared=True)[0], row)
+            assert np.array_equal(euclidean_distances(x, [q], squared=True)[:, 0], row)
+            assert np.array_equal(euclidean_distances([q], x)[0], np.sqrt(row))
+            pair = self.pairwise_form(x)
+            assert np.array_equal(euclidean_distances(x, x, squared=True), pair)
+            assert np.array_equal(euclidean_distances(x, x), np.sqrt(np.maximum(pair, 0.0)))
+
+    def test_widths_must_agree(self):
+        with pytest.raises(OdseError, match="dimension"):
+            euclidean_distances(np.zeros((2, 3)), np.zeros((4, 2)))
+        with pytest.raises(OdseError, match="dimension"):
+            euclidean_distances(np.zeros(3), np.zeros((4, 3)))

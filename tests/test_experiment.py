@@ -9,12 +9,14 @@ import pytest
 from scipy.integrate import quad
 
 import odse
+from odse.alignment import build_cost_model, levenshtein
 from odse.classifiers import (
-    EMBEDDED_GAUSSIAN,
-    INPUT_LEVENSHTEIN_KERNEL,
     SvmConfig,
+    knn_label_from_distances,
+    svm_predict,
+    svm_train,
 )
-from odse.datasets import DS200, DS1811, DS1811_2, SplitSpec
+from odse.datasets import DS200, DS1811, DS1811_2, SplitSpec, make_split
 from odse.errors import OdseError
 from odse.experiment import (
     ALL_SYSTEMS,
@@ -47,7 +49,7 @@ def fast_input_cfg(split, systems=(INPUT_KNN, INPUT_SVM)):
     return ExperimentConfig(
         split=split,
         systems=systems,
-        input_svm=SvmConfig(space=INPUT_LEVENSHTEIN_KERNEL, max_passes=25),
+        input_svm=SvmConfig(max_passes=25),
     )
 
 
@@ -145,19 +147,6 @@ class TestExperimentConfig:
         with pytest.raises(OdseError, match="unknown systems"):
             ExperimentConfig(split=SplitSpec(DS200, seed=0), systems=("svm",))
 
-    def test_inner_svm_space_enforced(self):
-        with pytest.raises(OdseError, match="inner SVM"):
-            ExperimentConfig(
-                split=SplitSpec(DS200, seed=0),
-                svm=SvmConfig(space=INPUT_LEVENSHTEIN_KERNEL),
-            )
-
-    def test_reference_svm_space_enforced(self):
-        with pytest.raises(OdseError, match="reference SVM"):
-            ExperimentConfig(
-                split=SplitSpec(DS200, seed=0),
-                input_svm=SvmConfig(space=EMBEDDED_GAUSSIAN),
-            )
 
 
 class TestAccuracyBookkeeping:
@@ -301,3 +290,34 @@ class TestFailingResample:
         assert "resample 0" in msg
         assert f"derived seed {seed0}" in msg
         assert "class 1" in msg
+
+
+class TestInputSpaceReferences:
+    """The input-space references decide each test protein from its
+    alignment dissimilarities to the training proteins alone."""
+
+    def test_error_counts_match_direct_predictions(self, corpus, toy_sim, resampled_report):
+        cfg = fast_input_cfg(SplitSpec(DS1811_2, seed=3, resamples=2))
+        cm = build_cost_model(
+            toy_sim, gap_weight=cfg.input_gap_weight, normalization=cfg.normalization
+        )
+        outcomes = {(o.system_id, o.resample): o for o in resampled_report.outcomes}
+        for r in range(2):
+            train, test = make_split(DS1811_2, corpus, outcomes[INPUT_KNN, r].seed)
+            d_train = np.array([[levenshtein(s, t, cm) for t, _ in train] for s, _ in train])
+            d_test = np.array([[levenshtein(s, t, cm) for t, _ in train] for s, _ in test])
+            labels = np.array([lab for _, lab in train])
+            svm = svm_train(d_train, labels, cfg.input_svm)
+            preds = {
+                INPUT_KNN: [
+                    knn_label_from_distances(row, labels, cfg.input_knn_k) for row in d_test
+                ],
+                INPUT_SVM: [svm_predict(svm, row[svm.support]) for row in d_test],
+            }
+            for system, got in preds.items():
+                errors = [
+                    sum(1 for (_, lab), p in zip(test, got) if lab == c and p != c)
+                    for c in (0, 1)
+                ]
+                o = outcomes[system, r]
+                assert [o.errors0, o.errors1] == errors, (system, r)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from odse.classifiers import (
-    EMBEDDED_EUCLIDEAN,
-    INPUT_LEVENSHTEIN,
     KnnConfig,
     SvmConfig,
+    TrainedSvm,
+    knn_label_from_distances,
+    svm_predict,
 )
 from odse.embedding import (
     EXPANSION_MEDOID,
@@ -25,6 +26,7 @@ from odse.model import (
     GenerationStat,
     KnnInner,
     OdseGenome,
+    SvmInner,
     OdseModel,
     _crossover,
     _select_index,
@@ -251,13 +253,17 @@ class TestExpand:
         best = min(range(len(members)), key=lambda i: (sums[i], i))
         return members[best].id
 
+    def table(self, train, toy_cm):
+        seqs = [s for s, _ in train]
+        return compute_matrix(seqs, RepresentationSet(tuple(seqs)), toy_cm).values
+
     def test_unchanged_when_no_column_reaches_tau(self, toy_cm):
         rng = np.random.default_rng(29)
         train = self.make_train(rng)
         n = 30
         cols = [rng.uniform(0.0, 9.0, size=n) for _ in range(2)]
         d, r = crafted_matrix(cols, n)
-        out = expand(d, r, 1.0, train, toy_cm, MST_EST)
+        out = expand(d, r, 1.0, train, self.table(train, toy_cm), MST_EST)
         assert out is r
 
     def test_removed_columns_replaced_by_class_medoids(self, toy_cm):
@@ -271,7 +277,7 @@ class TestExpand:
         s_wide = normalized_column_entropy(wide, MST_EST).normalized
         assert s_tight < s_wide
 
-        out = expand(d, r, s_wide, train, toy_cm, MST_EST)
+        out = expand(d, r, s_wide, train, self.table(train, toy_cm), MST_EST)
         # survivor first, then one medoid per class in label order
         assert out.ids[0] == "proto1"
         assert out.provenance[0] == INITIAL
@@ -295,7 +301,7 @@ class TestExpand:
             values, tuple(f"r{i}" for i in range(n)), r.ids
         )
         s_wide = normalized_column_entropy(wide, MST_EST).normalized
-        out = expand(d, r, s_wide, train, toy_cm, MST_EST)
+        out = expand(d, r, s_wide, train, self.table(train, toy_cm), MST_EST)
         assert out.ids.count(med0) == 1
         assert out.ids[0] == med0
         # class 1 medoid still appended
@@ -312,16 +318,31 @@ class TestExpand:
         n = 30
         wide = rng.uniform(0.0, 9.0, size=n)
         d, r = crafted_matrix([wide], n)
-        with_pairwise = expand(d, r, 0.0, train, toy_cm, MST_EST, pairwise=full)
-        without = expand(d, r, 0.0, train, toy_cm, MST_EST)
-        assert with_pairwise.ids == without.ids
-        assert with_pairwise.provenance == without.provenance
+        out = expand(d, r, 0.0, train, full, MST_EST)
+        # medoids read off the table equal the ones from pairwise alignments
+        assert out.ids == tuple(self.medoid_oracle(train, lab, toy_cm) for lab in (0, 1))
+        assert out.provenance == (EXPANSION_MEDOID, EXPANSION_MEDOID)
 
     def test_empty_train_rejected(self, toy_cm):
         rng = np.random.default_rng(43)
         d, r = crafted_matrix([rng.uniform(size=10)], 10)
         with pytest.raises(SynthesisError, match="non-empty"):
-            expand(d, r, 0.5, [], toy_cm, MST_EST)
+            expand(d, r, 0.5, [], np.zeros((0, 0)), MST_EST)
+
+    def test_table_must_cover_the_training_set(self, toy_cm):
+        rng = np.random.default_rng(43)
+        train = self.make_train(rng)
+        d, r = crafted_matrix([rng.uniform(size=10)], 10)
+        with pytest.raises(SynthesisError, match="train-by-train"):
+            expand(d, r, 0.5, train, self.table(train[1:], toy_cm), MST_EST)
+
+
+def built_model(toy_sim, inner_cfg):
+    train, val = separable_data()
+    model, _ = synthesize_instance(
+        genome(), train, val, toy_sim, inner_cfg, FitnessWeights(), EstimatorConfig()
+    )
+    return model
 
 
 class TestTrainInner:
@@ -331,32 +352,44 @@ class TestTrainInner:
         labels = rng.integers(0, 2, size=12)
         inner = train_inner(vectors, labels, KnnConfig(k=3))
         assert isinstance(inner, KnnInner)
-        from odse.classifiers import knn_predict
-
         for q in rng.normal(size=(8, 3)):
-            assert inner.predict(q) == knn_predict(
-                vectors, labels, q, KnnConfig(k=3)
-            )
+            d = vectors - q
+            dist = np.sqrt(np.einsum("ij,ij->i", d, d))
+            assert inner.predict(q) == knn_label_from_distances(dist, labels, 3)
 
-    def test_knn_space_enforced(self):
-        with pytest.raises(TrainingError, match="embedded"):
-            train_inner(
-                np.zeros((4, 2)), [0, 1, 0, 1], KnnConfig(k=1, space=INPUT_LEVENSHTEIN)
-            )
+    def test_svm_inner_keeps_its_support_rows(self):
+        rng = np.random.default_rng(53)
+        vectors = rng.normal(size=(16, 3))
+        labels = np.array([0, 1] * 8)
+        inner = train_inner(vectors, labels, SvmConfig(c=1.0))
+        assert isinstance(inner, SvmInner)
+        assert len(inner.model.support) > 0
+        assert np.array_equal(inner.support, vectors[inner.model.support])
+        for q in rng.normal(size=(8, 3)):
+            d = inner.support - q
+            dist = np.sqrt(np.einsum("ij,ij->i", d, d))
+            assert inner.predict(q) == svm_predict(inner.model, dist)
+
+    def test_knn_space_enforced(self, toy_sim):
+        # an inner kNN works on embedded vectors only; a model file that
+        # names another space is rejected when read
+        doc = json.loads(model_to_json(built_model(toy_sim, KnnConfig(k=1))))
+        doc["inner"]["config"]["space"] = "input-levenshtein"
+        with pytest.raises(OdseError, match="space"):
+            model_from_json(json.dumps(doc))
 
     def test_knn_needs_k_vectors(self):
         with pytest.raises(TrainingError, match="fewer"):
             train_inner(np.zeros((2, 2)), [0, 1], KnnConfig(k=5))
 
-    def test_svm_space_enforced(self):
-        from odse.classifiers import INPUT_LEVENSHTEIN_KERNEL
-
-        with pytest.raises(TrainingError, match="embedded"):
-            train_inner(
-                np.zeros((4, 2)),
-                [0, 1, 0, 1],
-                SvmConfig(space=INPUT_LEVENSHTEIN_KERNEL),
-            )
+    def test_svm_space_enforced(self, toy_sim):
+        text = model_to_json(built_model(toy_sim, SvmConfig(c=2.0)))
+        for outer in (False, True):
+            doc = json.loads(text)
+            rec = doc["inner"] if outer else doc["inner"]["config"]
+            rec["space"] = "input-levenshtein-kernel"
+            with pytest.raises(OdseError, match="space"):
+                model_from_json(json.dumps(doc))
 
     def test_unknown_config_rejected(self):
         with pytest.raises(TrainingError, match="unknown inner"):
@@ -646,6 +679,27 @@ class TestPersistence:
         rng = np.random.default_rng(71)
         for s in random_sequences(rng, 6, lo=4, hi=8, prefix="q"):
             assert classify(loaded, s) == classify(model, s)
+
+    def test_svm_without_support_round_trips(self, toy_sim):
+        model = self.build_svm_model(toy_sim)
+        empty = SvmInner(
+            model=TrainedSvm(
+                support=np.zeros(0, dtype=np.int64),
+                alphas=np.zeros(0),
+                targets=np.zeros(0),
+                bias=0.0,
+                gamma=1.0,
+            ),
+            support=np.zeros((0, len(model.representation))),
+            config=SvmConfig(),
+        )
+        model = OdseModel(
+            model.genome, model.representation, model.cost_model, empty, model.fitness
+        )
+        loaded = model_from_json(model_to_json(model))
+        assert loaded.inner.support.shape == (0, len(model.representation))
+        _, val = separable_data()
+        assert [classify(loaded, s) for s, _ in val] == [0] * len(val)
 
     def test_cost_model_round_trip_bit_exact(self, toy_sim):
         model = self.build_svm_model(toy_sim)
