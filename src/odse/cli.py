@@ -31,6 +31,7 @@ from .datasets import (
     solubility_histogram_csv,
 )
 from .embedding import RepresentationSet, compute_matrix, matrix_to_csv
+from .entropy import MST, QRE
 from .errors import OdseError
 from .experiment import (
     ALL_SYSTEMS,
@@ -59,10 +60,27 @@ _GAMMA = (
     lambda text: text if text == MEDIAN_HEURISTIC else float(text),
 )
 
+
+def _choice(options, fold=str):
+    """A value that, after fold, must be one of options."""
+
+    def convert(text):
+        value = fold(text)
+        if value not in options:
+            raise ValueError(text)
+        return value
+
+    return ("one of " + ", ".join(map(repr, options)), convert)
+
+
 # section -> key -> (type, default); the [svm] and [ga] keys are the
 # field names of SvmConfig and GaConfig
 _SETTINGS = {
-    "split": {"name": (_TEXT, "DS-200"), "seed": (_INT, "0"), "resamples": (_INT, "10")},
+    "split": {
+        "name": (_choice(SPLIT_NAMES), "DS-200"),
+        "seed": (_INT, "0"),
+        "resamples": (_INT, "10"),
+    },
     "ga": {
         "population_size": (_INT, "20"),
         "crossover_prob": (_FLOAT, "0.9"),
@@ -77,11 +95,15 @@ _SETTINGS = {
         "max_passes": (_INT, "200"),
     },
     "knn": {"k": (_INT, "5"), "input_k": (_INT, "5")},
-    "estimator": {"kind": (_TEXT, "QRE"), "sigma": (_FLOAT, "0.5"), "alpha": (_FLOAT, "0.5")},
+    "estimator": {
+        "kind": (_choice((QRE, MST), str.upper), "QRE"),
+        "sigma": (_FLOAT, "0.5"),
+        "alpha": (_FLOAT, "0.5"),
+    },
     "experiment": {
         "systems": (_TEXT, ",".join(ALL_SYSTEMS)),
-        "inner": (_TEXT, "svm"),
-        "normalization": (_TEXT, RAW),
+        "inner": (_choice(("knn", "svm"), str.lower), "svm"),
+        "normalization": (_choice((RAW, BY_MAX_LENGTH)), RAW),
         "input_gap_weight": (_FLOAT, "1.0"),
         "w_acc": (_FLOAT, "0.8"),
         "w_card": (_FLOAT, "0.1"),
@@ -102,7 +124,7 @@ def _load_config(path: str | None) -> dict[str, dict]:
     cfg: dict[str, dict] = {}
     try:
         if path is not None:
-            cp.read(path)
+            cp.read(path, encoding="utf-8")
         for sec, keys in _SETTINGS.items():
             cfg[sec] = {}
             for key, ((kind, convert), _) in keys.items():
@@ -117,17 +139,14 @@ def _load_config(path: str | None) -> dict[str, dict]:
 
 
 def _inner_config(cfg):
-    inner = cfg["experiment"]["inner"].lower()
-    if inner == "knn":
+    if cfg["experiment"]["inner"] == "knn":
         return KnnConfig(k=cfg["knn"]["k"])
-    if inner == "svm":
-        return SvmConfig(**cfg["svm"])
-    raise OdseError(f"[experiment] inner must be 'knn' or 'svm', got {inner!r}")
+    return SvmConfig(**cfg["svm"])
 
 
 def _estimator_config(cfg) -> EstimatorConfig:
     sec = cfg["estimator"]
-    return EstimatorConfig(kind=sec["kind"].upper(), sigma=sec["sigma"], alpha=sec["alpha"])
+    return EstimatorConfig(kind=sec["kind"], sigma=sec["sigma"], alpha=sec["alpha"])
 
 
 def _fitness_weights(cfg) -> FitnessWeights:
@@ -346,10 +365,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OdseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (OdseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

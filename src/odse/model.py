@@ -34,7 +34,7 @@ from .classifiers import (
 )
 from .embedding import (
     EXPANSION_MEDOID,
-    DissimilarityMatrix,
+    INITIAL,
     RepresentationSet,
     compute_matrix,
     embed_one,
@@ -191,86 +191,54 @@ class OdseModel:
 # prototype set transformations
 
 
-def compress(
-    d: DissimilarityMatrix,
-    r: RepresentationSet,
-    tau_c: float,
-    est: EstimatorConfig,
-) -> tuple[RepresentationSet, tuple[int, ...]]:
-    """Drop every prototype whose column scores at or below tau_c.
+def compress(scores, tau_c: float) -> tuple[int, ...]:
+    """Indices of the columns scoring above tau_c, in column order.
 
-    If nothing would survive, the single best-scoring prototype is kept
-    (ties to the lowest column index).  Returns the reduced set plus the
-    kept column indices, in input order.
+    If no column passes, the single best-scoring column is kept (ties to
+    the lowest index).
     """
-    scores = np.array(
-        [normalized_column_entropy(d.column(j), est).normalized for j in range(len(r))]
-    )
-    kept = [j for j in range(len(r)) if scores[j] > tau_c]
-    if not kept:
-        kept = [int(np.argmax(scores))]
-    reduced = RepresentationSet(
-        prototypes=tuple(r.prototypes[j] for j in kept),
-        provenance=tuple(r.provenance[j] for j in kept),
-    )
-    return reduced, tuple(kept)
+    kept = tuple(int(j) for j in np.flatnonzero(np.asarray(scores) > tau_c))
+    return kept or (int(np.argmax(scores)),)
 
 
-def _per_class_medoids(train, pairwise: np.ndarray):
-    """One medoid per class: the member minimizing the summed input-space
-    dissimilarity to its classmates, ties to the lowest dataset index.
-
-    pairwise is the full train-by-train dissimilarity matrix in dataset
-    order.
-    """
-    by_class: dict[int, list[int]] = {}
-    for i, (_, label) in enumerate(train):
-        by_class.setdefault(int(label), []).append(i)
+def _per_class_medoids(labels, pairwise: np.ndarray) -> list[int]:
+    """Index of one medoid per class, in label order: the member
+    minimizing the summed dissimilarity to its classmates on pairwise,
+    ties to the lowest index."""
+    labels = np.asarray(labels)
     medoids = []
-    for label in sorted(by_class):
-        idx = by_class[label]
+    for label in np.unique(labels):
+        idx = np.flatnonzero(labels == label)
         sums = pairwise[np.ix_(idx, idx)].sum(axis=0)
-        best = int(np.argmin(sums))
-        medoids.append((label, train[idx[best]][0]))
+        medoids.append(int(idx[np.argmin(sums)]))
     return medoids
 
 
 def expand(
-    d: DissimilarityMatrix,
-    r: RepresentationSet,
-    tau_e: float,
-    train,
-    pairwise: np.ndarray,
-    est: EstimatorConfig,
-) -> RepresentationSet:
-    """Replace prototypes whose column scores at or above tau_e.
+    scores, kept, tau_e: float, labels, pairwise: np.ndarray
+) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """Replace the kept columns scoring at or above tau_e.
 
-    Removed prototypes are replaced collectively by one medoid per class
-    drawn from the training data, found on pairwise, the train-by-train
-    input-space dissimilarity matrix in dataset order; medoids whose id
-    already survives are not re-added.  When no column reaches tau_e the
-    set is returned unchanged.
+    Columns index the training set, whose class labels are labels and
+    whose train-by-train dissimilarity matrix is pairwise.  The removed
+    columns are replaced collectively by one medoid column per class;
+    a medoid that is already kept is not added again.  When no kept
+    column reaches tau_e the kept columns come back unchanged.  Returns
+    the columns and their provenance tags.
     """
-    if not train:
+    if len(labels) == 0:
         raise SynthesisError("expansion needs a non-empty training set")
-    if np.shape(pairwise) != (len(train), len(train)):
+    if np.shape(pairwise) != (len(labels), len(labels)):
         raise SynthesisError("expansion needs the train-by-train dissimilarity matrix")
-    scores = np.array(
-        [normalized_column_entropy(d.column(j), est).normalized for j in range(len(r))]
+    removed = np.asarray(scores) >= tau_e
+    columns = [j for j in kept if not removed[j]]
+    if len(columns) == len(kept):
+        return tuple(kept), (INITIAL,) * len(kept)
+    medoids = [m for m in _per_class_medoids(labels, pairwise) if m not in columns]
+    return (
+        tuple(columns + medoids),
+        (INITIAL,) * len(columns) + (EXPANSION_MEDOID,) * len(medoids),
     )
-    removed = scores >= tau_e
-    if not removed.any():
-        return r
-    protos = [p for j, p in enumerate(r.prototypes) if not removed[j]]
-    tags = [t for j, t in enumerate(r.provenance) if not removed[j]]
-    present = {p.id for p in protos}
-    for _, medoid in _per_class_medoids(train, pairwise):
-        if medoid.id in present:
-            continue
-        present.add(medoid.id)
-        protos.append(medoid)
-        tags.append(EXPANSION_MEDOID)
-    return RepresentationSet(prototypes=tuple(protos), provenance=tuple(tags))
 
 
 # --------------------------------------------------------------------------
@@ -314,24 +282,23 @@ def synthesize_instance(
     # the MST estimator so substituting unconditionally is harmless
     est_g = dataclasses.replace(est, sigma=g.sigma)
 
-    r0 = RepresentationSet(prototypes=tuple(train_seqs))
-    d0 = compute_matrix(train_seqs, r0, cm)
-    rc, kept = compress(d0, r0, g.tau_c, est_g)
-    dc = DissimilarityMatrix(d0.values[:, list(kept)], d0.row_ids, rc.ids)
+    d0 = compute_matrix(train_seqs, RepresentationSet(tuple(train_seqs)), cm).values
+    scores = [
+        normalized_column_entropy(d0[:, j], est_g).normalized
+        for j in range(len(train_seqs))
+    ]
+    kept = compress(scores, g.tau_c)
     # with the initial prototypes equal to the training set, d0 doubles as
     # the input-space pairwise matrix the medoid search needs
-    r1 = expand(dc, rc, g.tau_e, train, d0.values, est_g)
-
+    columns, provenance = expand(scores, kept, g.tau_e, train_labels, d0)
+    r1 = RepresentationSet(tuple(train_seqs[j] for j in columns), provenance)
     # every prototype of r1 is a training sequence, so the embedded
     # training matrix is a column selection of d0 (bit-identical to a
     # fresh computation; lanes of the batch kernel are independent)
-    col_of = {pid: j for j, pid in enumerate(r0.ids)}
-    d1 = DissimilarityMatrix(
-        d0.values[:, [col_of[pid] for pid in r1.ids]], d0.row_ids, r1.ids
-    )
+    d1 = d0[:, list(columns)]
 
     try:
-        inner = train_inner(d1.values, train_labels, inner_cfg)
+        inner = train_inner(d1, train_labels, inner_cfg)
     except TrainingError as exc:
         err = SynthesisError(f"inner classifier training failed: {exc}")
         err.genome = g
@@ -349,7 +316,7 @@ def synthesize_instance(
     card = max(0.0, 1.0 - len(r1) / len(train_seqs))
     if len(train_seqs) >= 2:
         h_norm = normalized_vector_entropy(
-            d1.values, dataclasses.replace(est_g, kind=MST)
+            d1, dataclasses.replace(est_g, kind=MST)
         ).normalized
     else:
         h_norm = 0.0

@@ -30,7 +30,6 @@ from odse.datasets import make_ds200, make_ds1811
 from odse.embedding import (
     EXPANSION_MEDOID,
     INITIAL,
-    DissimilarityMatrix,
     RepresentationSet,
     compute_matrix,
     euclidean_distances,
@@ -142,15 +141,12 @@ def test_criterion_05_prototype_compression_expansion_contracts(toy_cm):
     est = EstimatorConfig(sigma=0.5)
 
     # a) a constant column scores zero, so any threshold >= 0 removes it
-    protos = tuple(Sequence(f"proto{j}", "A") for j in range(4))
-    rows = tuple(f"row{i}" for i in range(6))
     rng = np.random.default_rng(5)
     values = rng.uniform(0.0, 3.0, size=(6, 4))
     values[:, 2] = 1.25
-    d = DissimilarityMatrix(values, rows, tuple(p.id for p in protos))
-    r = RepresentationSet(protos)
+    scores = [normalized_column_entropy(values[:, j], est).normalized for j in range(4)]
     for tau_c in (0.0, 0.25, 0.7, 1.0):
-        _, kept = compress(d, r, tau_c, est)
+        kept = compress(scores, tau_c)
         assert 2 not in kept, tau_c
 
     # b) identity thresholds keep the initial prototype set when every
@@ -180,10 +176,14 @@ def test_criterion_05_prototype_compression_expansion_contracts(toy_cm):
     members = random_sequences(rng, 20, lo=3, hi=8, prefix="m")
     train2 = [(s, i % 2) for i, s in enumerate(members)]
     train_seqs = [s for s, _ in train2]
-    r2 = RepresentationSet(tuple(train_seqs))
-    d2 = compute_matrix(train_seqs, r2, toy_cm)
-    expanded = expand(d2, r2, 0.0, train2, d2.values, est)
-    assert expanded.provenance == (EXPANSION_MEDOID, EXPANSION_MEDOID)
+    d2 = compute_matrix(train_seqs, RepresentationSet(tuple(train_seqs)), toy_cm)
+    scores = [
+        normalized_column_entropy(d2.column(j), est).normalized for j in range(20)
+    ]
+    columns, provenance = expand(
+        scores, tuple(range(20)), 0.0, [lab for _, lab in train2], d2.values
+    )
+    assert provenance == (EXPANSION_MEDOID, EXPANSION_MEDOID)
     for label in (0, 1):
         group = [s for s, lab in train2 if lab == label]
         sums = [
@@ -191,7 +191,7 @@ def test_criterion_05_prototype_compression_expansion_contracts(toy_cm):
             for i, s in enumerate(group)
         ]
         want = group[min(sums)[1]]
-        assert expanded.prototypes[label].id == want.id
+        assert train_seqs[columns[label]].id == want.id
     print("[acceptance 05] PASS: constant column removed at 4 thresholds; "
           "identity thresholds preserved all 12 prototypes; both "
           "expansion medoids match brute force")

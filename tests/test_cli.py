@@ -312,7 +312,7 @@ class TestBadConfigValues:
     """A mistyped INI value ends in one error line naming its key, before
     any dataset is read: the FASTA and table paths here do not exist."""
 
-    @pytest.mark.parametrize("command", ["synthesize", "evaluate"])
+    @pytest.mark.parametrize("command", ["synthesize", "evaluate", "splits"])
     @pytest.mark.parametrize(
         "text, key",
         [
@@ -320,8 +320,13 @@ class TestBadConfigValues:
             ("[split]\nseed = x\n", "[split] seed"),
             ("[ga]\nmutation_prob = often\n", "[ga] mutation_prob"),
             ("[svm]\nkernel_gamma = wide\n", "[svm] kernel_gamma"),
+            ("[split]\nname = DS-0\n", "[split] name"),
+            ("[experiment]\nnormalization = bogus\n", "[experiment] normalization"),
+            ("[experiment]\ninner = forest\n", "[experiment] inner"),
+            ("[estimator]\nkind = parzen\n", "[estimator] kind"),
         ],
-        ids=["int", "split-seed", "float", "gamma"],
+        ids=["int", "split-seed", "float", "gamma", "split-name", "normalization",
+             "inner", "estimator-kind"],
     )
     def test_one_error_line_naming_the_key(self, command, text, key, workdir, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
@@ -354,3 +359,54 @@ class TestBadConfigValues:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: config file")
+
+    @pytest.mark.parametrize(
+        "text", ["[experiment]\ninner = KNN\n", "[estimator]\nkind = mst\n"],
+        ids=["inner", "estimator-kind"],
+    )
+    def test_enumerated_values_ignore_case(self, text, workdir, tmp_path, capsys):
+        cfg = tmp_path / "case.ini"
+        cfg.write_text(text, encoding="utf-8")
+        rc = main(
+            [
+                "synthesize",
+                "--fasta", str(tmp_path / "absent.fasta"),
+                "--solubility", str(tmp_path / "absent.csv"),
+                "--config", str(cfg),
+            ]
+        )
+        # the value is accepted, so the command gets as far as the dataset
+        assert rc == 1
+        assert "absent.fasta" in capsys.readouterr().err
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 in any input file ends in one error line."""
+
+    @pytest.mark.parametrize("kind", ["model", "fasta", "matrix", "solubility", "config"])
+    def test_one_error_line_and_exit_one(self, kind, workdir, tmp_path, capsys):
+        files = {
+            "fasta": workdir / "proteins.fasta",
+            "matrix": workdir / "toy_matrix.txt",
+            "solubility": workdir / "solubility.csv",
+            "config": workdir / "config.ini",
+        }
+        text = files.get(kind, workdir / "small.fasta").read_bytes()
+        bad = tmp_path / f"bad-{kind}"
+        bad.write_bytes(text[:40] + b"\xff" + text[40:])
+        files[kind] = bad
+        if kind == "model":
+            argv = ["classify", "--model", str(bad), "--fasta", str(files["fasta"])]
+        else:
+            argv = [
+                "splits",
+                "--fasta", str(files["fasta"]),
+                "--solubility", str(files["solubility"]),
+                "--matrix", str(files["matrix"]),
+                "--config", str(files["config"]),
+                "--out", str(tmp_path / "split.json"),
+            ]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "decode" in err[0]

@@ -1,7 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odse.classifiers import (
     KnnConfig,
@@ -163,19 +166,9 @@ class TestGaConfig:
             GaConfig(stall_epsilon=0.0)
 
 
-def crafted_matrix(columns, n_rows):
-    """DissimilarityMatrix + RepresentationSet with fully crafted column
-    values (prototype sequences are dummies; only the columns matter)."""
-    values = np.column_stack(columns)
-    assert values.shape[0] == n_rows
-    protos = tuple(
-        Sequence(f"proto{j}", "A") for j in range(values.shape[1])
-    )
-    r = RepresentationSet(protos)
-    d = DissimilarityMatrix(
-        values, tuple(f"row{i}" for i in range(n_rows)), r.ids
-    )
-    return d, r
+def column_scores(columns):
+    """Normalized MST entropy of each crafted dissimilarity column."""
+    return [normalized_column_entropy(c, MST_EST).normalized for c in columns]
 
 
 class TestCompress:
@@ -185,86 +178,78 @@ class TestCompress:
         const = np.full(n, 5.0)
         tight = np.concatenate([np.linspace(0.0, 1e-4, n - 1), [100.0]])
         wide = rng.uniform(0.0, 10.0, size=n)
-        d, r = crafted_matrix([const, tight, wide], n)
-
-        s_tight = normalized_column_entropy(tight, MST_EST).normalized
-        s_wide = normalized_column_entropy(wide, MST_EST).normalized
+        scores = column_scores([const, tight, wide])
+        s_tight, s_wide = scores[1], scores[2]
         assert 0.0 < s_tight < s_wide
 
         # tau equal to the middle score: boundary column is dropped too
-        reduced, kept = compress(d, r, s_tight, MST_EST)
-        assert kept == (2,)
-        assert reduced.ids == ("proto2",)
+        assert compress(scores, s_tight) == (2,)
 
         # tau just below: boundary column survives
-        reduced, kept = compress(d, r, s_tight * 0.999999, MST_EST)
-        assert kept == (1, 2)
+        assert compress(scores, s_tight * 0.999999) == (1, 2)
 
     def test_constant_column_dropped_even_at_tau_zero(self):
         rng = np.random.default_rng(13)
         n = 30
         const = np.full(n, 2.0)
         wide = rng.uniform(0.0, 8.0, size=n)
-        d, r = crafted_matrix([const, wide], n)
-        reduced, kept = compress(d, r, 0.0, MST_EST)
-        assert kept == (1,)
+        assert compress(column_scores([const, wide]), 0.0) == (1,)
 
     def test_nothing_dropped_when_all_informative(self):
         rng = np.random.default_rng(17)
         n = 30
         cols = [rng.uniform(0.0, 9.0, size=n) for _ in range(3)]
-        d, r = crafted_matrix(cols, n)
-        reduced, kept = compress(d, r, 0.0, MST_EST)
-        assert kept == (0, 1, 2)
-        assert reduced.ids == r.ids
-        assert reduced.provenance == r.provenance
+        assert compress(column_scores(cols), 0.0) == (0, 1, 2)
 
     def test_all_dropped_keeps_single_best(self):
         rng = np.random.default_rng(19)
         n = 30
         const = np.full(n, 1.0)
         wide = rng.uniform(0.0, 9.0, size=n)
-        d, r = crafted_matrix([const, wide], n)
-        reduced, kept = compress(d, r, 1.0, MST_EST)
-        assert kept == (1,)
-        assert len(reduced) == 1
+        assert compress(column_scores([const, wide]), 1.0) == (1,)
 
     def test_argmax_fallback_ties_to_lowest_index(self):
         rng = np.random.default_rng(23)
         n = 30
         wide = rng.uniform(0.0, 9.0, size=n)
         const = np.full(n, 1.0)
-        d, r = crafted_matrix([const, wide, wide.copy()], n)
-        _, kept = compress(d, r, 1.0, MST_EST)
-        assert kept == (1,)
+        assert compress(column_scores([const, wide, wide.copy()]), 1.0) == (1,)
 
 
 class TestExpand:
+    """Columns index the training set; scores are crafted per column."""
+
     def make_train(self, rng, n_per_class=5):
         seqs0 = random_sequences(rng, n_per_class, lo=4, hi=8, prefix="a")
         seqs1 = random_sequences(rng, n_per_class, lo=4, hi=8, prefix="b")
         return labeled(seqs0, [0] * n_per_class) + labeled(seqs1, [1] * n_per_class)
 
     def medoid_oracle(self, train, label, toy_cm):
-        members = [s for s, lab in train if lab == label]
+        """Training-set index of the class medoid, from direct alignments."""
+        members = [i for i, (_, lab) in enumerate(train) if lab == label]
         sums = [
-            sum(levenshtein(s, t, toy_cm) for t in members) for s in members
+            sum(levenshtein(train[i][0], train[j][0], toy_cm) for j in members)
+            for i in members
         ]
-        best = min(range(len(members)), key=lambda i: (sums[i], i))
-        return members[best].id
+        best = min(range(len(members)), key=lambda k: (sums[k], k))
+        return members[best]
 
     def table(self, train, toy_cm):
         seqs = [s for s, _ in train]
         return compute_matrix(seqs, RepresentationSet(tuple(seqs)), toy_cm).values
 
+    def labels(self, train):
+        return [lab for _, lab in train]
+
     def test_unchanged_when_no_column_reaches_tau(self, toy_cm):
         rng = np.random.default_rng(29)
         train = self.make_train(rng)
-        n = 30
-        cols = [rng.uniform(0.0, 9.0, size=n) for _ in range(2)]
-        d, r = crafted_matrix(cols, n)
-        out = expand(d, r, 1.0, train, self.table(train, toy_cm), MST_EST)
-        assert out is r
+        scores = [0.0] * len(train)
+        scores[2], scores[6] = column_scores(
+            [rng.uniform(0.0, 9.0, size=30) for _ in range(2)]
+        )
+        out = expand(scores, (2, 6), 1.0, self.labels(train), self.table(train, toy_cm))
+        assert out == ((2, 6), (INITIAL, INITIAL))
 
     def test_removed_columns_replaced_by_class_medoids(self, toy_cm):
         rng = np.random.default_rng(31)
@@ -272,69 +257,209 @@ class TestExpand:
         n = 30
         wide = rng.uniform(0.0, 9.0, size=n)  # scores high: removed
         tight = np.concatenate([np.linspace(0.0, 1e-4, n - 1), [50.0]])
-        d, r = crafted_matrix([wide, tight], n)
-        s_tight = normalized_column_entropy(tight, MST_EST).normalized
-        s_wide = normalized_column_entropy(wide, MST_EST).normalized
+        s_wide, s_tight = column_scores([wide, tight])
         assert s_tight < s_wide
+        medoids = [self.medoid_oracle(train, lab, toy_cm) for lab in (0, 1)]
+        removed, survivor = [j for j in range(len(train)) if j not in medoids][:2]
+        scores = [0.0] * len(train)
+        scores[removed], scores[survivor] = s_wide, s_tight
 
-        out = expand(d, r, s_wide, train, self.table(train, toy_cm), MST_EST)
+        columns, provenance = expand(
+            scores, (removed, survivor), s_wide, self.labels(train),
+            self.table(train, toy_cm),
+        )
         # survivor first, then one medoid per class in label order
-        assert out.ids[0] == "proto1"
-        assert out.provenance[0] == INITIAL
-        assert out.ids[1] == self.medoid_oracle(train, 0, toy_cm)
-        assert out.ids[2] == self.medoid_oracle(train, 1, toy_cm)
-        assert out.provenance[1:] == (EXPANSION_MEDOID, EXPANSION_MEDOID)
+        assert columns == (survivor, *medoids)
+        assert provenance == (INITIAL, EXPANSION_MEDOID, EXPANSION_MEDOID)
 
     def test_medoid_already_surviving_not_duplicated(self, toy_cm):
         rng = np.random.default_rng(37)
         train = self.make_train(rng)
-        med0 = self.medoid_oracle(train, 0, toy_cm)
-        med0_seq = next(s for s, _ in train if s.id == med0)
-        other = Sequence("other", "ARND")
+        med0, med1 = (self.medoid_oracle(train, lab, toy_cm) for lab in (0, 1))
+        other = next(j for j in range(len(train)) if j not in (med0, med1))
 
         n = 30
         tight = np.concatenate([np.linspace(0.0, 1e-4, n - 1), [50.0]])
         wide = rng.uniform(0.0, 9.0, size=n)
-        values = np.column_stack([tight, wide])
-        r = RepresentationSet((med0_seq, other))
-        d = DissimilarityMatrix(
-            values, tuple(f"r{i}" for i in range(n)), r.ids
+        s_tight, s_wide = column_scores([tight, wide])
+        scores = [0.0] * len(train)
+        scores[med0], scores[other] = s_tight, s_wide
+        columns, provenance = expand(
+            scores, (med0, other), s_wide, self.labels(train),
+            self.table(train, toy_cm),
         )
-        s_wide = normalized_column_entropy(wide, MST_EST).normalized
-        out = expand(d, r, s_wide, train, self.table(train, toy_cm), MST_EST)
-        assert out.ids.count(med0) == 1
-        assert out.ids[0] == med0
+        assert columns.count(med0) == 1
+        assert columns[0] == med0 and provenance[0] == INITIAL
         # class 1 medoid still appended
-        assert out.ids[1] == self.medoid_oracle(train, 1, toy_cm)
+        assert columns[1:] == (med1,)
+        assert provenance[1:] == (EXPANSION_MEDOID,)
 
     def test_pairwise_shortcut_matches_direct_computation(self, toy_cm):
         rng = np.random.default_rng(41)
         train = self.make_train(rng, n_per_class=6)
-        train_seqs = [s for s, _ in train]
-        full = compute_matrix(
-            train_seqs, RepresentationSet(tuple(train_seqs)), toy_cm
-        ).values
+        full = self.table(train, toy_cm)
 
-        n = 30
-        wide = rng.uniform(0.0, 9.0, size=n)
-        d, r = crafted_matrix([wide], n)
-        out = expand(d, r, 0.0, train, full, MST_EST)
+        scores = [0.0] * len(train)
+        scores[3] = column_scores([rng.uniform(0.0, 9.0, size=30)])[0]
+        columns, provenance = expand(scores, (3,), 0.0, self.labels(train), full)
         # medoids read off the table equal the ones from pairwise alignments
-        assert out.ids == tuple(self.medoid_oracle(train, lab, toy_cm) for lab in (0, 1))
-        assert out.provenance == (EXPANSION_MEDOID, EXPANSION_MEDOID)
+        assert columns == tuple(self.medoid_oracle(train, lab, toy_cm) for lab in (0, 1))
+        assert provenance == (EXPANSION_MEDOID, EXPANSION_MEDOID)
 
-    def test_empty_train_rejected(self, toy_cm):
-        rng = np.random.default_rng(43)
-        d, r = crafted_matrix([rng.uniform(size=10)], 10)
+    def test_empty_train_rejected(self):
         with pytest.raises(SynthesisError, match="non-empty"):
-            expand(d, r, 0.5, [], np.zeros((0, 0)), MST_EST)
+            expand([0.5], (0,), 0.5, [], np.zeros((0, 0)))
 
     def test_table_must_cover_the_training_set(self, toy_cm):
         rng = np.random.default_rng(43)
         train = self.make_train(rng)
-        d, r = crafted_matrix([rng.uniform(size=10)], 10)
         with pytest.raises(SynthesisError, match="train-by-train"):
-            expand(d, r, 0.5, train, self.table(train[1:], toy_cm), MST_EST)
+            expand(
+                [0.5] * len(train), (0,), 0.5, self.labels(train),
+                self.table(train[1:], toy_cm),
+            )
+
+
+def oracle_synthesis(g, train, sim, est):
+    """Prototype set and embedded training matrix of the former two-pass,
+    id-based synthesis: compress scores every column of the train x train
+    table and returns a reduced set, expand re-scores the surviving
+    columns, adds medoid sequences by id, and the final columns are
+    looked up by prototype id."""
+    from odse.alignment import build_cost_model
+
+    cm = build_cost_model(sim, gap_weight=g.gap_weight)
+    est_g = dataclasses.replace(est, sigma=g.sigma)
+    train_seqs = [s for s, _ in train]
+    r0 = RepresentationSet(tuple(train_seqs))
+    d0 = compute_matrix(train_seqs, r0, cm)
+
+    def score(d, j):
+        return normalized_column_entropy(d.column(j), est_g).normalized
+
+    # compress
+    scores = np.array([score(d0, j) for j in range(len(r0))])
+    kept = [j for j in range(len(r0)) if scores[j] > g.tau_c]
+    if not kept:
+        kept = [int(np.argmax(scores))]
+    rc = RepresentationSet(
+        tuple(r0.prototypes[j] for j in kept), tuple(r0.provenance[j] for j in kept)
+    )
+    dc = DissimilarityMatrix(d0.values[:, kept], d0.row_ids, rc.ids)
+
+    # expand
+    removed = np.array([score(dc, j) for j in range(len(rc))]) >= g.tau_e
+    r1 = rc
+    if removed.any():
+        protos = [p for j, p in enumerate(rc.prototypes) if not removed[j]]
+        tags = [t for j, t in enumerate(rc.provenance) if not removed[j]]
+        present = {p.id for p in protos}
+        by_class = {}
+        for i, (_, label) in enumerate(train):
+            by_class.setdefault(int(label), []).append(i)
+        for label in sorted(by_class):
+            idx = by_class[label]
+            sums = d0.values[np.ix_(idx, idx)].sum(axis=0)
+            medoid = train[idx[int(np.argmin(sums))]][0]
+            if medoid.id in present:
+                continue
+            present.add(medoid.id)
+            protos.append(medoid)
+            tags.append(EXPANSION_MEDOID)
+        r1 = RepresentationSet(tuple(protos), tuple(tags))
+
+    col_of = {pid: j for j, pid in enumerate(r0.ids)}
+    return r1, d0.values[:, [col_of[pid] for pid in r1.ids]]
+
+
+class TestColumnSelection:
+    """Synthesis selects columns of one train x train table."""
+
+    def corpus(self):
+        rng = np.random.default_rng(59)
+        seqs = random_sequences(rng, 30, lo=2, hi=14)
+        train = labeled(seqs[:22], [i % 3 % 2 for i in range(22)])
+        val = labeled(seqs[22:], [i % 2 for i in range(8)])
+        return train, val
+
+    def genomes(self, count, seed):
+        rng = np.random.default_rng(seed)
+        return [
+            repair_genome(
+                rng.uniform(0.01, 2.0), rng.uniform(), rng.uniform(),
+                rng.uniform(1e-3, 4.0),
+            )
+            for _ in range(count)
+        ]
+
+    @pytest.mark.parametrize("est", [EstimatorConfig(), MST_EST], ids=["QRE", "MST"])
+    def test_matches_two_pass_id_based_oracle(self, est, toy_sim):
+        train, val = self.corpus()
+        compressed = expanded = 0
+        for g in self.genomes(24, seed=61):
+            model, _ = synthesize_instance(
+                g, train, val, toy_sim, KnnConfig(k=1), FitnessWeights(), est
+            )
+            want_r, want_d = oracle_synthesis(g, train, toy_sim, est)
+            assert model.representation.ids == want_r.ids, g
+            assert model.representation.provenance == want_r.provenance, g
+            assert model.inner.vectors.tobytes() == want_d.tobytes(), g
+            compressed += INITIAL in want_r.provenance and len(want_r) < len(train)
+            expanded += EXPANSION_MEDOID in want_r.provenance
+        # the genomes exercise both transformations
+        assert compressed > 0 and expanded > 0
+
+    def test_each_column_scored_once_per_genome(self, toy_sim, monkeypatch):
+        import odse.model
+
+        calls = []
+        scorer = odse.model.normalized_column_entropy
+
+        def counting(column, cfg):
+            calls.append(len(column))
+            return scorer(column, cfg)
+
+        monkeypatch.setattr(odse.model, "normalized_column_entropy", counting)
+        train, val = self.corpus()
+        genomes = self.genomes(8, seed=67)
+        provenance = set()
+        for g in genomes:
+            model, _ = synthesize_instance(
+                g, train, val, toy_sim, KnnConfig(k=1), FitnessWeights(),
+                EstimatorConfig(),
+            )
+            provenance.update(model.representation.provenance)
+        assert provenance == {INITIAL, EXPANSION_MEDOID}
+        assert calls == [len(train)] * (len(train) * len(genomes))
+
+
+@st.composite
+def selection_cases(draw):
+    n = draw(st.integers(1, 12))
+    scores = draw(st.lists(st.floats(-0.5, 1.5), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    cells = draw(st.lists(st.integers(0, 5), min_size=n * n, max_size=n * n))
+    tau_c, tau_e = draw(st.floats(-0.5, 1.5)), draw(st.floats(-0.5, 1.5))
+    return scores, labels, np.array(cells, dtype=np.float64).reshape(n, n), tau_c, tau_e
+
+
+@settings(max_examples=300, deadline=None)
+@given(selection_cases())
+def test_compress_expand_properties(case):
+    scores, labels, pairwise, tau_c, tau_e = case
+    kept = compress(scores, tau_c)
+    assert kept and list(kept) == sorted(set(kept))
+    columns, provenance = expand(scores, kept, tau_e, labels, pairwise)
+    assert len(columns) == len(set(columns)) == len(provenance)
+    assert set(columns) <= set(range(len(scores)))
+    # kept columns under tau_e come first, in their order
+    low = tuple(j for j in kept if scores[j] < tau_e)
+    assert columns[: len(low)] == low
+    assert provenance[: len(low)] == (INITIAL,) * len(low)
+    # the rest are medoids, at most one per class
+    medoids = [j for j, tag in zip(columns, provenance) if tag == EXPANSION_MEDOID]
+    assert len(low) + len(medoids) == len(columns)
+    assert len({labels[j] for j in medoids}) == len(medoids)
 
 
 def built_model(toy_sim, inner_cfg):
