@@ -14,6 +14,7 @@ from .alignment import (
     SimilarityMatrix,
     build_cost_model,
     dissimilarities_to_targets,
+    dissimilarity_table,
     levenshtein,
     load_similarity_matrix,
     pam120_path,
@@ -51,7 +52,6 @@ from .embedding import (
     compute_matrix,
     embed_one,
     euclidean_distances,
-    matrix_from_csv,
     matrix_to_csv,
 )
 from .entropy import (
@@ -94,7 +94,6 @@ from .model import (
     GenerationStat,
     OdseGenome,
     OdseModel,
-    classify,
     classify_all,
     compress,
     expand,

@@ -8,6 +8,7 @@ layout (PAM/BLOSUM style).
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import _dp
 from .errors import CostModelError, MatrixFormatError, SymbolError
-from .sequences import Sequence
+from .sequences import Sequence, read_text
 
 RAW = "raw"
 BY_MAX_LENGTH = "by-max-length"
@@ -102,8 +103,7 @@ def parse_similarity_matrix(text: str) -> SimilarityMatrix:
 
 
 def load_similarity_matrix(path) -> SimilarityMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_similarity_matrix(fh.read())
+    return parse_similarity_matrix(read_text(path))
 
 
 def pam120_path() -> Path:
@@ -276,27 +276,39 @@ def numpy_cost_rows(
     return state[np.arange(n_targets), proto_lens]
 
 
-def encode_batch(targets, cm: AlignmentCostModel) -> tuple[np.ndarray, np.ndarray]:
-    """Encoded targets zero-padded to a common width, and their lengths."""
+def dissimilarity_table(
+    queries, targets, cm: AlignmentCostModel, threads: int = 1
+) -> np.ndarray:
+    """Alignment dissimilarities of each query (rows) to each target
+    (columns), normalized as `cm` says.
+
+    Every alignment table is built here.  The targets are encoded and
+    zero-padded to a common width once, each query is encoded once, and
+    each row is one `alignment_cost_rows` call.  Rows are independent,
+    so the number of worker threads never changes the result.
+    """
     codes = [cm.encode(t) for t in targets]
     lens = np.array([len(c) for c in codes], dtype=np.intp)
-    width = int(lens.max()) if len(codes) else 0
-    mat = np.zeros((len(codes), width), dtype=np.intp)
+    mat = np.zeros((len(codes), int(lens.max(initial=0))), dtype=np.intp)
     for row, c in enumerate(codes):
         mat[row, : len(c)] = c
-    return mat, lens
+    out = np.empty((len(queries), len(codes)), dtype=np.float64)
 
+    def fill(i):
+        query = cm.encode(queries[i])
+        row = alignment_cost_rows(query, mat, lens, cm.sub_cost, cm.gap_cost)
+        if cm.normalization == BY_MAX_LENGTH:
+            denom = np.maximum(len(query), lens).astype(np.float64)
+            with np.errstate(invalid="ignore"):
+                row = np.where(denom > 0.0, row / denom, 0.0)
+        out[i] = row
 
-def encoded_dissimilarities(
-    query: np.ndarray, mat: np.ndarray, lens: np.ndarray, cm: AlignmentCostModel
-) -> np.ndarray:
-    """Dissimilarities from one encoded query to a batch from
-    `encode_batch`, normalized as `cm` says."""
-    out = alignment_cost_rows(query, mat, lens, cm.sub_cost, cm.gap_cost)
-    if cm.normalization == BY_MAX_LENGTH:
-        denom = np.maximum(len(query), lens).astype(np.float64)
-        with np.errstate(invalid="ignore"):
-            out = np.where(denom > 0.0, out / denom, 0.0)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(fill, range(len(queries))))
+    else:
+        for i in range(len(queries)):
+            fill(i)
     return out
 
 
@@ -304,8 +316,7 @@ def dissimilarities_to_targets(
     s: Sequence, targets, cm: AlignmentCostModel
 ) -> np.ndarray:
     """Vector of alignment dissimilarities from `s` to each target."""
-    mat, lens = encode_batch(targets, cm)
-    return encoded_dissimilarities(cm.encode(s), mat, lens, cm)
+    return dissimilarity_table([s], targets, cm)[0]
 
 
 def levenshtein(s: Sequence, t: Sequence, cm: AlignmentCostModel) -> float:
@@ -313,4 +324,4 @@ def levenshtein(s: Sequence, t: Sequence, cm: AlignmentCostModel) -> float:
 
     Symmetric, nonnegative, and exactly 0 for identical sequences.
     """
-    return float(dissimilarities_to_targets(s, [t], cm)[0])
+    return float(dissimilarity_table([s], [t], cm)[0, 0])

@@ -50,7 +50,7 @@ from .model import (
     load_model,
     save_model,
 )
-from .sequences import read_fasta
+from .sequences import read_fasta, read_text
 
 _INT = ("an integer", int)
 _FLOAT = ("a number", float)
@@ -97,7 +97,6 @@ _SETTINGS = {
     "knn": {"k": (_INT, "5"), "input_k": (_INT, "5")},
     "estimator": {
         "kind": (_choice((QRE, MST), str.upper), "QRE"),
-        "sigma": (_FLOAT, "0.5"),
         "alpha": (_FLOAT, "0.5"),
     },
     "experiment": {
@@ -114,7 +113,8 @@ _SETTINGS = {
 
 def _load_config(path: str | None) -> dict[str, dict]:
     """Settings of the INI file over the defaults, each converted to its
-    type here, so that a bad value fails before any data is read."""
+    type here, so that a bad value or an unknown name fails before any
+    data is read."""
     cp = configparser.ConfigParser()
     cp.read_dict(
         {sec: {key: text for key, (_, text) in keys.items()} for sec, keys in _SETTINGS.items()}
@@ -124,7 +124,13 @@ def _load_config(path: str | None) -> dict[str, dict]:
     cfg: dict[str, dict] = {}
     try:
         if path is not None:
-            cp.read(path, encoding="utf-8")
+            cp.read_string(read_text(path), source=path)
+        for sec in (cp.default_section, *cp.sections()):
+            if sec not in _SETTINGS and sec != cp.default_section:
+                raise OdseError(f"config file {path!r}: unknown section [{sec}]")
+            for key in cp[sec]:
+                if key not in _SETTINGS.get(sec, ()):
+                    raise OdseError(f"config file {path!r}: unknown key {key!r} in [{sec}]")
         for sec, keys in _SETTINGS.items():
             cfg[sec] = {}
             for key, ((kind, convert), _) in keys.items():
@@ -146,7 +152,7 @@ def _inner_config(cfg):
 
 def _estimator_config(cfg) -> EstimatorConfig:
     sec = cfg["estimator"]
-    return EstimatorConfig(kind=sec["kind"], sigma=sec["sigma"], alpha=sec["alpha"])
+    return EstimatorConfig(kind=sec["kind"], alpha=sec["alpha"])
 
 
 def _fitness_weights(cfg) -> FitnessWeights:
@@ -365,7 +371,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OdseError, OSError, UnicodeDecodeError) as exc:
+    except (OdseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

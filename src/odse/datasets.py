@@ -17,7 +17,7 @@ import numpy as np
 from .alignment import AlignmentCostModel
 from .embedding import RepresentationSet, compute_matrix
 from .errors import DatasetError
-from .sequences import Sequence, read_fasta
+from .sequences import Sequence, read_fasta, read_text
 
 INSOLUBLE_MAX = 0.3
 SOLUBLE_MIN = 0.7
@@ -26,6 +26,11 @@ DS200 = "DS-200"
 DS1811 = "DS-1811"
 DS1811_2 = "DS-1811-2"
 SPLIT_NAMES = (DS200, DS1811, DS1811_2)
+# training proteins per class: k-medoids picks of DS-1811, random draws of
+# DS-1811-2
+DS1811_INSOLUBLE = 110
+DS1811_SOLUBLE = 70
+DS1811_2_PER_CLASS = 100
 
 
 @dataclass(frozen=True)
@@ -110,8 +115,7 @@ def load_dataset(fasta_path, solubility_table_path) -> list[LabeledSequence]:
     (truncated to the first few ids per direction).
     """
     seqs = read_fasta(fasta_path)
-    with open(solubility_table_path, "r", encoding="utf-8") as fh:
-        table = read_solubility_table(fh.read())
+    table = read_solubility_table(read_text(solubility_table_path))
     fasta_ids = {s.id for s in seqs}
     missing_solubility = sorted(fasta_ids - table.keys())
     missing_fasta = sorted(table.keys() - fasta_ids)
@@ -217,15 +221,13 @@ def make_ds1811(
     seed: int,
     cm: AlignmentCostModel,
     threads: int = 1,
-    n_insoluble: int = 110,
-    n_soluble: int = 70,
 ):
     """Training prototypes picked per class by k-medoids under the
     input-space alignment distance; every other class-assigned protein
     goes to the test set."""
     groups = (
-        (0, class_members(data, 0), n_insoluble),
-        (1, class_members(data, 1), n_soluble),
+        (0, class_members(data, 0), DS1811_INSOLUBLE),
+        (1, class_members(data, 1), DS1811_SOLUBLE),
     )
     for label, members, count in groups:
         if len(members) < count:
@@ -255,19 +257,19 @@ def make_ds1811(
     return train, test
 
 
-def make_ds1811_2(data, seed: int, n_per_class: int = 100):
-    """Seeded uniform draw of n_per_class training proteins per class;
+def make_ds1811_2(data, seed: int):
+    """Seeded uniform draw of DS1811_2_PER_CLASS training proteins per class;
     the remaining class-assigned proteins form the test set."""
     rng = np.random.default_rng(seed)
     train = []
     chosen_ids: set[str] = set()
     for label in (0, 1):
         members = class_members(data, label)
-        if len(members) < n_per_class:
+        if len(members) < DS1811_2_PER_CLASS:
             raise DatasetError(
-                f"class {label} holds {len(members)} proteins, need {n_per_class}"
+                f"class {label} holds {len(members)} proteins, need {DS1811_2_PER_CLASS}"
             )
-        pick = rng.choice(len(members), size=n_per_class, replace=False)
+        pick = rng.choice(len(members), size=DS1811_2_PER_CLASS, replace=False)
         for i in sorted(int(p) for p in pick):
             train.append((members[i].sequence, label))
             chosen_ids.add(members[i].sequence.id)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,8 +11,7 @@ import numpy as np
 from .alignment import (
     AlignmentCostModel,
     dissimilarities_to_targets,
-    encode_batch,
-    encoded_dissimilarities,
+    dissimilarity_table,
 )
 from .errors import OdseError
 from .sequences import Sequence
@@ -78,27 +76,11 @@ def compute_matrix(
     cm: AlignmentCostModel,
     threads: int = 1,
 ) -> DissimilarityMatrix:
-    """Dissimilarity matrix of `data` (rows) against `r` (columns).
-
-    The prototypes are encoded once per table.  Rows are independent, so
-    worker count never changes the result.
-    """
+    """Dissimilarity matrix of `data` (rows) against `r` (columns)."""
     if not data:
         raise OdseError("cannot embed an empty dataset")
-    mat, lens = encode_batch(r.prototypes, cm)
-    values = np.empty((len(data), len(r)), dtype=np.float64)
-
-    def fill(i):
-        values[i] = encoded_dissimilarities(cm.encode(data[i]), mat, lens, cm)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(len(data))))
-    else:
-        for i in range(len(data)):
-            fill(i)
     return DissimilarityMatrix(
-        values=values,
+        values=dissimilarity_table(data, r.prototypes, cm, threads),
         row_ids=tuple(s.id for s in data),
         col_ids=r.ids,
     )
@@ -133,19 +115,3 @@ def matrix_to_csv(d: DissimilarityMatrix) -> str:
         writer.writerow([rid, *(repr(float(v)) for v in row)])
     return buf.getvalue()
 
-
-def matrix_from_csv(text: str) -> DissimilarityMatrix:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if not header or header[0] != "id":
-        raise OdseError("dissimilarity CSV must start with an 'id' header column")
-    col_ids = tuple(header[1:])
-    row_ids = []
-    rows = []
-    for rec in reader:
-        if not rec:
-            continue
-        row_ids.append(rec[0])
-        rows.append([float(v) for v in rec[1:]])
-    values = np.array(rows, dtype=np.float64).reshape(len(row_ids), len(col_ids))
-    return DissimilarityMatrix(values, tuple(row_ids), col_ids)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,6 @@ from .embedding import (
     INITIAL,
     RepresentationSet,
     compute_matrix,
-    embed_one,
     euclidean_distances,
 )
 from .entropy import (
@@ -47,7 +47,7 @@ from .entropy import (
     normalized_vector_entropy,
 )
 from .errors import OdseError, SynthesisError, TrainingError
-from .sequences import Sequence
+from .sequences import Sequence, read_text
 
 SIGMA_BOUNDS = (0.01, 5.0)
 GAP_WEIGHT_MAX = 4.0
@@ -439,44 +439,36 @@ def ga_optimize(
             g, train, validation, sim, inner_cfg, fw, est, normalization
         )
 
-    def evaluate(pop):
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(evaluate_one, pop))
-        else:
-            results = [evaluate_one(g) for g in pop]
+    def evaluate(pop, pool):
+        results = list(pool.map(evaluate_one, pop) if pool else map(evaluate_one, pop))
         models = [m for m, _ in results]
         fits = np.array([f for _, f in results], dtype=np.float64)
         return models, fits
 
-    pop = [_random_genome(rng) for _ in range(cfg.population_size)]
-    models, fits = evaluate(pop)
-    best_i = int(np.argmax(fits))
-    best_model, best_fit = models[best_i], float(fits[best_i])
-    log = [GenerationStat(0, float(fits.max()), float(fits.mean()))]
+    # one pool serves every generation of the run
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        pop = [_random_genome(rng) for _ in range(cfg.population_size)]
+        models, fits = evaluate(pop, pool)
+        best_i = int(np.argmax(fits))
+        best_model, best_fit = models[best_i], float(fits[best_i])
+        log = [GenerationStat(0, float(fits.max()), float(fits.mean()))]
 
-    for gen in range(1, cfg.max_generations + 1):
-        recent = [stat.best for stat in log[-5:]]
-        if len(recent) == 5 and max(recent) - min(recent) < cfg.stall_epsilon:
-            break
-        pop = _next_population(pop, fits, rng, cfg)
-        models, fits = evaluate(pop)
-        gen_best = int(np.argmax(fits))
-        if float(fits[gen_best]) > best_fit:
-            best_model, best_fit = models[gen_best], float(fits[gen_best])
-        log.append(GenerationStat(gen, float(fits.max()), float(fits.mean())))
+        for gen in range(1, cfg.max_generations + 1):
+            recent = [stat.best for stat in log[-5:]]
+            if len(recent) == 5 and max(recent) - min(recent) < cfg.stall_epsilon:
+                break
+            pop = _next_population(pop, fits, rng, cfg)
+            models, fits = evaluate(pop, pool)
+            gen_best = int(np.argmax(fits))
+            if float(fits[gen_best]) > best_fit:
+                best_model, best_fit = models[gen_best], float(fits[gen_best])
+            log.append(GenerationStat(gen, float(fits.max()), float(fits.mean())))
 
     return dataclasses.replace(best_model, synthesis_log=tuple(log))
 
 
 # --------------------------------------------------------------------------
 # classification
-
-
-def classify(model: OdseModel, s: Sequence) -> int:
-    """Label one sequence: embed against the model's prototypes, then ask
-    the inner classifier."""
-    return model.inner.predict(embed_one(s, model.representation, model.cost_model))
 
 
 def classify_all(model: OdseModel, seqs, threads: int = 1) -> list[int]:
@@ -642,5 +634,4 @@ def save_model(model: OdseModel, path) -> None:
 
 
 def load_model(path) -> OdseModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_json(fh.read())
+    return model_from_json(read_text(path))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DatasetError
+from .errors import DatasetError, OdseError
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,15 @@ def parse_fasta(text: str) -> list[Sequence]:
     return records
 
 
-def read_fasta(path) -> list[Sequence]:
+def read_text(path) -> str:
+    """Contents of a UTF-8 text file; bytes that do not decode raise an
+    `OdseError` naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_fasta(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise OdseError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def read_fasta(path) -> list[Sequence]:
+    return parse_fasta(read_text(path))

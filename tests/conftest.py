@@ -7,11 +7,15 @@ whatever the summation order, which lets tests compare the vectorized
 dynamic program against brute-force oracles with strict equality.
 """
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
 from odse.alignment import build_cost_model, parse_similarity_matrix
 from odse.datasets import LabeledSequence
+from odse.embedding import DissimilarityMatrix
 from odse.sequences import Sequence
 
 TOY_MATRIX_TEXT = """\
@@ -146,3 +150,15 @@ def spanning_tree_oracle(points: np.ndarray, gamma: float) -> float:
         if total < best:
             best = total
     return best
+
+
+def parse_matrix_csv(text):
+    """The DissimilarityMatrix of a `matrix_to_csv` dump, read back with
+    csv and float."""
+    header, *rows = csv.reader(io.StringIO(text))
+    values = np.array([[float(v) for v in row[1:]] for row in rows])
+    return DissimilarityMatrix(
+        values.reshape(len(rows), len(header) - 1),
+        tuple(row[0] for row in rows),
+        tuple(header[1:]),
+    )

@@ -5,17 +5,21 @@ import pytest
 
 from odse.alignment import (
     BY_MAX_LENGTH,
+    RAW,
     build_cost_model,
     dissimilarities_to_targets,
+    dissimilarity_table,
     levenshtein,
     load_similarity_matrix,
+    numpy_cost_rows,
     pam120_path,
     parse_similarity_matrix,
 )
+from odse.embedding import RepresentationSet, compute_matrix, embed_one
 from odse.errors import CostModelError, MatrixFormatError, SymbolError
 from odse.sequences import Sequence
 
-from conftest import TOY_MATRIX_TEXT, alignment_oracle, random_sequences
+from conftest import RESIDUES, TOY_MATRIX_TEXT, alignment_oracle, random_sequences
 
 
 def seq(symbols, sid="q"):
@@ -219,6 +223,62 @@ class TestBatch:
         batch = dissimilarities_to_targets(query, targets, toy_cm)
         singles = [levenshtein(query, t, toy_cm) for t in targets]
         assert list(batch) == singles
+
+
+def per_row_reference(queries, targets, cm):
+    """The table from one `numpy_cost_rows` call per query on a batch
+    padded here, each cell divided by the longer length (0 when both are
+    empty) under by-max-length."""
+    codes = [cm.encode(t) for t in targets]
+    lens = np.array([len(c) for c in codes], dtype=np.intp)
+    mat = np.zeros((len(codes), max(lens, default=0) + 2), dtype=np.intp)
+    for j, c in enumerate(codes):
+        mat[j, : len(c)] = c
+    out = np.empty((len(queries), len(targets)))
+    for i, q in enumerate(queries):
+        out[i] = numpy_cost_rows(cm.encode(q), mat, lens, cm.sub_cost, cm.gap_cost)
+        if cm.normalization == BY_MAX_LENGTH:
+            for j, t in enumerate(targets):
+                longer = max(len(q), len(t))
+                out[i, j] = out[i, j] / longer if longer else 0.0
+    return out
+
+
+class TestDissimilarityTable:
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("normalization", [RAW, BY_MAX_LENGTH])
+    @pytest.mark.parametrize("table", ["toy", "pam120"])
+    def test_equals_per_row_numpy_reference(self, table, normalization, threads, toy_sim):
+        sim, alphabet = (toy_sim, "ARND") if table == "toy" else (
+            load_similarity_matrix(pam120_path()), RESIDUES
+        )
+        rng = np.random.default_rng(43)
+        empty = [Sequence("e", "")]
+        queries = empty + random_sequences(rng, 9, lo=0, hi=30, alphabet=alphabet, prefix="q")
+        targets = random_sequences(rng, 7, lo=0, hi=30, alphabet=alphabet, prefix="t") + empty
+        cm = build_cost_model(sim, gap_weight=0.7, normalization=normalization)
+        got = dissimilarity_table(queries, targets, cm, threads)
+        assert got.shape == (10, 8)
+        assert np.array_equal(got, per_row_reference(queries, targets, cm))
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_zero_targets_or_queries(self, threads, toy_cm):
+        seqs = random_sequences(np.random.default_rng(47), 5)
+        assert dissimilarity_table(seqs, [], toy_cm, threads).shape == (5, 0)
+        assert dissimilarity_table([], seqs, toy_cm, threads).shape == (0, 5)
+
+    @pytest.mark.parametrize("normalization", [RAW, BY_MAX_LENGTH])
+    def test_every_view_returns_the_table_cells(self, normalization, toy_sim):
+        cm = build_cost_model(toy_sim, normalization=normalization)
+        seqs = random_sequences(np.random.default_rng(53), 8, lo=0, hi=9)
+        protos = seqs[3:]
+        table = dissimilarity_table(seqs, protos, cm)
+        r = RepresentationSet(tuple(protos))
+        assert np.array_equal(compute_matrix(seqs, r, cm).values, table)
+        for s, row in zip(seqs, table):
+            assert np.array_equal(dissimilarities_to_targets(s, protos, cm), row)
+            assert np.array_equal(embed_one(s, r, cm), row)
+            assert [levenshtein(s, t, cm) for t in protos] == row.tolist()
 
 
 class TestNormalization:

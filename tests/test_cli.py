@@ -5,11 +5,11 @@ import pytest
 
 from odse.alignment import RAW, build_cost_model
 from odse.cli import main
-from odse.embedding import RepresentationSet, compute_matrix, matrix_from_csv
+from odse.embedding import RepresentationSet, compute_matrix
 from odse.model import classify_all, load_model
 from odse.sequences import read_fasta
 
-from conftest import TOY_MATRIX_TEXT, synthetic_proteins
+from conftest import TOY_MATRIX_TEXT, parse_matrix_csv, synthetic_proteins
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +69,7 @@ class TestMatrixCommand:
             ]
         )
         assert rc == 0
-        got = matrix_from_csv(out.read_text(encoding="utf-8"))
+        got = parse_matrix_csv(out.read_text(encoding="utf-8"))
         seqs = read_fasta(workdir / "small.fasta")
         cm = build_cost_model(toy_sim, gap_weight=1.0, normalization=RAW)
         want = compute_matrix(seqs, RepresentationSet(tuple(seqs)), cm, 1)
@@ -89,7 +89,7 @@ class TestMatrixCommand:
             ]
         )
         assert rc == 0
-        got = matrix_from_csv(out.read_text(encoding="utf-8"))
+        got = parse_matrix_csv(out.read_text(encoding="utf-8"))
         assert float(got.values.max()) <= 1.0
 
 
@@ -360,6 +360,34 @@ class TestBadConfigValues:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: config file")
 
+    @pytest.mark.parametrize("command", ["synthesize", "evaluate", "splits"])
+    @pytest.mark.parametrize(
+        "text, name",
+        [
+            ("[ga]\npopulaton_size = 40\n", "'populaton_size' in [ga]"),
+            ("[estimater]\nkind = MST\n", "[estimater]"),
+            ("[estimator]\nsigma = 0.5\n", "'sigma' in [estimator]"),
+            ("[DEFAULT]\nseed = 3\n", "'seed' in [DEFAULT]"),
+        ],
+        ids=["key", "section", "estimator-sigma", "default-section"],
+    )
+    def test_unknown_name_rejected(self, command, text, name, workdir, tmp_path, capsys):
+        cfg = tmp_path / "typo.ini"
+        cfg.write_text(text, encoding="utf-8")
+        rc = main(
+            [
+                command,
+                "--fasta", str(tmp_path / "absent.fasta"),
+                "--solubility", str(tmp_path / "absent.csv"),
+                "--matrix", str(workdir / "toy_matrix.txt"),
+                "--config", str(cfg),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: config file") and name in err[0]
+
     @pytest.mark.parametrize(
         "text", ["[experiment]\ninner = KNN\n", "[estimator]\nkind = mst\n"],
         ids=["inner", "estimator-kind"],
@@ -381,7 +409,8 @@ class TestBadConfigValues:
 
 
 class TestNonUtf8Input:
-    """A byte that is not UTF-8 in any input file ends in one error line."""
+    """A byte that is not UTF-8 in any input file ends in one error line
+    naming that file."""
 
     @pytest.mark.parametrize("kind", ["model", "fasta", "matrix", "solubility", "config"])
     def test_one_error_line_and_exit_one(self, kind, workdir, tmp_path, capsys):
@@ -410,3 +439,4 @@ class TestNonUtf8Input:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert "decode" in err[0]
+        assert str(bad) in err[0]

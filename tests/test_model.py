@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from odse.model import (
     OdseModel,
     _crossover,
     _select_index,
-    classify,
     classify_all,
     compress,
     expand,
@@ -46,6 +46,7 @@ from odse.model import (
     synthesize_instance,
     train_inner,
 )
+import odse.model
 from odse.sequences import Sequence
 
 from conftest import random_sequences
@@ -727,15 +728,30 @@ class TestGaOptimize:
         model = self.run(self.micro(seed=5))
         train, _ = separable_data()
         for s, label in train:
-            assert classify(model, s) == label
+            assert classify_all(model, [s]) == [label]
 
     def test_classify_all_matches_classify(self):
+        # one batch labels every query as a one-query call does
         model = self.run(self.micro(seed=7))
         _, val = separable_data()
         seqs = [s for s, _ in val]
         batch = classify_all(model, seqs)
-        assert batch == [classify(model, s) for s in seqs]
+        assert batch == [classify_all(model, [s])[0] for s in seqs]
         assert classify_all(model, seqs, threads=3) == batch
+
+    @pytest.mark.parametrize("threads, pools", [(1, 0), (2, 1)])
+    def test_one_thread_pool_per_run(self, threads, pools, monkeypatch):
+        made = []
+
+        class CountingExecutor(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(odse.model, "ThreadPoolExecutor", CountingExecutor)
+        model = self.run(self.micro(seed=9), threads=threads)
+        assert len(model.synthesis_log) == 4
+        assert len(made) == pools
 
 
 class TestSelection:
@@ -781,7 +797,7 @@ class TestPersistence:
         loaded = load_model(path)
         _, val = separable_data()
         for s, _ in val:
-            assert classify(loaded, s) == classify(model, s)
+            assert classify_all(loaded, [s]) == classify_all(model, [s])
         assert loaded.fitness == model.fitness
         assert loaded.genome == model.genome
         assert loaded.synthesis_log == model.synthesis_log
@@ -803,7 +819,7 @@ class TestPersistence:
         assert loaded.inner.model.gamma == model.inner.model.gamma
         rng = np.random.default_rng(71)
         for s in random_sequences(rng, 6, lo=4, hi=8, prefix="q"):
-            assert classify(loaded, s) == classify(model, s)
+            assert classify_all(loaded, [s]) == classify_all(model, [s])
 
     def test_svm_without_support_round_trips(self, toy_sim):
         model = self.build_svm_model(toy_sim)
@@ -824,7 +840,7 @@ class TestPersistence:
         loaded = model_from_json(model_to_json(model))
         assert loaded.inner.support.shape == (0, len(model.representation))
         _, val = separable_data()
-        assert [classify(loaded, s) for s, _ in val] == [0] * len(val)
+        assert [classify_all(loaded, [s])[0] for s, _ in val] == [0] * len(val)
 
     def test_cost_model_round_trip_bit_exact(self, toy_sim):
         model = self.build_svm_model(toy_sim)
