@@ -21,6 +21,8 @@ from .sequences import Sequence, read_text
 
 RAW = "raw"
 BY_MAX_LENGTH = "by-max-length"
+# largest gap_weight, the gap cost in units of the mean off-diagonal cost
+GAP_WEIGHT_MAX = 4.0
 
 
 @dataclass(frozen=True)
@@ -174,8 +176,10 @@ def build_cost_model(
     numerator over all pairs, so costs span [0,1] with zero diagonal.  The
     gap cost is gap_weight times the mean off-diagonal cost.
     """
-    if not (0.0 < gap_weight <= 4.0):
-        raise CostModelError(f"gap_weight must be in (0, 4], got {gap_weight}")
+    if not (0.0 < gap_weight <= GAP_WEIGHT_MAX):
+        raise CostModelError(
+            f"gap_weight must be in (0, {GAP_WEIGHT_MAX:g}], got {gap_weight}"
+        )
     s = m.scores.astype(np.float64)
     diag = np.diagonal(s)
     numer = (diag[:, None] + diag[None, :]) / 2.0 - s

@@ -126,18 +126,18 @@ def smo_solve(gram, targets, c: float, tol: float, max_passes: int):
     """Pairwise coordinate ascent on the SVM dual over a fixed Gram matrix.
 
     targets must be -1/+1.  The loop is fully deterministic: the first
-    index sweeps in order; partners are tried by decreasing |E_i - E_j|
-    (ties toward the lower index) until one yields a real step, so a
-    violator is never abandoned just because its best partner is stuck
-    at a bound.  Pairs whose curvature K_ii + K_jj - 2 K_ij is not
-    positive are skipped, which keeps the update well defined when the
-    Gram matrix is indefinite; alphas stay in [0, C] regardless.  Stops
-    after a sweep with no significant step (no alpha would ever move
-    again under the same deterministic order) or after max_passes sweeps.
+    index sweeps in order, and the partner is the feasible index with the
+    largest |E_i - E_j|, ties toward the lower index.  A partner is
+    feasible when its box [lo, hi] is not empty, its curvature
+    K_ii + K_jj - 2 K_ij is positive (so an indefinite Gram matrix never
+    divides by zero) and its clipped step is at least _STEP_EPS; alphas
+    stay in [0, C].  Stops after a sweep with no step (no alpha would
+    ever move again under the same order) or after max_passes sweeps.
     """
     k = np.asarray(gram, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     n = y.shape[0]
+    diag = k.diagonal()
     alphas = np.zeros(n, dtype=np.float64)
     b = 0.0
     for _ in range(max_passes):
@@ -148,40 +148,36 @@ def smo_solve(gram, targets, c: float, tol: float, max_passes: int):
             r_i = e_i * y[i]
             if not ((r_i < -tol and alphas[i] < c) or (r_i > tol and alphas[i] > 0)):
                 continue
-            gap = np.abs(errors - e_i)
-            for j in np.lexsort((np.arange(n), -gap)):
-                j = int(j)
-                if j == i:
-                    continue
-                a_i, a_j = alphas[i], alphas[j]
-                if y[i] != y[j]:
-                    lo, hi = max(0.0, a_j - a_i), min(c, c + a_j - a_i)
-                else:
-                    lo, hi = max(0.0, a_i + a_j - c), min(c, a_i + a_j)
-                if lo >= hi:
-                    continue
-                eta = k[i, i] + k[j, j] - 2.0 * k[i, j]
-                if eta <= 0.0:
-                    continue
-                a_j_new = min(max(a_j + y[j] * (e_i - errors[j]) / eta, lo), hi)
-                if abs(a_j_new - a_j) < _STEP_EPS:
-                    continue
-                a_i_new = a_i + y[i] * y[j] * (a_j - a_j_new)
-                d_i = y[i] * (a_i_new - a_i)
-                d_j = y[j] * (a_j_new - a_j)
-                b1 = b - e_i - d_i * k[i, i] - d_j * k[i, j]
-                b2 = b - errors[j] - d_i * k[i, j] - d_j * k[j, j]
-                if 0.0 < a_i_new < c:
-                    b_new = b1
-                elif 0.0 < a_j_new < c:
-                    b_new = b2
-                else:
-                    b_new = 0.5 * (b1 + b2)
-                errors += d_i * k[:, i] + d_j * k[:, j] + (b_new - b)
-                alphas[i], alphas[j] = a_i_new, a_j_new
-                b = b_new
-                changed += 1
-                break
+            # every partner at once, in the operand order of the pair update
+            a_i = alphas[i]
+            same = y == y[i]
+            lo = np.maximum(0.0, np.where(same, (a_i + alphas) - c, alphas - a_i))
+            hi = np.minimum(c, np.where(same, a_i + alphas, (c + alphas) - a_i))
+            eta = (k[i, i] + diag) - 2.0 * k[i]
+            # infeasible partners may divide by zero or overflow; they are masked
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                a_new = np.minimum(np.maximum(alphas + y * (e_i - errors) / eta, lo), hi)
+            feasible = (lo < hi) & (eta > 0.0) & ~(np.abs(a_new - alphas) < _STEP_EPS)
+            feasible[i] = False
+            if not feasible.any():
+                continue
+            j = int(np.argmax(np.where(feasible, np.abs(errors - e_i), -1.0)))
+            a_j, a_j_new = alphas[j], a_new[j]
+            a_i_new = a_i + y[i] * y[j] * (a_j - a_j_new)
+            d_i = y[i] * (a_i_new - a_i)
+            d_j = y[j] * (a_j_new - a_j)
+            b1 = b - e_i - d_i * k[i, i] - d_j * k[i, j]
+            b2 = b - errors[j] - d_i * k[i, j] - d_j * k[j, j]
+            if 0.0 < a_i_new < c:
+                b_new = b1
+            elif 0.0 < a_j_new < c:
+                b_new = b2
+            else:
+                b_new = 0.5 * (b1 + b2)
+            errors += d_i * k[:, i] + d_j * k[:, j] + (b_new - b)
+            alphas[i], alphas[j] = a_i_new, a_j_new
+            b = b_new
+            changed += 1
         if changed == 0:
             break
     # recompute the bias from the free support vectors when there are any;

@@ -261,7 +261,6 @@ def _cmd_evaluate(args) -> int:
     seed = _split_seed(cfg, args)
     name = args.split or cfg["split"]["name"]
     exp = cfg["experiment"]
-    svm = SvmConfig(**cfg["svm"])
     config = ExperimentConfig(
         split=SplitSpec(name, seed, cfg["split"]["resamples"]),
         systems=tuple(s.strip() for s in exp["systems"].split(",") if s.strip()),
@@ -269,9 +268,8 @@ def _cmd_evaluate(args) -> int:
         fitness=_fitness_weights(cfg),
         estimator=_estimator_config(cfg),
         knn_k=cfg["knn"]["k"],
-        svm=svm,
+        svm=SvmConfig(**cfg["svm"]),
         input_knn_k=cfg["knn"]["input_k"],
-        input_svm=svm,
         input_gap_weight=exp["input_gap_weight"],
         normalization=exp["normalization"],
         threads=args.threads,

@@ -216,6 +216,18 @@ def make_ds200(data, seed: int):
     return train, test
 
 
+def _with_rest_as_test(data, train):
+    """(train, test) with every class-assigned protein not in train as
+    the test set, in data order."""
+    chosen_ids = {s.id for s, _ in train}
+    test = [
+        (d.sequence, d.label)
+        for d in data
+        if d.label is not None and d.sequence.id not in chosen_ids
+    ]
+    return train, test
+
+
 def make_ds1811(
     data,
     seed: int,
@@ -236,7 +248,6 @@ def make_ds1811(
             )
     rng = np.random.default_rng(seed)
     train = []
-    chosen_ids: set[str] = set()
     for label, members, count in groups:
         if count == len(members):
             picked = list(range(len(members)))
@@ -246,15 +257,8 @@ def make_ds1811(
                 seqs, RepresentationSet(tuple(seqs)), cm, threads
             ).values
             picked = k_medoids(dmat, count, rng)
-        for i in sorted(picked):
-            train.append((members[i].sequence, label))
-            chosen_ids.add(members[i].sequence.id)
-    test = [
-        (d.sequence, d.label)
-        for d in data
-        if d.label is not None and d.sequence.id not in chosen_ids
-    ]
-    return train, test
+        train.extend((members[i].sequence, label) for i in sorted(picked))
+    return _with_rest_as_test(data, train)
 
 
 def make_ds1811_2(data, seed: int):
@@ -262,7 +266,6 @@ def make_ds1811_2(data, seed: int):
     the remaining class-assigned proteins form the test set."""
     rng = np.random.default_rng(seed)
     train = []
-    chosen_ids: set[str] = set()
     for label in (0, 1):
         members = class_members(data, label)
         if len(members) < DS1811_2_PER_CLASS:
@@ -270,15 +273,8 @@ def make_ds1811_2(data, seed: int):
                 f"class {label} holds {len(members)} proteins, need {DS1811_2_PER_CLASS}"
             )
         pick = rng.choice(len(members), size=DS1811_2_PER_CLASS, replace=False)
-        for i in sorted(int(p) for p in pick):
-            train.append((members[i].sequence, label))
-            chosen_ids.add(members[i].sequence.id)
-    test = [
-        (d.sequence, d.label)
-        for d in data
-        if d.label is not None and d.sequence.id not in chosen_ids
-    ]
-    return train, test
+        train.extend((members[int(i)].sequence, label) for i in sorted(pick))
+    return _with_rest_as_test(data, train)
 
 
 def make_split(

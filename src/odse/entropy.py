@@ -90,22 +90,23 @@ def _prim_mst_lengths(dist: np.ndarray) -> np.ndarray:
     return lengths
 
 
-def mst_total_length(samples, gamma: float) -> float:
-    """Sum over spanning-tree edges of (Euclidean length) ** gamma.
+def _power_sum(lengths: np.ndarray, gamma: float) -> float:
+    # summed in sorted order: all minimum spanning trees share one
+    # edge-weight multiset, so the value is independent of how the tree
+    # was grown
+    return float(np.sum(np.sort(lengths**gamma)))
 
-    The powered edge weights are summed in sorted order: all minimum
-    spanning trees share one edge-weight multiset, so the value is
-    independent of how the tree was grown.
-    """
+
+def mst_total_length(samples, gamma: float) -> float:
+    """Sum over spanning-tree edges of (Euclidean length) ** gamma;
+    inf when the sum exceeds the float range."""
     x = _as_matrix(samples)
     n = x.shape[0]
     if n < 2:
         raise OdseError("spanning-tree length needs at least two samples")
     if not gamma > 0.0:
         raise OdseError("gamma must be positive")
-    dist = euclidean_distances(x, x)
-    lengths = _prim_mst_lengths(dist)
-    return float(np.sum(np.sort(lengths**gamma)))
+    return _power_sum(_prim_mst_lengths(euclidean_distances(x, x)), gamma)
 
 
 def mst_entropy(samples, cfg: EstimatorConfig) -> float:
@@ -115,16 +116,26 @@ def mst_entropy(samples, cfg: EstimatorConfig) -> float:
         (1 / (1 - alpha)) * ln(L_gamma / N**alpha)
     The estimator's bias constant is left out: it shifts every estimate
     equally, and the thresholds comparing entropies are learned.
-    Returns -inf when every sample coincides (zero tree length).
+    Returns -inf when every sample coincides (zero tree length).  When
+    L_gamma exceeds the float range, ln L_gamma is taken in log space.
     """
     x = _as_matrix(samples)
     n, d = x.shape
     if n < 2:
         raise OdseError("MST estimator needs at least two samples")
     gamma = d * (1.0 - cfg.alpha)
-    total = mst_total_length(x, gamma)
+    lengths = _prim_mst_lengths(euclidean_distances(x, x))
+    with np.errstate(over="ignore"):
+        total = _power_sum(lengths, gamma)
     if total == 0.0:
         return float("-inf")
+    if math.isinf(total):
+        # log-sum-exp over gamma * ln(length); zero edges add nothing
+        with np.errstate(divide="ignore"):
+            logs = gamma * np.log(lengths)
+        top = float(logs.max())
+        log_total = top + math.log(float(np.sum(np.exp(logs - top))))
+        return (log_total - cfg.alpha * math.log(n)) / (1.0 - cfg.alpha)
     return math.log(total / n**cfg.alpha) / (1.0 - cfg.alpha)
 
 

@@ -83,7 +83,6 @@ class ExperimentConfig:
     knn_k: int = 5
     svm: SvmConfig = SvmConfig()
     input_knn_k: int = 5
-    input_svm: SvmConfig = SvmConfig()
     input_gap_weight: float = 1.0
     normalization: str = RAW
     threads: int = 1
@@ -148,11 +147,9 @@ class EvaluationReport:
 def _system_params(system: str, cfg: ExperimentConfig) -> str:
     if system == ODSE_KNN:
         return f"k={cfg.knn_k}"
-    if system == ODSE_SVM:
-        return f"C={cfg.svm.c:g}"
     if system == INPUT_KNN:
         return f"k={cfg.input_knn_k}"
-    return f"C={cfg.input_svm.c:g}"
+    return f"C={cfg.svm.c:g}"
 
 
 def _run_system(system, train, test, sim, cfg, d_train, d_test, seed):
@@ -183,7 +180,7 @@ def _run_system(system, train, test, sim, cfg, d_train, d_test, seed):
             knn_label_from_distances(row, train_labels, cfg.input_knn_k)
             for row in d_test
         ]
-    svm = svm_train(d_train, train_labels, cfg.input_svm)
+    svm = svm_train(d_train, train_labels, cfg.svm)
     return [svm_predict(svm, row[svm.support]) for row in d_test]
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alignment import (
+    GAP_WEIGHT_MAX,
     RAW,
     AlignmentCostModel,
     SimilarityMatrix,
@@ -50,10 +51,16 @@ from .errors import OdseError, SynthesisError, TrainingError
 from .sequences import Sequence, read_text
 
 SIGMA_BOUNDS = (0.01, 5.0)
-GAP_WEIGHT_MAX = 4.0
 # gap_weight is bounded below by an open interval at 0; sampling and
 # repair use this floor so the bound is never violated
 GAP_WEIGHT_FLOOR = 1e-3
+# sampling, mutation and repair ranges of (sigma, tau_c, tau_e, gap_weight)
+_GENE_BOUNDS = (
+    SIGMA_BOUNDS,
+    (0.0, 1.0),
+    (0.0, 1.0),
+    (GAP_WEIGHT_FLOOR, GAP_WEIGHT_MAX),
+)
 
 
 @dataclass(frozen=True)
@@ -73,7 +80,7 @@ class OdseGenome:
         if self.tau_c > self.tau_e:
             raise OdseError("tau_c must not exceed tau_e")
         if not 0.0 < self.gap_weight <= GAP_WEIGHT_MAX:
-            raise OdseError(f"gap_weight {self.gap_weight} outside (0, 4]")
+            raise OdseError(f"gap_weight {self.gap_weight} outside (0, {GAP_WEIGHT_MAX:g}]")
 
     def as_vector(self) -> np.ndarray:
         return np.array(
@@ -83,10 +90,10 @@ class OdseGenome:
 
 def repair_genome(sigma, tau_c, tau_e, gap_weight) -> OdseGenome:
     """Clamp genes into bounds and swap the thresholds when inverted."""
-    sigma = min(max(float(sigma), SIGMA_BOUNDS[0]), SIGMA_BOUNDS[1])
-    tau_c = min(max(float(tau_c), 0.0), 1.0)
-    tau_e = min(max(float(tau_e), 0.0), 1.0)
-    gap_weight = min(max(float(gap_weight), GAP_WEIGHT_FLOOR), GAP_WEIGHT_MAX)
+    sigma, tau_c, tau_e, gap_weight = (
+        min(max(float(v), lo), hi)
+        for v, (lo, hi) in zip((sigma, tau_c, tau_e, gap_weight), _GENE_BOUNDS)
+    )
     if tau_c > tau_e:
         tau_c, tau_e = tau_e, tau_c
     return OdseGenome(sigma, tau_c, tau_e, gap_weight)
@@ -336,12 +343,7 @@ def synthesize_instance(
 
 
 def _random_genome(rng: np.random.Generator) -> OdseGenome:
-    return repair_genome(
-        rng.uniform(*SIGMA_BOUNDS),
-        rng.uniform(0.0, 1.0),
-        rng.uniform(0.0, 1.0),
-        rng.uniform(GAP_WEIGHT_FLOOR, GAP_WEIGHT_MAX),
-    )
+    return repair_genome(*(rng.uniform(lo, hi) for lo, hi in _GENE_BOUNDS))
 
 
 def _crossover(a: OdseGenome, b: OdseGenome, rng: np.random.Generator):
@@ -350,14 +352,6 @@ def _crossover(a: OdseGenome, b: OdseGenome, rng: np.random.Generator):
     ca, cb = va.copy(), vb.copy()
     ca[p1:p2], cb[p1:p2] = vb[p1:p2], va[p1:p2]
     return repair_genome(*ca), repair_genome(*cb)
-
-
-_GENE_BOUNDS = (
-    SIGMA_BOUNDS,
-    (0.0, 1.0),
-    (0.0, 1.0),
-    (GAP_WEIGHT_FLOOR, GAP_WEIGHT_MAX),
-)
 
 
 def _mutate(g: OdseGenome, rng: np.random.Generator, prob: float) -> OdseGenome:

@@ -14,10 +14,12 @@ from odse.classifiers import (
     svm_predict,
     svm_train,
 )
+import odse.classifiers
 from odse.alignment import levenshtein
 from odse.embedding import RepresentationSet, compute_matrix, euclidean_distances
+from odse.entropy import EstimatorConfig
 from odse.errors import OdseError, TrainingError
-from odse.model import train_inner
+from odse.model import FitnessWeights, GaConfig, ga_optimize, train_inner
 from odse.sequences import Sequence
 
 from conftest import random_sequences
@@ -377,3 +379,157 @@ class TestSmoDirect:
         a2, b2 = smo_solve(gram, t, 2.0, 1e-3, 100)
         assert np.array_equal(a1, a2)
         assert b1 == b2
+
+
+def sorted_partner_smo(gram, targets, c, tol, max_passes):
+    """The SMO loop that tried partners one by one in sorted order of
+    decreasing |E_i - E_j| (ties toward the lower index) until one made a
+    step.  smo_solve must reproduce it bit for bit."""
+    k = np.asarray(gram, dtype=np.float64)
+    y = np.asarray(targets, dtype=np.float64)
+    n = y.shape[0]
+    alphas = np.zeros(n, dtype=np.float64)
+    b = 0.0
+    for _ in range(max_passes):
+        errors = k @ (alphas * y) + b - y
+        changed = 0
+        for i in range(n):
+            e_i = errors[i]
+            r_i = e_i * y[i]
+            if not ((r_i < -tol and alphas[i] < c) or (r_i > tol and alphas[i] > 0)):
+                continue
+            gap = np.abs(errors - e_i)
+            for j in np.lexsort((np.arange(n), -gap)):
+                j = int(j)
+                if j == i:
+                    continue
+                a_i, a_j = alphas[i], alphas[j]
+                if y[i] != y[j]:
+                    lo, hi = max(0.0, a_j - a_i), min(c, c + a_j - a_i)
+                else:
+                    lo, hi = max(0.0, a_i + a_j - c), min(c, a_i + a_j)
+                if lo >= hi:
+                    continue
+                eta = k[i, i] + k[j, j] - 2.0 * k[i, j]
+                if eta <= 0.0:
+                    continue
+                a_j_new = min(max(a_j + y[j] * (e_i - errors[j]) / eta, lo), hi)
+                if abs(a_j_new - a_j) < 1e-7:
+                    continue
+                a_i_new = a_i + y[i] * y[j] * (a_j - a_j_new)
+                d_i = y[i] * (a_i_new - a_i)
+                d_j = y[j] * (a_j_new - a_j)
+                b1 = b - e_i - d_i * k[i, i] - d_j * k[i, j]
+                b2 = b - errors[j] - d_i * k[i, j] - d_j * k[j, j]
+                if 0.0 < a_i_new < c:
+                    b_new = b1
+                elif 0.0 < a_j_new < c:
+                    b_new = b2
+                else:
+                    b_new = 0.5 * (b1 + b2)
+                errors += d_i * k[:, i] + d_j * k[:, j] + (b_new - b)
+                alphas[i], alphas[j] = a_i_new, a_j_new
+                b = b_new
+                changed += 1
+                break
+        if changed == 0:
+            break
+    free = (alphas > 1e-10) & (alphas < c - 1e-10)
+    if np.any(free):
+        f_wo_b = k[free] @ (alphas * y)
+        b = float(np.mean(y[free] - f_wo_b))
+    return alphas, b
+
+
+def random_gram(rng, n, kind):
+    """A Gram matrix of one of three kinds: "psd" (Gaussian kernel of
+    points, some repeated), "ulps" (the same with entries nudged a few
+    ulps apart from their mirror) or "indefinite" (Gaussian kernel of a
+    symmetric non-metric distance table, as the input space gives)."""
+    if kind == "indefinite":
+        d = rng.uniform(0.0, 3.0, size=(n, n))
+        d = np.triu(d, 1) + np.triu(d, 1).T
+    else:
+        x = rng.normal(size=(n, int(rng.integers(1, 4))))
+        x[rng.random(n) < 0.1] = x[0]
+        d = euclidean_distances(x, x)
+    gram = np.exp(-float(rng.uniform(0.05, 2.0)) * d * d)
+    if kind == "ulps":
+        nudge = rng.integers(-3, 4, size=(n, n))
+        direction = np.where(nudge > 0, np.inf, -np.inf)
+        for step in range(1, 4):
+            toward = np.where(np.abs(nudge) >= step, direction, gram)
+            gram = np.nextafter(gram, toward)
+    return gram
+
+
+def assert_same_solve(gram, y, c, tol, max_passes):
+    alphas, bias = smo_solve(gram, y, c, tol, max_passes)
+    want_alphas, want_bias = sorted_partner_smo(gram, y, c, tol, max_passes)
+    assert np.array_equal(alphas, want_alphas)
+    assert bias == want_bias
+    return alphas
+
+
+class TestSmoPartnerRule:
+    """smo_solve picks each partner with one masked argmax; the sorted
+    per-partner loop it replaced is the oracle."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_grams_match_sorted_loop(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        cases = [
+            (kind, c, passes)
+            for kind in ("psd", "ulps", "indefinite")
+            for c in (0.1, 1.0, 2.0, 100.0)
+            for passes in (1, 200)
+        ]
+        at_zero = at_c = 0
+        for _ in range(4):
+            for kind, c, passes in cases:
+                # mostly small, so that the scalar oracle stays quick
+                n = int(rng.integers(2, 101 if rng.random() < 0.2 else 31))
+                y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+                y[int(rng.integers(n))] *= -1.0
+                gram = random_gram(rng, n, kind)
+                alphas = assert_same_solve(gram, y, c, 1e-3, passes)
+                at_zero += bool(np.any(alphas == 0.0))
+                at_c += bool(np.any(alphas == c))
+        # the sweep reaches partners stuck at either bound of the box
+        assert at_zero > 0 and at_c > 0
+
+    def test_first_partner_tie_goes_to_lower_index(self):
+        # at the start every error is -y, so every opposite-class partner
+        # ties at |E_i - E_j| = 2: the lowest such index is taken
+        gram = np.exp(-np.subtract.outer(np.arange(4.0), np.arange(4.0)) ** 2)
+        y = np.array([1.0, 1.0, -1.0, -1.0])
+        alphas = assert_same_solve(gram, y, 1.0, 1e-3, 1)
+        assert alphas[2] > 0.0
+
+    def test_step_of_exactly_step_eps_counts(self):
+        # with C = 1e-7 the first step is clipped to exactly 1e-7; a step
+        # is skipped only when strictly smaller
+        gram = np.eye(2)
+        y = np.array([1.0, -1.0])
+        alphas = assert_same_solve(gram, y, 1e-7, 1e-3, 200)
+        assert list(alphas) == [1e-7, 1e-7]
+
+    def test_ga_grams_match_sorted_loop(self, toy_sim, monkeypatch):
+        solves = []
+
+        def recording(gram, targets, c, tol, max_passes):
+            solves.append((np.array(gram), np.array(targets), c, tol, max_passes))
+            return smo_solve(gram, targets, c, tol, max_passes)
+
+        monkeypatch.setattr(odse.classifiers, "smo_solve", recording)
+        rng = np.random.default_rng(711)
+        seqs = random_sequences(rng, 40, lo=4, hi=10)
+        train = [(s, int(rng.random() < 0.5)) for s in seqs]
+        ga_optimize(
+            train, None, toy_sim, SvmConfig(c=2.0), FitnessWeights(),
+            EstimatorConfig(),
+            GaConfig(population_size=4, max_generations=2, rng_seed=3),
+        )
+        assert len(solves) >= 4
+        for gram, y, c, tol, max_passes in solves:
+            assert_same_solve(gram, y, c, tol, max_passes)

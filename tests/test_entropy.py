@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,25 @@ class TestMstEntropy:
             base = mst_entropy(pts, cfg)
             scaled = mst_entropy(pts * c, cfg)
             assert scaled - base == pytest.approx(d * math.log(c), abs=1e-9)
+
+    def test_overflowing_tree_length_taken_in_log_space(self):
+        # 200 points in [0,1]^400 at gamma 200 keep the powered sum
+        # finite; scaled by 300 the sum exceeds the float range
+        rng = np.random.default_rng(23)
+        cfg = EstimatorConfig(kind=MST, alpha=0.5)
+        pts = rng.uniform(size=(200, 400))
+        pts[-3:] = pts[:3]  # zero-length edges add nothing in log space
+        s = 300.0
+        assert math.isfinite(mst_total_length(pts, 200.0))
+        with np.errstate(over="ignore"):
+            assert mst_total_length(pts * s, 200.0) == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            base = mst_entropy(pts, cfg)
+            scaled = mst_entropy(pts * s, cfg)
+            raw = normalized_vector_entropy(pts * s, cfg).raw
+        assert scaled == pytest.approx(base + 400 * math.log(s), rel=1e-9)
+        assert raw == scaled
 
     def test_identical_points_give_minus_infinity(self):
         cfg = EstimatorConfig(kind=MST, alpha=0.5)

@@ -49,7 +49,7 @@ def fast_input_cfg(split, systems=(INPUT_KNN, INPUT_SVM)):
     return ExperimentConfig(
         split=split,
         systems=systems,
-        input_svm=SvmConfig(max_passes=25),
+        svm=SvmConfig(max_passes=25),
     )
 
 
@@ -307,7 +307,7 @@ class TestInputSpaceReferences:
             d_train = np.array([[levenshtein(s, t, cm) for t, _ in train] for s, _ in train])
             d_test = np.array([[levenshtein(s, t, cm) for t, _ in train] for s, _ in test])
             labels = np.array([lab for _, lab in train])
-            svm = svm_train(d_train, labels, cfg.input_svm)
+            svm = svm_train(d_train, labels, cfg.svm)
             preds = {
                 INPUT_KNN: [
                     knn_label_from_distances(row, labels, cfg.input_knn_k) for row in d_test
