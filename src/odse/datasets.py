@@ -74,8 +74,9 @@ def read_solubility_table(text: str) -> dict[str, float]:
     """Parse a two-column id/solubility table.
 
     Fields are separated by a tab when one is present, otherwise by a
-    comma.  Blank lines and '#' comments are skipped; a single header
-    line with a non-numeric second field is tolerated at the top.
+    comma; a row must hold exactly two fields and a non-empty id.  Blank
+    lines and '#' comments are skipped; a single header line with a
+    non-numeric second field is tolerated at the top.
     """
     table: dict[str, float] = {}
     saw_data = False
@@ -85,8 +86,12 @@ def read_solubility_table(text: str) -> dict[str, float]:
             continue
         sep = "\t" if "\t" in line else ","
         parts = [p.strip() for p in line.split(sep)]
-        if len(parts) < 2:
-            raise DatasetError(f"line {lineno}: expected 'id{sep}solubility'")
+        if len(parts) != 2:
+            raise DatasetError(
+                f"line {lineno}: expected 2 fields 'id{sep}solubility', got {len(parts)}"
+            )
+        if not parts[0]:
+            raise DatasetError(f"line {lineno}: empty id")
         try:
             value = float(parts[1])
         except ValueError:

@@ -252,10 +252,102 @@ def expand(
 # synthesis
 
 
+@dataclass(frozen=True, eq=False)
+class _Sets:
+    """The checked training and validation sets of a synthesis."""
+
+    train: list
+    train_labels: np.ndarray
+    val: list
+    val_labels: np.ndarray
+
+
 def _split_labeled(pairs):
     seqs = [s for s, _ in pairs]
     labels = np.array([int(lab) for _, lab in pairs])
     return seqs, labels
+
+
+def _checked_sets(train, validation) -> _Sets:
+    """Split (Sequence, label) pairs, rejecting empty sets, shared ids
+    and validation classes absent from training."""
+    if not train or not validation:
+        raise SynthesisError("train and validation sets must be non-empty")
+    sets = _Sets(*_split_labeled(train), *_split_labeled(validation))
+    overlap = {s.id for s in sets.train} & {s.id for s in sets.val}
+    if overlap:
+        raise SynthesisError(f"train/validation ids overlap: {sorted(overlap)[:5]}")
+    if not set(sets.val_labels) <= set(sets.train_labels):
+        raise SynthesisError("validation contains a class absent from training")
+    return sets
+
+
+def _train_table(train_seqs, sim: SimilarityMatrix, gap_weight: float, normalization: str):
+    """The cost model of a gap weight and its train x train table d0."""
+    cm = build_cost_model(sim, gap_weight=gap_weight, normalization=normalization)
+    return cm, compute_matrix(train_seqs, RepresentationSet(tuple(train_seqs)), cm).values
+
+
+def _column_scores(d0: np.ndarray, est: EstimatorConfig, sigma: float) -> list[float]:
+    """Normalized entropy of each column of d0 under Parzen width sigma;
+    the MST estimator ignores sigma, so substituting it is harmless."""
+    est_g = dataclasses.replace(est, sigma=sigma)
+    return [normalized_column_entropy(d0[:, j], est_g).normalized for j in range(d0.shape[1])]
+
+
+def _synthesize(
+    g: OdseGenome,
+    sets: _Sets,
+    cm: AlignmentCostModel,
+    d0: np.ndarray,
+    scores,
+    inner_cfg,
+    fw: FitnessWeights,
+    est: EstimatorConfig,
+) -> tuple[OdseModel, float]:
+    """Synthesize and score the model of g from the cost model of its gap
+    weight, that cost model's train x train table d0 and the column
+    scores of d0 under g's sigma."""
+    kept = compress(scores, g.tau_c)
+    # with the initial prototypes equal to the training set, d0 doubles as
+    # the input-space pairwise matrix the medoid search needs
+    columns, provenance = expand(scores, kept, g.tau_e, sets.train_labels, d0)
+    r1 = RepresentationSet(tuple(sets.train[j] for j in columns), provenance)
+    # every prototype of r1 is a training sequence, so the embedded
+    # training matrix is a column selection of d0 (bit-identical to a
+    # fresh computation; lanes of the batch kernel are independent)
+    d1 = d0[:, list(columns)]
+
+    try:
+        inner = train_inner(d1, sets.train_labels, inner_cfg)
+    except TrainingError as exc:
+        err = SynthesisError(f"inner classifier training failed: {exc}")
+        err.genome = g
+        raise err from exc
+
+    d_val = compute_matrix(sets.val, r1, cm)
+    hits = sum(
+        1
+        for row, label in zip(d_val.values, sets.val_labels)
+        if inner.predict(row) == int(label)
+    )
+    pi = hits / len(sets.val)
+    # expansion can push |R'| past |train|; the shrinkage reward bottoms
+    # out at 0 so fitness stays in [0, 1]
+    card = max(0.0, 1.0 - len(r1) / len(sets.train))
+    if len(sets.train) >= 2:
+        h_norm = normalized_vector_entropy(d1, dataclasses.replace(est, kind=MST)).normalized
+    else:
+        h_norm = 0.0
+    fitness = fw.w_acc * pi + fw.w_card * card + fw.w_ent * h_norm
+    model = OdseModel(
+        genome=g,
+        representation=r1,
+        cost_model=cm,
+        inner=inner,
+        fitness=fitness,
+    )
+    return model, fitness
 
 
 def synthesize_instance(
@@ -274,68 +366,10 @@ def synthesize_instance(
     disjoint ids.  Fitness combines validation accuracy, prototype-set
     shrinkage and the normalized spread of the embedded training vectors.
     """
-    if not train or not validation:
-        raise SynthesisError("train and validation sets must be non-empty")
-    train_seqs, train_labels = _split_labeled(train)
-    val_seqs, val_labels = _split_labeled(validation)
-    overlap = {s.id for s in train_seqs} & {s.id for s in val_seqs}
-    if overlap:
-        raise SynthesisError(f"train/validation ids overlap: {sorted(overlap)[:5]}")
-    if not set(val_labels) <= set(train_labels):
-        raise SynthesisError("validation contains a class absent from training")
-
-    cm = build_cost_model(sim, gap_weight=g.gap_weight, normalization=normalization)
-    # the genome's Parzen width drives column scoring; it is ignored by
-    # the MST estimator so substituting unconditionally is harmless
-    est_g = dataclasses.replace(est, sigma=g.sigma)
-
-    d0 = compute_matrix(train_seqs, RepresentationSet(tuple(train_seqs)), cm).values
-    scores = [
-        normalized_column_entropy(d0[:, j], est_g).normalized
-        for j in range(len(train_seqs))
-    ]
-    kept = compress(scores, g.tau_c)
-    # with the initial prototypes equal to the training set, d0 doubles as
-    # the input-space pairwise matrix the medoid search needs
-    columns, provenance = expand(scores, kept, g.tau_e, train_labels, d0)
-    r1 = RepresentationSet(tuple(train_seqs[j] for j in columns), provenance)
-    # every prototype of r1 is a training sequence, so the embedded
-    # training matrix is a column selection of d0 (bit-identical to a
-    # fresh computation; lanes of the batch kernel are independent)
-    d1 = d0[:, list(columns)]
-
-    try:
-        inner = train_inner(d1, train_labels, inner_cfg)
-    except TrainingError as exc:
-        err = SynthesisError(f"inner classifier training failed: {exc}")
-        err.genome = g
-        raise err from exc
-
-    d_val = compute_matrix(val_seqs, r1, cm)
-    hits = sum(
-        1
-        for row, label in zip(d_val.values, val_labels)
-        if inner.predict(row) == int(label)
-    )
-    pi = hits / len(val_seqs)
-    # expansion can push |R'| past |train|; the shrinkage reward bottoms
-    # out at 0 so fitness stays in [0, 1]
-    card = max(0.0, 1.0 - len(r1) / len(train_seqs))
-    if len(train_seqs) >= 2:
-        h_norm = normalized_vector_entropy(
-            d1, dataclasses.replace(est_g, kind=MST)
-        ).normalized
-    else:
-        h_norm = 0.0
-    fitness = fw.w_acc * pi + fw.w_card * card + fw.w_ent * h_norm
-    model = OdseModel(
-        genome=g,
-        representation=r1,
-        cost_model=cm,
-        inner=inner,
-        fitness=fitness,
-    )
-    return model, fitness
+    sets = _checked_sets(train, validation)
+    cm, d0 = _train_table(sets.train, sim, g.gap_weight, normalization)
+    scores = _column_scores(d0, est, g.sigma)
+    return _synthesize(g, sets, cm, d0, scores, inner_cfg, fw, est)
 
 
 # --------------------------------------------------------------------------
@@ -406,6 +440,12 @@ def _stratified_holdout(train, fraction: float, rng: np.random.Generator):
     return train_part, val_part
 
 
+def _prune(cache: dict, live) -> None:
+    """Drop the entries of cache whose keys are not in live."""
+    for key in cache.keys() - set(live):
+        del cache[key]
+
+
 def ga_optimize(
     train,
     validation,
@@ -423,20 +463,47 @@ def ga_optimize(
     held out (drawn from the run's seed).  Fitness evaluation is a pure
     function of the genome, so results are identical for any thread
     count, and the whole run replays exactly from rng_seed.
+
+    Work is shared across genomes: one train x train table per gap
+    weight, one list of column scores per (gap weight, sigma), and one
+    (model, fitness) per genome, each kept while a genome of the current
+    population uses it.  Crossover hands gap weight and sigma down
+    together and the elite passes unchanged, so most of a generation's
+    tables, scores and models come from the one before.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     if validation is None:
         train, validation = _stratified_holdout(train, 0.3, rng)
+    sets = _checked_sets(train, validation)
+    tables: dict[float, tuple[AlignmentCostModel, np.ndarray]] = {}
+    scores: dict[tuple[float, float], list[float]] = {}
+    results: dict[OdseGenome, tuple[OdseModel, float]] = {}
 
-    def evaluate_one(g: OdseGenome):
-        return synthesize_instance(
-            g, train, validation, sim, inner_cfg, fw, est, normalization
-        )
+    def table(w):
+        return _train_table(sets.train, sim, w, normalization)
+
+    def column_scores(key):
+        return _column_scores(tables[key[0]][1], est, key[1])
+
+    def synthesize(g):
+        cm, d0 = tables[g.gap_weight]
+        return _synthesize(g, sets, cm, d0, scores[g.gap_weight, g.sigma], inner_cfg, fw, est)
+
+    def fill(cache, fn, keys, pool):
+        # missing keys in order of first use, each computed once
+        missing = [k for k in dict.fromkeys(keys) if k not in cache]
+        cache.update(zip(missing, pool.map(fn, missing) if pool else map(fn, missing)))
 
     def evaluate(pop, pool):
-        results = list(pool.map(evaluate_one, pop) if pool else map(evaluate_one, pop))
-        models = [m for m, _ in results]
-        fits = np.array([f for _, f in results], dtype=np.float64)
+        new = [g for g in pop if g not in results]
+        fill(tables, table, (g.gap_weight for g in new), pool)
+        fill(scores, column_scores, ((g.gap_weight, g.sigma) for g in new), pool)
+        fill(results, synthesize, new, pool)
+        _prune(tables, (g.gap_weight for g in pop))
+        _prune(scores, ((g.gap_weight, g.sigma) for g in pop))
+        _prune(results, pop)
+        models = [results[g][0] for g in pop]
+        fits = np.array([results[g][1] for g in pop], dtype=np.float64)
         return models, fits
 
     # one pool serves every generation of the run

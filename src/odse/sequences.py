@@ -78,4 +78,9 @@ def read_text(path) -> str:
 
 
 def read_fasta(path) -> list[Sequence]:
-    return parse_fasta(read_text(path))
+    """Sequences of a FASTA file; a file without records raises a
+    `DatasetError` naming it."""
+    records = parse_fasta(read_text(path))
+    if not records:
+        raise DatasetError(f"{path}: no FASTA records")
+    return records

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odse.alignment import (
     BY_MAX_LENGTH,
+    GAP_WEIGHT_MAX,
     RAW,
     build_cost_model,
     dissimilarities_to_targets,
@@ -191,6 +194,55 @@ class TestLevenshtein:
         for _ in range(30):
             a, b = random_sequences(rng, 2, lo=0, hi=8)
             assert levenshtein(a, b, toy_cm) >= 0.0
+
+
+SIMILARITY_TABLES = (
+    parse_similarity_matrix(TOY_MATRIX_TEXT),
+    load_similarity_matrix(pam120_path()),
+)
+
+
+@st.composite
+def dp_pairs(draw):
+    """A cost model (toy or PAM120, any gap weight, either
+    normalization) and two sequences over its alphabet."""
+    sim = draw(st.sampled_from(SIMILARITY_TABLES))
+    cm = build_cost_model(
+        sim,
+        gap_weight=draw(st.floats(1e-3, GAP_WEIGHT_MAX)),
+        normalization=draw(st.sampled_from((RAW, BY_MAX_LENGTH))),
+    )
+    words = st.text(alphabet=sim.alphabet, max_size=40)
+    return cm, seq(draw(words), "a"), seq(draw(words), "b")
+
+
+class TestDpProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(dp_pairs())
+    def test_zero_on_identity(self, case):
+        cm, a, _ = case
+        assert levenshtein(a, a, cm) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(dp_pairs())
+    def test_gap_times_length_bounds(self, case):
+        # at least | |a| - |b| | gaps and at most every symbol gapped; the
+        # DP adds its gaps one at a time, so the bounds hold to rounding
+        cm, a, b = case
+        scale = max(len(a), len(b), 1) if cm.normalization == BY_MAX_LENGTH else 1
+        lo = cm.gap_cost * abs(len(a) - len(b)) / scale
+        hi = cm.gap_cost * (len(a) + len(b)) / scale
+        d = levenshtein(a, b, cm)
+        assert lo - 1e-12 * max(1.0, lo) <= d <= hi + 1e-12 * max(1.0, hi)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dp_pairs())
+    def test_symmetric_to_rounding(self, case):
+        # the prefix-min recurrence rounds through c - j*gap, so the
+        # transposed alignment can differ in the last bits
+        cm, a, b = case
+        d = levenshtein(a, b, cm)
+        assert abs(d - levenshtein(b, a, cm)) <= 1e-12 * max(1.0, d)
 
 
 class TestBatch:

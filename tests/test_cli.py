@@ -308,6 +308,44 @@ class TestErrorPaths:
         assert "inner" in capsys.readouterr().err
 
 
+class TestEmptyFasta:
+    """A FASTA file without records ends in one error line naming it."""
+
+    @pytest.fixture
+    def empty(self, tmp_path):
+        path = tmp_path / "empty.fa"
+        path.write_text("\n", encoding="utf-8")
+        return path
+
+    def run(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        return err[0]
+
+    def test_matrix(self, workdir, empty, capsys):
+        argv = ["matrix", "--fasta", str(empty), "--matrix", str(workdir / "toy_matrix.txt")]
+        assert self.run(argv, capsys) == f"error: {empty}: no FASTA records"
+
+    def test_classify(self, workdir, empty, capsys):
+        model_path = workdir / "model.json"
+        if not model_path.exists():
+            assert TestSynthesizeAndClassify().synth(workdir, model_path) == 0
+        argv = ["classify", "--model", str(model_path), "--fasta", str(empty)]
+        assert self.run(argv, capsys) == f"error: {empty}: no FASTA records"
+
+    def test_synthesize(self, workdir, empty, capsys):
+        argv = [
+            "synthesize",
+            "--fasta", str(empty),
+            "--solubility", str(workdir / "solubility.csv"),
+            "--matrix", str(workdir / "toy_matrix.txt"),
+            "--config", str(workdir / "config.ini"),
+            "--out", str(workdir / "never.json"),
+        ]
+        assert self.run(argv, capsys) == f"error: {empty}: no FASTA records"
+
+
 class TestBadConfigValues:
     """A mistyped INI value ends in one error line naming its key, before
     any dataset is read: the FASTA and table paths here do not exist."""

@@ -103,6 +103,20 @@ class TestSolubilityTable:
         with pytest.raises(DatasetError, match="expected"):
             read_solubility_table("justanid\n")
 
+    @pytest.mark.parametrize(
+        "text", ["a,0.5,extra\n", "b,0.2\na,0.5,\n", "a\t0.5\textra\n", "id,solubility,note\n"]
+    )
+    def test_extra_field_rejected_with_line(self, text):
+        lineno = text.count("\n")
+        with pytest.raises(DatasetError, match=f"line {lineno}: expected 2 fields .*, got 3$"):
+            read_solubility_table(text)
+
+    @pytest.mark.parametrize("text", [",0.3\n", "a,0.5\n,0.3\n", " ,0.3\n"])
+    def test_empty_id_rejected_with_line(self, text):
+        lineno = text.count("\n")
+        with pytest.raises(DatasetError, match=f"line {lineno}: empty id"):
+            read_solubility_table(text)
+
     def test_empty_table_rejected(self):
         with pytest.raises(DatasetError, match="no rows"):
             read_solubility_table("# nothing\n")

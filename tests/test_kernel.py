@@ -8,11 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import odse
 from odse import _dp, alignment
 from odse.alignment import (
     BY_MAX_LENGTH,
+    GAP_WEIGHT_MAX,
     RAW,
     alignment_cost_rows,
     build_cost_model,
@@ -77,6 +80,26 @@ class TestCompiledKernel:
             want = numpy_cost_rows(query, mat, lens, cm.sub_cost, cm.gap_cost)
             got = alignment_cost_rows(query, mat, lens, cm.sub_cost, cm.gap_cost)
             assert np.array_equal(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_numpy_reference_on_drawn_batches(self, data, pam120):
+        cm = build_cost_model(pam120, gap_weight=data.draw(st.floats(1e-3, GAP_WEIGHT_MAX)))
+        codes = st.integers(0, len(cm.alphabet) - 1)
+        query = data.draw(st.lists(codes, max_size=50))
+        targets = data.draw(st.lists(st.lists(codes, max_size=50), max_size=8))
+        lens = np.array([len(t) for t in targets], dtype=np.intp)
+        # ragged targets padded past the longest with arbitrary codes
+        width = int(lens.max(initial=0)) + data.draw(st.integers(0, 3))
+        mat = np.array(
+            [t + data.draw(st.lists(codes, min_size=width - len(t), max_size=width - len(t)))
+             for t in targets],
+            dtype=np.intp,
+        ).reshape(len(targets), width)
+        query = np.array(query, dtype=np.intp)
+        want = numpy_cost_rows(query, mat, lens, cm.sub_cost, cm.gap_cost)
+        got = alignment_cost_rows(query, mat, lens, cm.sub_cost, cm.gap_cost)
+        assert np.array_equal(got, want)
 
     def test_empty_query_and_empty_targets(self, toy_cm):
         sub, gap = toy_cm.sub_cost, toy_cm.gap_cost

@@ -754,6 +754,79 @@ class TestGaOptimize:
         assert len(made) == pools
 
 
+class TestGaReuse:
+    """ga_optimize builds one table per gap weight, scores its columns
+    once per (gap weight, sigma) and synthesizes each genome once."""
+
+    CFG = GaConfig(
+        population_size=6, mutation_prob=0.3, max_generations=4,
+        stall_epsilon=1e-12, rng_seed=13,
+    )
+
+    def run(self, toy_sim, inner, monkeypatch, threads=1):
+        """The run's sets and every (genome, (model, fitness)) it
+        synthesized."""
+        train, val = TestColumnSelection().corpus()
+        made = []
+        synthesize = odse.model._synthesize
+
+        def recording(g, *args):
+            out = synthesize(g, *args)
+            made.append((g, out))
+            return out
+
+        monkeypatch.setattr(odse.model, "_synthesize", recording)
+        model = ga_optimize(
+            train, val, toy_sim, inner, FitnessWeights(), EstimatorConfig(),
+            self.CFG, threads=threads,
+        )
+        assert len(model.synthesis_log) == self.CFG.max_generations + 1
+        # elites and unchanged copies are not synthesized again
+        assert len(made) < self.CFG.population_size * len(model.synthesis_log)
+        return train, val, made
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "inner", [KnnConfig(k=1), SvmConfig(max_passes=25)], ids=["knn", "svm"]
+    )
+    def test_each_genome_equals_a_fresh_synthesis(self, toy_sim, inner, threads, monkeypatch):
+        train, val, made = self.run(toy_sim, inner, monkeypatch, threads)
+        gaps = {g.gap_weight for g, _ in made}
+        pairs = {(g.gap_weight, g.sigma) for g, _ in made}
+        # genomes share gap weights, and some share a gap weight but not sigma
+        assert len(gaps) < len(pairs) < len(made)
+        monkeypatch.undo()
+        for g, (model, fitness) in made:
+            fresh, fresh_fitness = synthesize_instance(
+                g, train, val, toy_sim, inner, FitnessWeights(), EstimatorConfig()
+            )
+            assert model_to_json(model) == model_to_json(fresh), g
+            assert fitness == fresh_fitness
+
+    def test_one_table_per_gap_weight_and_one_score_per_column_and_sigma(
+        self, toy_sim, monkeypatch
+    ):
+        tables, columns = [], []
+        compute, scorer = odse.model.compute_matrix, odse.model.normalized_column_entropy
+
+        def counting_compute(data, r, cm, *args, **kwargs):
+            if r.ids == tuple(s.id for s in data):
+                tables.append(cm.gap_cost)
+            return compute(data, r, cm, *args, **kwargs)
+
+        def counting_scorer(column, cfg):
+            columns.append(len(column))
+            return scorer(column, cfg)
+
+        monkeypatch.setattr(odse.model, "compute_matrix", counting_compute)
+        monkeypatch.setattr(odse.model, "normalized_column_entropy", counting_scorer)
+        train, _, made = self.run(toy_sim, KnnConfig(k=1), monkeypatch)
+        gaps = {g.gap_weight for g, _ in made}
+        pairs = {(g.gap_weight, g.sigma) for g, _ in made}
+        assert len(tables) == len(set(tables)) == len(gaps)
+        assert columns == [len(train)] * (len(train) * len(pairs))
+
+
 class TestSelection:
     def test_zero_fitness_falls_back_to_uniform(self):
         rng = np.random.default_rng(61)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from odse.errors import DatasetError
@@ -62,3 +64,11 @@ def test_read_fasta_roundtrip(tmp_path):
         ("one", "ARND"),
         ("two", "DNRA"),
     ]
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "   \n"])
+def test_file_without_records_rejected_naming_it(tmp_path, text):
+    path = tmp_path / "empty.fa"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}: no FASTA records$"):
+        read_fasta(path)
