@@ -23,6 +23,8 @@ RAW = "raw"
 BY_MAX_LENGTH = "by-max-length"
 # largest gap_weight, the gap cost in units of the mean off-diagonal cost
 GAP_WEIGHT_MAX = 4.0
+# largest magnitude of a similarity-matrix entry, which is stored as int64
+_SCORE_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -91,6 +93,11 @@ def parse_similarity_matrix(text: str) -> SimilarityMatrix:
             values = [int(tok) for tok in entries]
         except ValueError as exc:
             raise MatrixFormatError(str(exc), line=lineno) from None
+        too_big = [tok for tok, v in zip(entries, values) if abs(v) > _SCORE_MAX]
+        if too_big:
+            raise MatrixFormatError(
+                f"entry {too_big[0]} does not fit in 64 bits", line=lineno
+            )
         rows[sym] = (lineno, values)
 
     if not alphabet:
@@ -217,9 +224,11 @@ def alignment_cost_rows(
     encoded, padded targets.
 
     Runs the compiled kernel in `_dp.c`, built on the first call, or the
-    numpy loop `numpy_cost_rows` when the kernel cannot be built.
-    Both do the same floating-point operations in the same order, so
-    they agree bit for bit.
+    numpy loop `numpy_cost_rows` when the kernel cannot be built.  The
+    kernel aligns four targets at a time, one per lane, and every lane
+    does the numpy loop's floating-point operations in the same order,
+    so the two agree bit for bit whatever the batch's order or size.
+    Batches whose neighbouring targets have similar lengths run fastest.
     """
     kernel = _dp.load()
     if kernel is None:
@@ -286,16 +295,21 @@ def dissimilarity_table(
     """Alignment dissimilarities of each query (rows) to each target
     (columns), normalized as `cm` says.
 
-    Every alignment table is built here.  The targets are encoded and
-    zero-padded to a common width once, each query is encoded once, and
-    each row is one `alignment_cost_rows` call.  Rows are independent,
-    so the number of worker threads never changes the result.
+    Every alignment table is built here.  The targets are encoded,
+    ordered by length (stable) so the kernel's blocks of lanes are
+    nearly full, and zero-padded to a common width once; each query is
+    encoded once, and each row is one `alignment_cost_rows` call, written
+    back in the caller's column order.  Each target's cost depends on no
+    other target, so neither the order nor the number of worker threads
+    changes the result.
     """
     codes = [cm.encode(t) for t in targets]
     lens = np.array([len(c) for c in codes], dtype=np.intp)
+    order = np.argsort(lens, kind="stable")
+    lens = lens[order]
     mat = np.zeros((len(codes), int(lens.max(initial=0))), dtype=np.intp)
-    for row, c in enumerate(codes):
-        mat[row, : len(c)] = c
+    for row, k in enumerate(order):
+        mat[row, : lens[row]] = codes[k]
     out = np.empty((len(queries), len(codes)), dtype=np.float64)
 
     def fill(i):
@@ -305,7 +319,7 @@ def dissimilarity_table(
             denom = np.maximum(len(query), lens).astype(np.float64)
             with np.errstate(invalid="ignore"):
                 row = np.where(denom > 0.0, row / denom, 0.0)
-        out[i] = row
+        out[i, order] = row
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -138,6 +138,8 @@ def smo_solve(gram, targets, c: float, tol: float, max_passes: int):
     y = np.asarray(targets, dtype=np.float64)
     n = y.shape[0]
     diag = k.diagonal()
+    # every pair's curvature K_ii + K_jj - 2 K_ij, computed once per solve
+    eta_all = (diag[:, None] + diag[None, :]) - 2.0 * k
     alphas = np.zeros(n, dtype=np.float64)
     b = 0.0
     for _ in range(max_passes):
@@ -153,7 +155,7 @@ def smo_solve(gram, targets, c: float, tol: float, max_passes: int):
             same = y == y[i]
             lo = np.maximum(0.0, np.where(same, (a_i + alphas) - c, alphas - a_i))
             hi = np.minimum(c, np.where(same, a_i + alphas, (c + alphas) - a_i))
-            eta = (k[i, i] + diag) - 2.0 * k[i]
+            eta = eta_all[i]
             # infeasible partners may divide by zero or overflow; they are masked
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 a_new = np.minimum(np.maximum(alphas + y * (e_i - errors) / eta, lo), hi)

@@ -652,7 +652,9 @@ def model_from_json(text: str) -> OdseModel:
         return _model_from_doc(json.loads(text))
     except json.JSONDecodeError as exc:
         raise OdseError(f"model archive is not JSON: {exc}") from None
-    except (KeyError, TypeError, ValueError) as exc:
+    except RecursionError:
+        raise OdseError("model archive is nested too deeply") from None
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise OdseError(
             f"malformed model archive: {type(exc).__name__}: {exc}"
         ) from None

@@ -313,6 +313,28 @@ class TestDissimilarityTable:
         assert got.shape == (10, 8)
         assert np.array_equal(got, per_row_reference(queries, targets, cm))
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("normalization", [RAW, BY_MAX_LENGTH])
+    def test_columns_keep_the_callers_order(self, normalization, threads):
+        # dissimilarity_table orders targets by length for the kernel's lanes and
+        # writes every cell back under its caller's column
+        cm = build_cost_model(
+            load_similarity_matrix(pam120_path()), gap_weight=1.3, normalization=normalization
+        )
+        rng = np.random.default_rng(59)
+        lengths = (17, 3, 40, 0, 9, 3, 28, 1, 12, 35, 3)
+        targets = [
+            Sequence(f"t{j}", "".join(rng.choice(list(RESIDUES), size=n)))
+            for j, n in enumerate(lengths)
+        ]
+        queries = random_sequences(rng, 5, lo=0, hi=30, alphabet=RESIDUES, prefix="q")
+        table = dissimilarity_table(queries, targets, cm, threads)
+        pairs = np.array([[levenshtein(q, t, cm) for t in targets] for q in queries])
+        assert np.array_equal(table, pairs)
+        perm = rng.permutation(len(targets))
+        permuted = dissimilarity_table(queries, [targets[k] for k in perm], cm, threads)
+        assert np.array_equal(permuted, table[:, perm])
+
     @pytest.mark.parametrize("threads", [1, 3])
     def test_zero_targets_or_queries(self, threads, toy_cm):
         seqs = random_sequences(np.random.default_rng(47), 5)

@@ -1,6 +1,7 @@
 """The compiled alignment kernel against the numpy reference loop, the
 fallback when it cannot be built, and how and when it is built."""
 
+import platform
 import subprocess
 import sys
 import threading
@@ -57,6 +58,38 @@ def random_batch(rng, n_alpha, max_len=120):
     return query, mat, lens
 
 
+@pytest.fixture(scope="module")
+def plain_library(tmp_path_factory):
+    """A second build of `_dp.c` with __ELF__ undefined: the
+    multiversioning guard is off, so only the plain lane loop is
+    compiled, as on platforms without ifunc clones."""
+    path = tmp_path_factory.mktemp("plain") / "plain.so"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_dp, "FLAGS", (*_dp.FLAGS, "-U__ELF__"))
+        _dp._build(_dp.compiler(), path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def plain_kernel(plain_library):
+    """`alignment_cost_rows` over the plain build instead of the library
+    in use, which on x86-64 machines with AVX2 runs its AVX2 clone."""
+    plain = _dp._open(plain_library)
+
+    def rows(*args):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_dp, "load", lambda: plain)
+            return alignment_cost_rows(*args)
+
+    return rows
+
+
+def assert_kernels_agree(rows, query, mat, lens, cm):
+    want = numpy_cost_rows(query, mat, lens, cm.sub_cost, cm.gap_cost)
+    got = rows(query, mat, lens, cm.sub_cost, cm.gap_cost)
+    assert np.array_equal(got, want)
+
+
 @needs_kernel
 class TestCompiledKernel:
     def test_compiled_kernel_is_the_one_in_use(self, monkeypatch):
@@ -81,13 +114,14 @@ class TestCompiledKernel:
             got = alignment_cost_rows(query, mat, lens, cm.sub_cost, cm.gap_cost)
             assert np.array_equal(got, want)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(data=st.data())
-    def test_equals_numpy_reference_on_drawn_batches(self, data, pam120):
+    def test_equals_numpy_reference_on_drawn_batches(self, data, pam120, plain_kernel):
+        rows = data.draw(st.sampled_from((alignment_cost_rows, plain_kernel)))
         cm = build_cost_model(pam120, gap_weight=data.draw(st.floats(1e-3, GAP_WEIGHT_MAX)))
         codes = st.integers(0, len(cm.alphabet) - 1)
         query = data.draw(st.lists(codes, max_size=50))
-        targets = data.draw(st.lists(st.lists(codes, max_size=50), max_size=8))
+        targets = data.draw(st.lists(st.lists(codes, max_size=50), max_size=9))
         lens = np.array([len(t) for t in targets], dtype=np.intp)
         # ragged targets padded past the longest with arbitrary codes
         width = int(lens.max(initial=0)) + data.draw(st.integers(0, 3))
@@ -96,10 +130,18 @@ class TestCompiledKernel:
              for t in targets],
             dtype=np.intp,
         ).reshape(len(targets), width)
-        query = np.array(query, dtype=np.intp)
-        want = numpy_cost_rows(query, mat, lens, cm.sub_cost, cm.gap_cost)
-        got = alignment_cost_rows(query, mat, lens, cm.sub_cost, cm.gap_cost)
-        assert np.array_equal(got, want)
+        assert_kernels_agree(rows, np.array(query, dtype=np.intp), mat, lens, cm)
+
+    def test_plain_build_has_no_clones(self, plain_library):
+        # on x86-64 ELF the library in use holds an AVX2 and a default
+        # clone; the plain build must hold neither, or the test above
+        # would compare the same code twice
+        names = (b"odse_cost_rows.avx2", b"odse_cost_rows.default")
+        if platform.machine() == "x86_64" and sys.platform.startswith("linux"):
+            in_use = _dp.cache_dirs()[0] / _dp.library_name()
+            if in_use.exists():
+                assert all(name in in_use.read_bytes() for name in names)
+        assert not any(name in plain_library.read_bytes() for name in names)
 
     def test_empty_query_and_empty_targets(self, toy_cm):
         sub, gap = toy_cm.sub_cost, toy_cm.gap_cost
@@ -122,6 +164,23 @@ class TestCompiledKernel:
         monkeypatch.setattr(_dp, "load", lambda: None)
         for q, got in zip(queries, compiled):
             assert np.array_equal(got, dissimilarities_to_targets(q, targets, cm))
+
+    @pytest.mark.parametrize("n_targets", range(1, 10))
+    def test_lane_edges(self, n_targets, pam120, plain_kernel):
+        # blocks of four lanes: 1-9 targets leave every count of idle
+        # lanes; lengths in no order, empty targets and queries, and
+        # widths padded past the longest target
+        rng = np.random.default_rng(n_targets)
+        cm = build_cost_model(pam120, gap_weight=1.7)
+        lens = rng.integers(0, 45, size=n_targets)
+        lens[rng.integers(n_targets)] = 0
+        for lens in (lens, np.zeros_like(lens)):
+            for pad in (0, 1, 10):
+                mat = rng.integers(0, len(cm.alphabet), size=(n_targets, int(lens.max()) + pad))
+                for n_query in (0, 1, 30):
+                    query = rng.integers(0, len(cm.alphabet), size=n_query)
+                    for rows in (alignment_cost_rows, plain_kernel):
+                        assert_kernels_agree(rows, query, mat, lens, cm)
 
     def test_bad_codes_and_lengths_rejected(self, toy_cm):
         sub, gap = toy_cm.sub_cost, toy_cm.gap_cost
