@@ -4,8 +4,9 @@ Subcommands: matrix (pairwise dissimilarity dump), splits (split id
 lists), synthesize (train and persist a model), classify (label a FASTA
 file with a saved model), evaluate (full resampled comparison).
 
-Settings come from an INI file with sections [split], [ga], [svm],
-[knn], [estimator] and [experiment]; --seed overrides the split seed.
+Settings of splits, synthesize and evaluate come from an INI file
+(--config) with sections [split], [ga], [svm], [knn], [estimator] and
+[experiment]; --split and --seed override the file's split.
 """
 
 from __future__ import annotations
@@ -167,8 +168,19 @@ def _input_cost_model(cfg, sim):
     )
 
 
-def _split_seed(cfg, args) -> int:
-    return args.seed if args.seed is not None else cfg["split"]["seed"]
+def _split_spec(cfg, args) -> SplitSpec:
+    """The split the command line and the INI name; --split and --seed
+    override the file.  Built before any data is read, so a bad seed
+    fails first."""
+    seed = args.seed if args.seed is not None else cfg["split"]["seed"]
+    return SplitSpec(args.split or cfg["split"]["name"], seed, cfg["split"]["resamples"])
+
+
+def _thread_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -194,14 +206,13 @@ def _cmd_splits(args) -> int:
     import json
 
     cfg = _load_config(args.config)
-    name = args.split or cfg["split"]["name"]
-    seed = _split_seed(cfg, args)
+    spec = _split_spec(cfg, args)
     data = load_dataset(args.fasta, args.solubility)
     cm = _input_cost_model(cfg, load_similarity_matrix(args.matrix))
-    train, test = make_split(name, data, seed, cm=cm, threads=args.threads)
+    train, test = make_split(spec.name, data, spec.seed, cm=cm, threads=args.threads)
     doc = {
-        "split": name,
-        "seed": seed,
+        "split": spec.name,
+        "seed": spec.seed,
         "train": [{"id": s.id, "label": lab} for s, lab in train],
         "test": [{"id": s.id, "label": lab} for s, lab in test],
     }
@@ -214,16 +225,15 @@ def _cmd_splits(args) -> int:
 
 def _cmd_synthesize(args) -> int:
     cfg = _load_config(args.config)
-    seed = _split_seed(cfg, args)
-    name = args.split or cfg["split"]["name"]
+    spec = _split_spec(cfg, args)
     inner = _inner_config(cfg)
     fitness = _fitness_weights(cfg)
     estimator = _estimator_config(cfg)
-    ga = GaConfig(**cfg["ga"], rng_seed=seed)
+    ga = GaConfig(**cfg["ga"], rng_seed=spec.seed)
     data = load_dataset(args.fasta, args.solubility)
     sim = load_similarity_matrix(args.matrix)
     cm = _input_cost_model(cfg, sim)
-    train, _ = make_split(name, data, seed, cm=cm, threads=args.threads)
+    train, _ = make_split(spec.name, data, spec.seed, cm=cm, threads=args.threads)
     model = ga_optimize(
         train,
         None,
@@ -258,13 +268,12 @@ def _cmd_classify(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     cfg = _load_config(args.config)
-    seed = _split_seed(cfg, args)
-    name = args.split or cfg["split"]["name"]
+    spec = _split_spec(cfg, args)
     exp = cfg["experiment"]
     config = ExperimentConfig(
-        split=SplitSpec(name, seed, cfg["split"]["resamples"]),
+        split=spec,
         systems=tuple(s.strip() for s in exp["systems"].split(",") if s.strip()),
-        ga=GaConfig(**cfg["ga"], rng_seed=seed),
+        ga=GaConfig(**cfg["ga"], rng_seed=spec.seed),
         fitness=_fitness_weights(cfg),
         estimator=_estimator_config(cfg),
         knn_k=cfg["knn"]["k"],
@@ -297,11 +306,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # every command reads these
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="INI configuration file")
-    common.add_argument("--seed", type=int, help="override the split seed")
+    common.add_argument("--fasta", required=True)
     common.add_argument("--out", help="output file or directory")
-    common.add_argument("--threads", type=int, default=1, help="worker threads")
+    common.add_argument(
+        "--threads", type=_thread_count, default=1, help="worker threads (at least 1)"
+    )
 
     matrix_args = argparse.ArgumentParser(add_help=False)
     matrix_args.add_argument(
@@ -310,58 +321,29 @@ def _build_parser() -> argparse.ArgumentParser:
         help="substitution-matrix file (bundled PAM120 by default)",
     )
 
-    p = sub.add_parser(
-        "matrix",
-        parents=[common, matrix_args],
-        help="dump pairwise dissimilarities as CSV",
-    )
-    p.add_argument("--fasta", required=True)
-    p.add_argument("--gap-weight", type=float, default=1.0)
-    p.add_argument(
-        "--normalization", choices=(RAW, BY_MAX_LENGTH), default=RAW
-    )
-    p.set_defaults(func=_cmd_matrix)
+    # the commands that build a split from a labelled corpus
+    split_args = argparse.ArgumentParser(add_help=False)
+    split_args.add_argument("--config", help="INI configuration file")
+    split_args.add_argument("--seed", type=int, help="override the split seed")
+    split_args.add_argument("--solubility", required=True)
+    split_args.add_argument("--split", choices=SPLIT_NAMES)
 
-    p = sub.add_parser(
-        "splits",
-        parents=[common, matrix_args],
-        help="emit train/test id lists for a split",
-    )
-    p.add_argument("--fasta", required=True)
-    p.add_argument("--solubility", required=True)
-    p.add_argument("--split", choices=SPLIT_NAMES)
-    p.add_argument("--histogram", help="also write a solubility histogram CSV here")
-    p.set_defaults(func=_cmd_splits)
-
-    p = sub.add_parser(
-        "synthesize",
-        parents=[common, matrix_args],
-        help="optimize and save a classification model",
-    )
-    p.add_argument("--fasta", required=True)
-    p.add_argument("--solubility", required=True)
-    p.add_argument("--split", choices=SPLIT_NAMES)
-    p.set_defaults(func=_cmd_synthesize)
-
-    p = sub.add_parser(
-        "classify",
-        parents=[common],
-        help="label sequences with a saved model",
-    )
-    p.add_argument("--model", required=True)
-    p.add_argument("--fasta", required=True)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser(
-        "evaluate",
-        parents=[common, matrix_args],
-        help="run the resampled system comparison and write reports",
-    )
-    p.add_argument("--fasta", required=True)
-    p.add_argument("--solubility", required=True)
-    p.add_argument("--split", choices=SPLIT_NAMES)
-    p.set_defaults(func=_cmd_evaluate)
-
+    split_parents = [common, matrix_args, split_args]
+    commands = {}
+    for name, func, parents, text in (
+        ("matrix", _cmd_matrix, [common, matrix_args], "dump pairwise dissimilarities as CSV"),
+        ("splits", _cmd_splits, split_parents, "emit train/test id lists for a split"),
+        ("synthesize", _cmd_synthesize, split_parents, "optimize and save a classification model"),
+        ("classify", _cmd_classify, [common], "label sequences with a saved model"),
+        ("evaluate", _cmd_evaluate, split_parents,
+         "run the resampled system comparison and write reports"),
+    ):
+        commands[name] = sub.add_parser(name, parents=parents, help=text)
+        commands[name].set_defaults(func=func)
+    commands["matrix"].add_argument("--gap-weight", type=float, default=1.0)
+    commands["matrix"].add_argument("--normalization", choices=(RAW, BY_MAX_LENGTH), default=RAW)
+    commands["splits"].add_argument("--histogram", help="also write a solubility histogram CSV")
+    commands["classify"].add_argument("--model", required=True)
     return parser
 
 

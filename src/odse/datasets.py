@@ -66,6 +66,8 @@ class SplitSpec:
     def __post_init__(self):
         if self.name not in SPLIT_NAMES:
             raise DatasetError(f"unknown split {self.name!r}")
+        if self.seed < 0:
+            raise DatasetError(f"split seed must be non-negative, got {self.seed}")
         if self.resamples < 1:
             raise DatasetError("resamples must be at least 1")
 

@@ -139,57 +139,42 @@ def mst_entropy(samples, cfg: EstimatorConfig) -> float:
     return math.log(total / n**cfg.alpha) / (1.0 - cfg.alpha)
 
 
-def _estimate_raw(x: np.ndarray, cfg: EstimatorConfig) -> float:
-    if cfg.kind == QRE:
-        return qre_entropy(x, cfg.sigma)
-    return mst_entropy(x, cfg)
-
-
-def _clamp01(v: float) -> float:
-    return min(max(v, 0.0), 1.0)
-
-
 def normalized_column_entropy(column, cfg: EstimatorConfig) -> EntropyValue:
-    """Informativeness score of a 1-D dissimilarity column.
-
-    The raw estimate is divided by ln(range), the order-2 entropy of the
-    uniform density over the column's observed spread, then clamped to
-    [0,1].  A constant column scores 0 without invoking the estimator.
-    """
-    x = np.asarray(column, dtype=np.float64).reshape(-1)
-    if x.shape[0] < 2:
-        raise OdseError("column entropy needs at least two samples")
-    spread = float(x.max() - x.min())
-    if spread == 0.0:
-        return EntropyValue(raw=float("-inf"), normalized=0.0)
-    raw = _estimate_raw(x[:, None], cfg)
-    log_range = math.log(spread)
-    if log_range == 0.0:
-        return EntropyValue(raw=raw, normalized=1.0 if raw > 0.0 else 0.0)
-    return EntropyValue(raw=raw, normalized=_clamp01(raw / log_range))
+    """Informativeness score of a 1-D dissimilarity column: the
+    one-dimensional case of `normalized_vector_entropy`."""
+    return _normalized_entropy(np.reshape(column, (-1, 1)), cfg)
 
 
 def normalized_vector_entropy(samples, cfg: EstimatorConfig) -> EntropyValue:
-    """Informativeness score of a multi-dimensional sample set.
+    """Informativeness score of a sample set of shape (N,) or (N, d).
 
-    The reference value is the entropy of the uniform density over the
-    bounding box of the non-degenerate dimensions.  When that reference is
-    not positive (box volume <= 1) the ratio is formed the other way
-    around so the score stays in [0,1] and still grows with spread.
+    The raw estimate is divided by a reference value, the entropy of the
+    uniform density over the bounding box of the non-degenerate
+    dimensions.  When that reference is not positive (box volume <= 1)
+    the ratio is formed the other way around so the score stays in [0,1]
+    and still grows with spread.  A set whose samples all coincide
+    scores 0 without invoking the estimator.
     """
+    return _normalized_entropy(samples, cfg)
+
+
+# the one rule behind both public scores; the column score does not call
+# normalized_vector_entropy itself, so that timing or counting either
+# public name sees only its own callers
+def _normalized_entropy(samples, cfg: EstimatorConfig) -> EntropyValue:
     x = _as_matrix(samples)
     if x.shape[0] < 2:
-        raise OdseError("vector entropy needs at least two samples")
+        raise OdseError("entropy score needs at least two samples")
     ranges = x.max(axis=0) - x.min(axis=0)
     positive = ranges[ranges > 0.0]
     if positive.size == 0:
         return EntropyValue(raw=float("-inf"), normalized=0.0)
     ref = float(np.sum(np.log(positive)))
-    raw = _estimate_raw(x, cfg)
+    raw = qre_entropy(x, cfg.sigma) if cfg.kind == QRE else mst_entropy(x, cfg)
     if ref > 0.0:
         h = raw / ref
     elif raw >= 0.0:
         h = 1.0
     else:
         h = ref / raw
-    return EntropyValue(raw=raw, normalized=_clamp01(h))
+    return EntropyValue(raw=raw, normalized=min(max(h, 0.0), 1.0))

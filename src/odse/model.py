@@ -132,6 +132,8 @@ class GaConfig:
             raise OdseError("max_generations must be at least 1")
         if not self.stall_epsilon > 0.0:
             raise OdseError("stall_epsilon must be positive")
+        if self.rng_seed < 0:
+            raise OdseError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)
@@ -582,36 +584,47 @@ def _check_space(found, want: str) -> None:
         raise OdseError(f"inner classifier space {found!r} is not {want!r}")
 
 
+def _rows(values, width: int, what: str) -> np.ndarray:
+    """Stored embedded vectors, one row per item, each as wide as the
+    model's representation."""
+    rows = np.array(values, dtype=np.float64)
+    if rows.shape == (0,):
+        rows = rows.reshape(0, width)
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise OdseError(f"inner classifier {what} must be rows of {width} numbers")
+    return rows
+
+
 def _inner_from_dict(rec: dict, width: int):
     if rec["kind"] == "knn":
         _check_space(rec["config"]["space"], _KNN_SPACE)
         cfg = KnnConfig(k=rec["config"]["k"])
-        return KnnInner(
-            vectors=np.array(rec["vectors"], dtype=np.float64),
-            labels=np.array(rec["labels"], dtype=np.int64),
-            config=cfg,
-        )
+        vectors = _rows(rec["vectors"], width, "vectors")
+        labels = np.array(rec["labels"], dtype=np.int64)
+        if labels.shape != (len(vectors),):
+            raise OdseError(f"kNN has {labels.size} labels for {len(vectors)} vectors")
+        if len(vectors) < cfg.k:
+            raise OdseError(f"kNN has {len(vectors)} vectors, fewer than k={cfg.k}")
+        return KnnInner(vectors=vectors, labels=labels, config=cfg)
     if rec["kind"] == "svm":
         c = rec["config"]
         _check_space(c["space"], _SVM_SPACE)
         _check_space(rec["space"], _SVM_SPACE)
-        cfg = SvmConfig(
-            c=c["c"],
-            kernel_gamma=c["kernel_gamma"],
-            kkt_tolerance=c["kkt_tolerance"],
-            max_passes=c["max_passes"],
-        )
+        cfg = SvmConfig(**{f.name: c[f.name] for f in dataclasses.fields(SvmConfig)})
+        support = _rows(rec["support"], width, "support")
         alphas = np.array(rec["alphas"], dtype=np.float64)
+        targets = np.array(rec["targets"], dtype=np.float64)
+        if not alphas.shape == targets.shape == (len(support),):
+            raise OdseError(
+                f"SVM has {alphas.size} alphas and {targets.size} targets "
+                f"for {len(support)} support rows"
+            )
+        gamma, bias = float(rec["gamma"]), float(rec["bias"])
+        if not (np.isfinite(bias) and np.isfinite(gamma) and gamma > 0.0):
+            raise OdseError(f"SVM needs a finite bias and a finite gamma > 0, got {bias}, {gamma}")
         # the stored support vectors are the whole training set a loaded
         # model knows, so its support indices are 0..n-1
-        svm = TrainedSvm(
-            support=np.arange(len(alphas)),
-            alphas=alphas,
-            targets=np.array(rec["targets"], dtype=np.float64),
-            bias=float(rec["bias"]),
-            gamma=float(rec["gamma"]),
-        )
-        support = np.array(rec["support"], dtype=np.float64).reshape(-1, width)
+        svm = TrainedSvm(np.arange(len(support)), alphas, targets, bias, gamma)
         return SvmInner(model=svm, support=support, config=cfg)
     raise OdseError(f"unknown inner classifier kind {rec.get('kind')!r}")
 
@@ -677,6 +690,9 @@ def _model_from_doc(doc) -> OdseModel:
         gap_cost=float(cmrec["gap_cost"]),
         normalization=cmrec["normalization"],
     )
+    for p in rep.prototypes:
+        if not (isinstance(p.symbols, str) and set(p.symbols) <= set(cm.alphabet)):
+            raise OdseError(f"prototype {p.id!r}: symbols must be text over the alphabet")
     log = tuple(
         GenerationStat(s["generation"], s["best"], s["mean"])
         for s in doc["synthesis_log"]

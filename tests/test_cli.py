@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from odse.alignment import RAW, build_cost_model
+from odse.classifiers import SvmConfig
 from odse.cli import main
 from odse.embedding import RepresentationSet, compute_matrix
-from odse.model import classify_all, load_model
+from odse.model import classify_all, load_model, model_to_json
 from odse.sequences import read_fasta
 
 from conftest import TOY_MATRIX_TEXT, parse_matrix_csv, synthetic_proteins
+from test_model import built_model
 
 
 @pytest.fixture(scope="module")
@@ -220,11 +222,69 @@ class TestMalformedModelFiles:
             text = json.dumps(doc)
         else:
             text = "odse model, but not in JSON\n"
+        self.expect_one_error_line(workdir, text, tmp_path, capsys)
+
+    def expect_one_error_line(self, workdir, text, tmp_path, capsys):
         path = tmp_path / "model.json"
         path.write_text(text, encoding="utf-8")
         assert self.classify(workdir, path) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+        return err[0]
+
+    @pytest.fixture(scope="class")
+    def svm_model_text(self, toy_sim):
+        return model_to_json(built_model(toy_sim, SvmConfig(c=2.0)))
+
+    def test_intact_svm_archive_classifies(self, workdir, svm_model_text, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(svm_model_text, encoding="utf-8")
+        assert self.classify(workdir, path) == 0
+
+    # each change leaves a JSON document whose inner classifier does not
+    # fit together: counts that disagree, rows of the wrong width, or a
+    # kernel width or bias the decision cannot use; the error line names
+    # what is wrong
+    KNN_CHANGES = {
+        "knn-labels-cut": (lambda inner: inner.update(labels=inner["labels"][:2]), "labels"),
+        "knn-labels-longer": (lambda inner: inner["labels"].append(0), "labels"),
+        "knn-k-beyond-vectors": (
+            lambda inner: inner["config"].update(k=2 * len(inner["vectors"]) + 1), "fewer than k"
+        ),
+        "knn-row-ragged": (lambda inner: inner["vectors"][0].pop(), "malformed"),
+        "knn-rows-wide": (
+            lambda inner: [row.append(0.5) for row in inner["vectors"]], "vectors must be rows"
+        ),
+    }
+    SVM_CHANGES = {
+        "svm-targets-cut": (lambda inner: inner.update(targets=inner["targets"][:1]), "targets"),
+        "svm-targets-longer": (lambda inner: inner["targets"].extend([1.0, -1.0]), "targets"),
+        "svm-alphas-cut": (lambda inner: inner["alphas"].pop(), "alphas"),
+        "svm-support-row-dropped": (lambda inner: inner["support"].pop(), "support rows"),
+        "svm-support-rows-narrow": (
+            lambda inner: [row.pop() for row in inner["support"]], "support must be rows"
+        ),
+        "svm-gamma-negative": (lambda inner: inner.update(gamma=-1.0), "gamma"),
+        "svm-gamma-zero": (lambda inner: inner.update(gamma=0.0), "gamma"),
+        "svm-gamma-infinite": (lambda inner: inner.update(gamma=float("inf")), "gamma"),
+        "svm-bias-infinite": (lambda inner: inner.update(bias=float("inf")), "bias"),
+        "svm-bias-nan": (lambda inner: inner.update(bias=float("nan")), "bias"),
+    }
+
+    @pytest.mark.parametrize("change", [*KNN_CHANGES, *SVM_CHANGES])
+    def test_inner_that_does_not_fit_rejected(
+        self, change, workdir, model_text, svm_model_text, tmp_path, capsys
+    ):
+        if change in self.KNN_CHANGES:
+            doc = json.loads(model_text)
+            assert doc["inner"]["kind"] == "knn"
+            edit, named = self.KNN_CHANGES[change]
+        else:
+            doc = json.loads(svm_model_text)
+            edit, named = self.SVM_CHANGES[change]
+        edit(doc["inner"])
+        err = self.expect_one_error_line(workdir, json.dumps(doc), tmp_path, capsys)
+        assert named in err
 
 
 class TestEvaluateCommand:
@@ -478,3 +538,51 @@ class TestNonUtf8Input:
         assert len(err) == 1 and err[0].startswith("error:")
         assert "decode" in err[0]
         assert str(bad) in err[0]
+
+
+class TestNegativeSeed:
+    """A negative split seed, from the flag or the INI, ends in one error
+    line before any dataset is read: the FASTA path here does not exist."""
+
+    @pytest.mark.parametrize("command", ["splits", "synthesize", "evaluate"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_one_error_line_before_reading(self, command, source, workdir, tmp_path, capsys):
+        argv = [
+            command,
+            "--fasta", str(tmp_path / "absent.fasta"),
+            "--solubility", str(workdir / "solubility.csv"),
+            "--matrix", str(workdir / "toy_matrix.txt"),
+        ]
+        if source == "flag":
+            argv += ["--seed", "-3"]
+        else:
+            cfg = tmp_path / "seed.ini"
+            cfg.write_text("[split]\nseed = -3\n", encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: split seed must be non-negative, got -3"]
+
+
+class TestParserRefusals:
+    """Arguments the parser refuses end with exit code 2."""
+
+    def refused(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        return exc.value.code == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-1", "abc"])
+    def test_threads_below_one(self, threads, workdir, capsys):
+        argv = ["matrix", "--fasta", str(workdir / "small.fasta"), "--threads", threads]
+        assert self.refused(argv)
+        assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--seed", "--config", "--solubility", "--split"])
+    @pytest.mark.parametrize("command", ["matrix", "classify"])
+    def test_split_options_only_where_read(self, command, flag, workdir, capsys):
+        argv = [command, "--fasta", str(workdir / "small.fasta"), flag, "1"]
+        if command == "classify":
+            argv += ["--model", str(workdir / "model.json")]
+        assert self.refused(argv)
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -65,6 +65,10 @@ class TestSplitSpec:
         with pytest.raises(DatasetError, match="unknown split"):
             SplitSpec("DS-42", seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DatasetError, match="seed"):
+            SplitSpec(DS200, seed=-3)
+
     def test_resamples_positive(self):
         with pytest.raises(DatasetError, match="resamples"):
             SplitSpec(DS200, seed=0, resamples=0)

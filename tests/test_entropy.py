@@ -288,3 +288,33 @@ class TestNormalizedVector:
         v = normalized_vector_entropy(samples, cfg)
         assert v.normalized == min(max(ref / raw, 0.0), 1.0)
         assert 0.0 <= v.normalized <= 1.0
+
+
+class TestColumnIsOneDimensionalVector:
+    """A column's score is the vector score of its samples as (N, 1)."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [EstimatorConfig(kind=QRE, sigma=s) for s in (0.05, 0.5, 2.0)]
+        + [EstimatorConfig(kind=MST, alpha=a) for a in (0.3, 0.5)],
+        ids=["qre-0.05", "qre-0.5", "qre-2", "mst-0.3", "mst-0.5"],
+    )
+    @pytest.mark.parametrize("spread", [0.01, 0.4, 1.0, 2.5, 40.0])
+    def test_equals_vector_score(self, cfg, spread):
+        rng = np.random.default_rng(61)
+        for n in (2, 7, 40):
+            # 0 and 1 among the draws: the spread is exactly `spread`
+            unit = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, size=n - 2)])
+            col = rng.permutation(unit) * spread
+            got = normalized_column_entropy(col, cfg)
+            want = normalized_vector_entropy(col.reshape(-1, 1), cfg)
+            assert got.raw == want.raw
+            assert got.normalized == want.normalized
+
+    @pytest.mark.parametrize("kind", [QRE, MST])
+    def test_constant_column_equals_vector_score(self, kind):
+        cfg = EstimatorConfig(kind=kind)
+        col = np.full(9, 0.375)
+        assert normalized_column_entropy(col, cfg) == normalized_vector_entropy(
+            col.reshape(-1, 1), cfg
+        )

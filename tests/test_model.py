@@ -23,7 +23,7 @@ from odse.embedding import (
 )
 from odse.entropy import MST, QRE, EstimatorConfig, normalized_column_entropy
 from odse.errors import OdseError, SynthesisError, TrainingError
-from odse.alignment import levenshtein
+from odse.alignment import BY_MAX_LENGTH, build_cost_model, levenshtein
 from odse.model import (
     FitnessWeights,
     GaConfig,
@@ -166,10 +166,26 @@ class TestGaConfig:
         with pytest.raises(OdseError, match="stall_epsilon"):
             GaConfig(stall_epsilon=0.0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(OdseError, match="rng_seed"):
+            GaConfig(rng_seed=-3)
+
 
 def column_scores(columns):
     """Normalized MST entropy of each crafted dissimilarity column."""
     return [normalized_column_entropy(c, MST_EST).normalized for c in columns]
+
+
+def test_by_max_length_columns_score_in_between(toy_sim):
+    # every column of a by-max-length table spreads less than 1; the
+    # scores still vary with the column instead of saturating at 0 or 1
+    seqs = random_sequences(np.random.default_rng(67), 24, lo=4, hi=12)
+    cm = build_cost_model(toy_sim, normalization=BY_MAX_LENGTH)
+    d0 = compute_matrix(seqs, RepresentationSet(tuple(seqs)), cm).values
+    assert float(np.ptp(d0, axis=0).max()) < 1.0
+    scores = [normalized_column_entropy(d0[:, j], MST_EST).normalized for j in range(len(seqs))]
+    assert len(set(scores)) > 2
+    assert all(0.0 <= v <= 1.0 for v in scores)
 
 
 class TestCompress:

@@ -14,7 +14,7 @@ from odse.cli import _load_config
 from odse.datasets import read_solubility_table
 from odse.errors import OdseError
 from odse.classifiers import KnnConfig, SvmConfig
-from odse.model import model_from_json, model_to_json
+from odse.model import classify_all, model_from_json, model_to_json
 from odse.sequences import Sequence, read_fasta
 
 from conftest import TOY_MATRIX_TEXT
@@ -146,7 +146,12 @@ def test_model_from_json_value_or_odse_error(data, model_docs):
             del parent[path[-1]]
         else:
             parent[path[-1]] = data.draw(json_values)
-    value_or_odse_error(model_from_json, json.dumps(doc))
+    model = value_or_odse_error(model_from_json, json.dumps(doc))
+    if model is not None:
+        # a model that loads labels any query over its alphabet
+        query = Sequence("query", "".join(model.cost_model.alphabet))
+        labels = classify_all(model, [query])
+        assert len(labels) == 1 and isinstance(labels[0], int)
 
 
 @settings(max_examples=150, deadline=None)
@@ -169,3 +174,10 @@ def test_deeply_nested_model_json_rejected():
     with pytest.raises(OdseError):
         model_from_json("[" * 100_000 + "]" * 100_000)
 
+
+@pytest.mark.parametrize("symbols", [None, ["A", "R"], "AXA"])
+def test_model_prototypes_outside_the_alphabet_rejected(symbols, model_docs):
+    doc = json.loads(json.dumps(model_docs[0]))
+    doc["representation"][0]["symbols"] = symbols
+    with pytest.raises(OdseError):
+        model_from_json(json.dumps(doc))
