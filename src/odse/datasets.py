@@ -150,6 +150,13 @@ def class_members(data, label: int) -> list[LabeledSequence]:
 # k-medoids on a precomputed distance matrix
 
 
+def medoid(dist: np.ndarray, members) -> int:
+    """The one of members (increasing indices) whose summed dissimilarity
+    to all of members on dist is smallest, ties to the lowest index."""
+    members = np.asarray(members)
+    return int(members[np.argmin(dist[np.ix_(members, members)].sum(axis=0))])
+
+
 def k_medoids(dist: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:
     """Indices of k medoids under a dense symmetric distance matrix.
 
@@ -179,11 +186,7 @@ def k_medoids(dist: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:
         updated = []
         for c in range(k):
             members = np.where(assign == c)[0]
-            if len(members) == 0:
-                updated.append(medoids[c])
-                continue
-            sums = dist[np.ix_(members, members)].sum(axis=0)
-            updated.append(int(members[int(np.argmin(sums))]))
+            updated.append(medoid(dist, members) if len(members) else medoids[c])
         if updated == medoids:
             break
         medoids = updated

@@ -19,6 +19,11 @@ from .sequences import Sequence
 INITIAL = "initial"
 EXPANSION_MEDOID = "expansion-medoid"
 
+# euclidean_distances takes the rows of x in blocks of at most this many
+# differences (one row at least), so the memory of a call does not grow
+# with the product of its input sizes
+_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class RepresentationSet:
@@ -61,9 +66,6 @@ class DissimilarityMatrix:
         if n != len(self.row_ids) or m != len(self.col_ids):
             raise OdseError("dissimilarity matrix ids do not match its shape")
 
-    def column(self, j: int) -> np.ndarray:
-        return self.values[:, j]
-
 
 def embed_one(s: Sequence, r: RepresentationSet, cm: AlignmentCostModel) -> np.ndarray:
     """Dissimilarity vector of one sequence against every prototype."""
@@ -92,7 +94,8 @@ def euclidean_distances(x, y, squared: bool = False) -> np.ndarray:
 
     This is the one place the package measures distances between
     embedded vectors: the inner kNN and SVM and both entropy estimators
-    use it.
+    use it.  Each block of rows of x goes through the same einsum as the
+    whole table would.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -100,9 +103,12 @@ def euclidean_distances(x, y, squared: bool = False) -> np.ndarray:
         raise OdseError(
             f"vector dimension mismatch: shapes {x.shape} and {y.shape}"
         )
-    diff = x[:, None, :] - y[None, :, :]
-    sq = np.einsum("ijk,ijk->ij", diff, diff)
-    return sq if squared else np.sqrt(sq)
+    sq = np.empty((x.shape[0], y.shape[0]))
+    step = max(1, _BLOCK // max(1, y.size))
+    for i in range(0, x.shape[0], step):
+        diff = x[i:i + step, None, :] - y[None, :, :]
+        np.einsum("ijk,ijk->ij", diff, diff, out=sq[i:i + step])
+    return sq if squared else np.sqrt(sq, out=sq)
 
 
 def matrix_to_csv(d: DissimilarityMatrix) -> str:

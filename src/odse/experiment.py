@@ -93,6 +93,8 @@ class ExperimentConfig:
         unknown = [s for s in self.systems if s not in ALL_SYSTEMS]
         if unknown:
             raise OdseError(f"unknown systems {unknown}; choose from {ALL_SYSTEMS}")
+        if len(set(self.systems)) != len(self.systems):
+            raise OdseError(f"each system may be named once, got {list(self.systems)}")
 
 
 @dataclass(frozen=True)
@@ -192,12 +194,6 @@ def run_experiment(data, sim: SimilarityMatrix, cfg: ExperimentConfig) -> Evalua
     the master seed.  A failing resample aborts the experiment and names
     the derived seed so the case can be replayed alone.
     """
-    # scipy.special, which the Welch tests at the end need, is loaded
-    # first: loaded after the resamples, its ~20 MB would stack on what
-    # the worker threads' malloc arenas still hold, which varies from run
-    # to run, and so would the evaluation's peak memory
-    import scipy.special  # noqa: F401
-
     n_resamples = 1 if cfg.split.name == DS200 else cfg.split.resamples
     seeds = [
         int(s)

@@ -34,6 +34,7 @@ from .classifiers import (
     svm_predict,
     svm_train,
 )
+from .datasets import medoid
 from .embedding import (
     EXPANSION_MEDOID,
     INITIAL,
@@ -151,9 +152,13 @@ class KnnInner:
     labels: np.ndarray
     config: KnnConfig
 
-    def predict(self, vector) -> int:
-        dist = euclidean_distances([vector], self.vectors)[0]
-        return knn_label_from_distances(dist, self.labels, self.config.k)
+    def predict(self, rows) -> np.ndarray:
+        """One label per row of rows, an (m, |R|) array of embedded vectors."""
+        dist = euclidean_distances(rows, self.vectors)
+        return np.array(
+            [knn_label_from_distances(d, self.labels, self.config.k) for d in dist],
+            dtype=np.int64,
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,8 +170,10 @@ class SvmInner:
     support: np.ndarray
     config: SvmConfig
 
-    def predict(self, vector) -> int:
-        return svm_predict(self.model, euclidean_distances([vector], self.support)[0])
+    def predict(self, rows) -> np.ndarray:
+        """One label per row of rows, an (m, |R|) array of embedded vectors."""
+        dist = euclidean_distances(rows, self.support)
+        return np.array([svm_predict(self.model, d) for d in dist], dtype=np.int64)
 
 
 def train_inner(vectors: np.ndarray, labels, cfg):
@@ -211,16 +218,9 @@ def compress(scores, tau_c: float) -> tuple[int, ...]:
 
 
 def _per_class_medoids(labels, pairwise: np.ndarray) -> list[int]:
-    """Index of one medoid per class, in label order: the member
-    minimizing the summed dissimilarity to its classmates on pairwise,
-    ties to the lowest index."""
+    """Index of one medoid per class on pairwise, in label order."""
     labels = np.asarray(labels)
-    medoids = []
-    for label in np.unique(labels):
-        idx = np.flatnonzero(labels == label)
-        sums = pairwise[np.ix_(idx, idx)].sum(axis=0)
-        medoids.append(int(idx[np.argmin(sums)]))
-    return medoids
+    return [medoid(pairwise, np.flatnonzero(labels == label)) for label in np.unique(labels)]
 
 
 def expand(
@@ -328,11 +328,7 @@ def _synthesize(
         raise err from exc
 
     d_val = compute_matrix(sets.val, r1, cm)
-    hits = sum(
-        1
-        for row, label in zip(d_val.values, sets.val_labels)
-        if inner.predict(row) == int(label)
-    )
+    hits = int(np.count_nonzero(inner.predict(d_val.values) == sets.val_labels))
     pi = hits / len(sets.val)
     # expansion can push |R'| past |train|; the shrinkage reward bottoms
     # out at 0 so fitness stays in [0, 1]
@@ -536,7 +532,7 @@ def ga_optimize(
 
 def classify_all(model: OdseModel, seqs, threads: int = 1) -> list[int]:
     d = compute_matrix(list(seqs), model.representation, model.cost_model, threads)
-    return [model.inner.predict(row) for row in d.values]
+    return model.inner.predict(d.values).tolist()
 
 
 # --------------------------------------------------------------------------
@@ -592,6 +588,8 @@ def _rows(values, width: int, what: str) -> np.ndarray:
         rows = rows.reshape(0, width)
     if rows.ndim != 2 or rows.shape[1] != width:
         raise OdseError(f"inner classifier {what} must be rows of {width} numbers")
+    if not np.isfinite(rows).all():
+        raise OdseError(f"inner classifier {what} must be finite numbers")
     return rows
 
 
@@ -603,6 +601,9 @@ def _inner_from_dict(rec: dict, width: int):
         labels = np.array(rec["labels"], dtype=np.int64)
         if labels.shape != (len(vectors),):
             raise OdseError(f"kNN has {labels.size} labels for {len(vectors)} vectors")
+        # checked on the stored values: the int64 cast truncates 0.9 to 0
+        if not np.isin(rec["labels"], (0, 1)).all():
+            raise OdseError("kNN labels must be the classes 0 and 1")
         if len(vectors) < cfg.k:
             raise OdseError(f"kNN has {len(vectors)} vectors, fewer than k={cfg.k}")
         return KnnInner(vectors=vectors, labels=labels, config=cfg)
@@ -619,6 +620,10 @@ def _inner_from_dict(rec: dict, width: int):
                 f"SVM has {alphas.size} alphas and {targets.size} targets "
                 f"for {len(support)} support rows"
             )
+        if not (np.isfinite(alphas).all() and (alphas >= 0.0).all()):
+            raise OdseError("SVM alphas must be finite and non-negative")
+        if not np.isin(targets, (-1.0, 1.0)).all():
+            raise OdseError("SVM targets must be -1 or +1")
         gamma, bias = float(rec["gamma"]), float(rec["bias"])
         if not (np.isfinite(bias) and np.isfinite(gamma) and gamma > 0.0):
             raise OdseError(f"SVM needs a finite bias and a finite gamma > 0, got {bias}, {gamma}")

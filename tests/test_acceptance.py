@@ -160,7 +160,7 @@ def test_criterion_05_prototype_compression_expansion_contracts(toy_cm):
     d0 = compute_matrix([s for s, _ in train],
                         RepresentationSet(tuple(s for s, _ in train)), cm)
     scores = [
-        normalized_column_entropy(d0.column(j), est).normalized
+        normalized_column_entropy(d0.values[:, j], est).normalized
         for j in range(12)
     ]
     assert all(0.0 < s < 1.0 for s in scores), "dataset must stay interior"
@@ -178,7 +178,7 @@ def test_criterion_05_prototype_compression_expansion_contracts(toy_cm):
     train_seqs = [s for s, _ in train2]
     d2 = compute_matrix(train_seqs, RepresentationSet(tuple(train_seqs)), toy_cm)
     scores = [
-        normalized_column_entropy(d2.column(j), est).normalized for j in range(20)
+        normalized_column_entropy(d2.values[:, j], est).normalized for j in range(20)
     ]
     columns, provenance = expand(
         scores, tuple(range(20)), 0.0, [lab for _, lab in train2], d2.values

@@ -127,13 +127,12 @@ class TestKnnPredict:
         rng = np.random.default_rng(67)
         x, y = blobs(rng)
         inner = train_inner(x, y, KnnConfig(k=3))
-        for i in range(len(y)):
-            assert inner.predict(x[i]) == y[i]
+        assert np.array_equal(inner.predict(x), y)
 
     def test_dimension_mismatch_rejected(self):
         inner = train_inner(np.zeros((4, 3)), [0, 0, 1, 1], KnnConfig(k=1))
         with pytest.raises(OdseError, match="dimension"):
-            inner.predict(np.zeros(2))
+            inner.predict(np.zeros((1, 2)))
 
     def test_input_space_exact_match_wins(self, toy_cm):
         rng = np.random.default_rng(71)

@@ -194,6 +194,17 @@ class TestSynthesizeAndClassify:
         assert [int(g[1]) for g in got] == list(want)
 
 
+def _put_first(key, value):
+    """An archive edit that puts value in place of the first number of
+    the inner classifier's key (of its first row, for rows)."""
+
+    def edit(inner):
+        numbers = inner[key][0] if isinstance(inner[key][0], list) else inner[key]
+        numbers[0] = value
+
+    return edit
+
+
 class TestMalformedModelFiles:
     @pytest.fixture(scope="class")
     def model_text(self, workdir):
@@ -242,9 +253,10 @@ class TestMalformedModelFiles:
         assert self.classify(workdir, path) == 0
 
     # each change leaves a JSON document whose inner classifier does not
-    # fit together: counts that disagree, rows of the wrong width, or a
-    # kernel width or bias the decision cannot use; the error line names
-    # what is wrong
+    # fit together: counts that disagree, rows of the wrong width, a
+    # kernel width or bias the decision cannot use, a number that is not
+    # finite (json reads NaN and Infinity) or a label that is not a class;
+    # the error line names what is wrong
     KNN_CHANGES = {
         "knn-labels-cut": (lambda inner: inner.update(labels=inner["labels"][:2]), "labels"),
         "knn-labels-longer": (lambda inner: inner["labels"].append(0), "labels"),
@@ -255,6 +267,10 @@ class TestMalformedModelFiles:
         "knn-rows-wide": (
             lambda inner: [row.append(0.5) for row in inner["vectors"]], "vectors must be rows"
         ),
+        "knn-vector-nan": (_put_first("vectors", float("nan")), "vectors must be finite"),
+        "knn-label-7": (_put_first("labels", 7), "labels must be"),
+        "knn-label-negative": (_put_first("labels", -3), "labels must be"),
+        "knn-label-fraction": (_put_first("labels", 0.9), "labels must be"),
     }
     SVM_CHANGES = {
         "svm-targets-cut": (lambda inner: inner.update(targets=inner["targets"][:1]), "targets"),
@@ -269,6 +285,14 @@ class TestMalformedModelFiles:
         "svm-gamma-infinite": (lambda inner: inner.update(gamma=float("inf")), "gamma"),
         "svm-bias-infinite": (lambda inner: inner.update(bias=float("inf")), "bias"),
         "svm-bias-nan": (lambda inner: inner.update(bias=float("nan")), "bias"),
+        "svm-support-nan": (_put_first("support", float("nan")), "support must be finite"),
+        "svm-support-infinite": (_put_first("support", float("inf")), "support must be finite"),
+        "svm-alpha-nan": (_put_first("alphas", float("nan")), "alphas"),
+        "svm-alpha-infinite": (_put_first("alphas", float("inf")), "alphas"),
+        "svm-alpha-negative": (_put_first("alphas", -0.5), "alphas"),
+        "svm-target-nan": (_put_first("targets", float("nan")), "targets"),
+        "svm-target-zero": (_put_first("targets", 0.0), "targets"),
+        "svm-target-two": (_put_first("targets", 2.0), "targets"),
     }
 
     @pytest.mark.parametrize("change", [*KNN_CHANGES, *SVM_CHANGES])
@@ -366,6 +390,24 @@ class TestErrorPaths:
         )
         assert rc == 1
         assert "inner" in capsys.readouterr().err
+
+    def test_duplicate_systems_exit_one(self, workdir, capsys, tmp_path):
+        cfg = tmp_path / "twice.ini"
+        cfg.write_text("[experiment]\nsystems = input-knn,input-knn\n", encoding="utf-8")
+        rc = main(
+            [
+                "evaluate",
+                "--fasta", str(tmp_path / "absent.fasta"),
+                "--solubility", str(tmp_path / "absent.csv"),
+                "--matrix", str(workdir / "toy_matrix.txt"),
+                "--config", str(cfg),
+                "--out", str(tmp_path / "reports"),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "once" in err[0]
+        assert not (tmp_path / "reports").exists()
 
 
 class TestEmptyFasta:

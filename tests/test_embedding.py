@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from odse.embedding import (
+    _BLOCK,
     EXPANSION_MEDOID,
     INITIAL,
     RepresentationSet,
@@ -70,11 +73,6 @@ class TestEmbedding:
         assert d.col_ids == protos.ids
         for i, s in enumerate(data):
             assert np.array_equal(d.values[i], embed_one(s, protos, toy_cm))
-
-    def test_column_accessor(self, toy_cm, sample_sets):
-        data, protos = sample_sets
-        d = compute_matrix(data, protos, toy_cm)
-        assert np.array_equal(d.column(2), d.values[:, 2])
 
     def test_empty_dataset_rejected(self, toy_cm, sample_sets):
         _, protos = sample_sets
@@ -146,6 +144,36 @@ class TestEuclideanDistances:
             pair = self.pairwise_form(x)
             assert np.array_equal(euclidean_distances(x, x, squared=True), pair)
             assert np.array_equal(euclidean_distances(x, x), np.sqrt(np.maximum(pair, 0.0)))
+
+    @pytest.mark.parametrize("squared", [False, True])
+    def test_blocks_equal_the_whole_table(self, squared):
+        # (x rows, y rows, width): one block, two blocks, many blocks, one
+        # row per block (a row of differences wider than a block), empty
+        # x, empty y and zero width
+        shapes = [(5, 4, 3), (40, 40, 20), (600, 33, 50), (3, 400, 50),
+                  (4, 20, _BLOCK // 16), (0, 6, 4), (6, 0, 4), (0, 0, 2), (4, 5, 0)]
+        rng = np.random.default_rng(9)
+        for n, m, d in shapes:
+            x = rng.normal(size=(n, d)) * 300.0
+            y = rng.normal(size=(m, d))
+            diff = x[:, None, :] - y[None, :, :]
+            whole = np.einsum("ijk,ijk->ij", diff, diff)
+            got = euclidean_distances(x, y, squared=squared)
+            assert got.shape == (n, m)
+            assert np.array_equal(got, whole if squared else np.sqrt(whole))
+
+    def test_memory_bounded_by_the_block(self):
+        # the whole difference table of these inputs is 600 x 33 x 50
+        # doubles, 7.9 MB; the distances themselves are 0.16 MB
+        rng = np.random.default_rng(10)
+        x, y = rng.normal(size=(600, 50)), rng.normal(size=(33, 50))
+        tracemalloc.start()
+        try:
+            euclidean_distances(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_widths_must_agree(self):
         with pytest.raises(OdseError, match="dimension"):

@@ -147,6 +147,10 @@ class TestExperimentConfig:
         with pytest.raises(OdseError, match="unknown systems"):
             ExperimentConfig(split=SplitSpec(DS200, seed=0), systems=("svm",))
 
+    def test_duplicate_systems_rejected(self):
+        with pytest.raises(OdseError, match="once"):
+            ExperimentConfig(split=SplitSpec(DS200, seed=0), systems=(INPUT_KNN, INPUT_KNN))
+
 
 
 class TestAccuracyBookkeeping:

@@ -352,7 +352,7 @@ def oracle_synthesis(g, train, sim, est):
     d0 = compute_matrix(train_seqs, r0, cm)
 
     def score(d, j):
-        return normalized_column_entropy(d.column(j), est_g).normalized
+        return normalized_column_entropy(d.values[:, j], est_g).normalized
 
     # compress
     scores = np.array([score(d0, j) for j in range(len(r0))])
@@ -494,10 +494,14 @@ class TestTrainInner:
         labels = rng.integers(0, 2, size=12)
         inner = train_inner(vectors, labels, KnnConfig(k=3))
         assert isinstance(inner, KnnInner)
-        for q in rng.normal(size=(8, 3)):
+        queries = rng.normal(size=(40, 3))
+        want = []
+        for q in queries:
             d = vectors - q
             dist = np.sqrt(np.einsum("ij,ij->i", d, d))
-            assert inner.predict(q) == knn_label_from_distances(dist, labels, 3)
+            want.append(knn_label_from_distances(dist, labels, 3))
+        assert inner.predict(queries).tolist() == want
+        assert inner.predict(queries[:0]).shape == (0,)
 
     def test_svm_inner_keeps_its_support_rows(self):
         rng = np.random.default_rng(53)
@@ -507,10 +511,21 @@ class TestTrainInner:
         assert isinstance(inner, SvmInner)
         assert len(inner.model.support) > 0
         assert np.array_equal(inner.support, vectors[inner.model.support])
-        for q in rng.normal(size=(8, 3)):
+        queries = rng.normal(size=(40, 3))
+        want = []
+        for q in queries:
             d = inner.support - q
             dist = np.sqrt(np.einsum("ij,ij->i", d, d))
-            assert inner.predict(q) == svm_predict(inner.model, dist)
+            want.append(svm_predict(inner.model, dist))
+        assert inner.predict(queries).tolist() == want
+
+    @pytest.mark.parametrize("bias, label", [(0.5, 1), (-0.5, 0), (0.0, 0)])
+    def test_svm_inner_without_support_rows_labels_by_its_bias(self, bias, label):
+        empty = np.zeros(0)
+        svm = TrainedSvm(np.arange(0), empty, empty, bias, 1.0)
+        inner = SvmInner(model=svm, support=np.zeros((0, 3)), config=SvmConfig())
+        queries = np.random.default_rng(61).normal(size=(5, 3))
+        assert inner.predict(queries).tolist() == [svm_predict(svm, empty)] * 5 == [label] * 5
 
     def test_knn_space_enforced(self, toy_sim):
         # an inner kNN works on embedded vectors only; a model file that
