@@ -48,11 +48,6 @@ class SimilarityMatrix:
                 f"={self.scores[j, i]}"
             )
 
-    def score(self, a: str, b: str) -> int:
-        i = self.alphabet.index(a)
-        j = self.alphabet.index(b)
-        return int(self.scores[i, j])
-
 
 def parse_similarity_matrix(text: str) -> SimilarityMatrix:
     """Parse an NCBI-layout matrix file: '#' comments, a header row of

@@ -36,7 +36,7 @@ class KnnConfig:
 
     def __post_init__(self):
         if self.k < 1 or self.k % 2 == 0:
-            raise OdseError("k must be a positive odd integer")
+            raise OdseError(f"k must be a positive odd integer, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,13 @@ class SvmConfig:
     def __post_init__(self):
         if not self.c > 0.0:
             raise OdseError("c must be positive")
-        if self.kernel_gamma != MEDIAN_HEURISTIC and not (
-            isinstance(self.kernel_gamma, (int, float)) and self.kernel_gamma > 0
+        gamma = self.kernel_gamma
+        if gamma != MEDIAN_HEURISTIC and not (
+            isinstance(gamma, (int, float)) and math.isfinite(gamma) and gamma > 0
         ):
-            raise OdseError("kernel_gamma must be positive or 'median-heuristic'")
+            raise OdseError(
+                f"kernel_gamma must be finite and positive or {MEDIAN_HEURISTIC!r}, got {gamma!r}"
+            )
         if not self.kkt_tolerance > 0.0:
             raise OdseError("kkt_tolerance must be positive")
         if self.max_passes < 1:
@@ -89,6 +92,8 @@ def knn_label_from_distances(distances, labels, k: int) -> int:
     dist = np.asarray(distances, dtype=np.float64)
     labels = np.asarray(labels)
     n = dist.shape[0]
+    if k < 1:
+        raise TrainingError(f"kNN needs k >= 1, got {k}")
     if n == 0:
         raise TrainingError("kNN needs a non-empty training set")
     if n < k:

@@ -37,6 +37,8 @@ from .errors import OdseError
 from .experiment import (
     ALL_SYSTEMS,
     ExperimentConfig,
+    optimize_model,
+    reference_cost_model,
     report_to_csv,
     report_to_json,
     report_to_text,
@@ -47,7 +49,6 @@ from .model import (
     FitnessWeights,
     GaConfig,
     classify_all,
-    ga_optimize,
     load_model,
     save_model,
 )
@@ -74,8 +75,8 @@ def _choice(options, fold=str):
     return ("one of " + ", ".join(map(repr, options)), convert)
 
 
-# section -> key -> (type, default); the [svm] and [ga] keys are the
-# field names of SvmConfig and GaConfig
+# section -> key -> (type, default); the [ga], [svm] and [estimator] keys
+# are the field names of GaConfig, SvmConfig and EstimatorConfig
 _SETTINGS = {
     "split": {
         "name": (_choice(SPLIT_NAMES), "DS-200"),
@@ -145,35 +146,31 @@ def _load_config(path: str | None) -> dict[str, dict]:
     return cfg
 
 
-def _inner_config(cfg):
-    if cfg["experiment"]["inner"] == "knn":
-        return KnnConfig(k=cfg["knn"]["k"])
-    return SvmConfig(**cfg["svm"])
-
-
-def _estimator_config(cfg) -> EstimatorConfig:
-    sec = cfg["estimator"]
-    return EstimatorConfig(kind=sec["kind"], alpha=sec["alpha"])
-
-
-def _fitness_weights(cfg) -> FitnessWeights:
-    sec = cfg["experiment"]
-    return FitnessWeights(w_acc=sec["w_acc"], w_card=sec["w_card"], w_ent=sec["w_ent"])
-
-
-def _input_cost_model(cfg, sim):
-    sec = cfg["experiment"]
-    return build_cost_model(
-        sim, gap_weight=sec["input_gap_weight"], normalization=sec["normalization"]
+def _experiment_config(args):
+    """The one ExperimentConfig of a split command, from the INI with
+    --split, --seed and --threads over it, and the inner classifier that
+    [experiment] inner names.  Every value is checked here by its own
+    type, so a bad one fails before any data file is opened."""
+    cfg = _load_config(args.config)
+    exp = cfg["experiment"]
+    config = ExperimentConfig(
+        split=SplitSpec(
+            args.split or cfg["split"]["name"],
+            args.seed if args.seed is not None else cfg["split"]["seed"],
+            cfg["split"]["resamples"],
+        ),
+        systems=tuple(s.strip() for s in exp["systems"].split(",") if s.strip()),
+        ga=GaConfig(**cfg["ga"]),
+        fitness=FitnessWeights(exp["w_acc"], exp["w_card"], exp["w_ent"]),
+        estimator=EstimatorConfig(**cfg["estimator"]),
+        knn=KnnConfig(cfg["knn"]["k"]),
+        svm=SvmConfig(**cfg["svm"]),
+        input_knn=KnnConfig(cfg["knn"]["input_k"]),
+        input_gap_weight=exp["input_gap_weight"],
+        normalization=exp["normalization"],
+        threads=args.threads,
     )
-
-
-def _split_spec(cfg, args) -> SplitSpec:
-    """The split the command line and the INI name; --split and --seed
-    override the file.  Built before any data is read, so a bad seed
-    fails first."""
-    seed = args.seed if args.seed is not None else cfg["split"]["seed"]
-    return SplitSpec(args.split or cfg["split"]["name"], seed, cfg["split"]["resamples"])
+    return config, config.knn if exp["inner"] == "knn" else config.svm
 
 
 def _thread_count(text: str) -> int:
@@ -205,11 +202,11 @@ def _cmd_matrix(args) -> int:
 def _cmd_splits(args) -> int:
     import json
 
-    cfg = _load_config(args.config)
-    spec = _split_spec(cfg, args)
+    config, _ = _experiment_config(args)
+    spec = config.split
     data = load_dataset(args.fasta, args.solubility)
-    cm = _input_cost_model(cfg, load_similarity_matrix(args.matrix))
-    train, test = make_split(spec.name, data, spec.seed, cm=cm, threads=args.threads)
+    cm = reference_cost_model(load_similarity_matrix(args.matrix), config)
+    train, test = make_split(spec.name, data, spec.seed, cm=cm, threads=config.threads)
     doc = {
         "split": spec.name,
         "seed": spec.seed,
@@ -224,27 +221,13 @@ def _cmd_splits(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    cfg = _load_config(args.config)
-    spec = _split_spec(cfg, args)
-    inner = _inner_config(cfg)
-    fitness = _fitness_weights(cfg)
-    estimator = _estimator_config(cfg)
-    ga = GaConfig(**cfg["ga"], rng_seed=spec.seed)
+    config, inner = _experiment_config(args)
+    spec = config.split
     data = load_dataset(args.fasta, args.solubility)
     sim = load_similarity_matrix(args.matrix)
-    cm = _input_cost_model(cfg, sim)
-    train, _ = make_split(spec.name, data, spec.seed, cm=cm, threads=args.threads)
-    model = ga_optimize(
-        train,
-        None,
-        sim,
-        inner,
-        fitness,
-        estimator,
-        ga,
-        threads=args.threads,
-        normalization=cfg["experiment"]["normalization"],
-    )
+    cm = reference_cost_model(sim, config)
+    train, _ = make_split(spec.name, data, spec.seed, cm=cm, threads=config.threads)
+    model = optimize_model(train, sim, config, inner, spec.seed)
     out = args.out or "model.json"
     save_model(model, out)
     g = model.genome
@@ -267,22 +250,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    cfg = _load_config(args.config)
-    spec = _split_spec(cfg, args)
-    exp = cfg["experiment"]
-    config = ExperimentConfig(
-        split=spec,
-        systems=tuple(s.strip() for s in exp["systems"].split(",") if s.strip()),
-        ga=GaConfig(**cfg["ga"], rng_seed=spec.seed),
-        fitness=_fitness_weights(cfg),
-        estimator=_estimator_config(cfg),
-        knn_k=cfg["knn"]["k"],
-        svm=SvmConfig(**cfg["svm"]),
-        input_knn_k=cfg["knn"]["input_k"],
-        input_gap_weight=exp["input_gap_weight"],
-        normalization=exp["normalization"],
-        threads=args.threads,
-    )
+    config, _ = _experiment_config(args)
     data = load_dataset(args.fasta, args.solubility)
     sim = load_similarity_matrix(args.matrix)
     report = run_experiment(data, sim, config)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import RAW, SimilarityMatrix, build_cost_model
+from .alignment import RAW, AlignmentCostModel, SimilarityMatrix, build_cost_model
 from .classifiers import (
     KnnConfig,
     SvmConfig,
@@ -75,14 +75,27 @@ def welch_t_test(a, b) -> float:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The settings of one run, from the split to the compared systems.
+
+    split names the split, its master seed and resample count; systems
+    the compared systems, in report order.  ga, fitness and estimator
+    configure the GA of the optimized systems; optimize_model seeds each
+    GA run, so ga.rng_seed is not read.  knn and svm are the inner
+    classifiers of odse-knn and odse-svm, and svm is also input-svm's;
+    input_knn is input-knn's.  input_gap_weight and normalization make
+    the reference cost model of the splits and the input-space tables
+    (normalization is also the GA's).  threads is the worker count of
+    every table.  Each field is checked by its own type.
+    """
+
     split: SplitSpec
     systems: tuple[str, ...] = ALL_SYSTEMS
     ga: GaConfig = GaConfig()
     fitness: FitnessWeights = FitnessWeights()
     estimator: EstimatorConfig = EstimatorConfig()
-    knn_k: int = 5
+    knn: KnnConfig = KnnConfig()
     svm: SvmConfig = SvmConfig()
-    input_knn_k: int = 5
+    input_knn: KnnConfig = KnnConfig()
     input_gap_weight: float = 1.0
     normalization: str = RAW
     threads: int = 1
@@ -95,6 +108,19 @@ class ExperimentConfig:
             raise OdseError(f"unknown systems {unknown}; choose from {ALL_SYSTEMS}")
         if len(set(self.systems)) != len(self.systems):
             raise OdseError(f"each system may be named once, got {list(self.systems)}")
+
+
+def reference_cost_model(sim: SimilarityMatrix, cfg: ExperimentConfig) -> AlignmentCostModel:
+    """The alignment cost model of the splits and the input-space systems."""
+    return build_cost_model(sim, gap_weight=cfg.input_gap_weight, normalization=cfg.normalization)
+
+
+def optimize_model(train, sim: SimilarityMatrix, cfg: ExperimentConfig, inner, seed: int):
+    """The GA's model of one training set, with inner (cfg.knn or cfg.svm)
+    as its classifier and seed as the GA's seed."""
+    ga = dataclasses.replace(cfg.ga, rng_seed=seed)
+    return ga_optimize(train, None, sim, inner, cfg.fitness, cfg.estimator, ga,
+                       threads=cfg.threads, normalization=cfg.normalization)
 
 
 @dataclass(frozen=True)
@@ -148,9 +174,9 @@ class EvaluationReport:
 
 def _system_params(system: str, cfg: ExperimentConfig) -> str:
     if system == ODSE_KNN:
-        return f"k={cfg.knn_k}"
+        return f"k={cfg.knn.k}"
     if system == INPUT_KNN:
-        return f"k={cfg.input_knn_k}"
+        return f"k={cfg.input_knn.k}"
     return f"C={cfg.svm.c:g}"
 
 
@@ -163,24 +189,12 @@ def _run_system(system, train, test, sim, cfg, d_train, d_test, seed):
     """
     train_labels = np.array([lab for _, lab in train])
     if system in (ODSE_KNN, ODSE_SVM):
-        inner = KnnConfig(k=cfg.knn_k) if system == ODSE_KNN else cfg.svm
-        ga = dataclasses.replace(cfg.ga, rng_seed=seed)
-        model = ga_optimize(
-            train,
-            None,
-            sim,
-            inner,
-            cfg.fitness,
-            cfg.estimator,
-            ga,
-            threads=cfg.threads,
-            normalization=cfg.normalization,
-        )
+        inner = cfg.knn if system == ODSE_KNN else cfg.svm
+        model = optimize_model(train, sim, cfg, inner, seed)
         return classify_all(model, [s for s, _ in test], threads=cfg.threads)
     if system == INPUT_KNN:
         return [
-            knn_label_from_distances(row, train_labels, cfg.input_knn_k)
-            for row in d_test
+            knn_label_from_distances(row, train_labels, cfg.input_knn.k) for row in d_test
         ]
     svm = svm_train(d_train, train_labels, cfg.svm)
     return [svm_predict(svm, row[svm.support]) for row in d_test]
@@ -201,9 +215,7 @@ def run_experiment(data, sim: SimilarityMatrix, cfg: ExperimentConfig) -> Evalua
             n_resamples, dtype=np.uint64
         )
     ]
-    cm_ref = build_cost_model(
-        sim, gap_weight=cfg.input_gap_weight, normalization=cfg.normalization
-    )
+    cm_ref = reference_cost_model(sim, cfg)
     need_input = any(s in (INPUT_KNN, INPUT_SVM) for s in cfg.systems)
 
     outcomes: list[ResampleOutcome] = []

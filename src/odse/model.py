@@ -107,7 +107,7 @@ class FitnessWeights:
     w_ent: float = 0.1
 
     def __post_init__(self):
-        if min(self.w_acc, self.w_card, self.w_ent) < 0.0:
+        if not all(w >= 0.0 for w in (self.w_acc, self.w_card, self.w_ent)):
             raise OdseError("fitness weights must be nonnegative")
         if abs(self.w_acc + self.w_card + self.w_ent - 1.0) > 1e-9:
             raise OdseError("fitness weights must sum to 1")

@@ -32,9 +32,9 @@ def seq(symbols, sid="q"):
 class TestMatrixParsing:
     def test_toy_matrix_shape_and_scores(self, toy_sim):
         assert toy_sim.alphabet == ("A", "R", "N", "D")
-        assert toy_sim.score("A", "A") == 4
-        assert toy_sim.score("A", "D") == 2
-        assert toy_sim.score("D", "A") == 2
+        assert toy_sim.scores[0, 0] == 4
+        assert toy_sim.scores[0, 3] == 2
+        assert toy_sim.scores[3, 0] == 2
 
     def test_comment_and_blank_lines_skipped(self):
         m = parse_similarity_matrix("# c\n\n A R\nA 2 0\n# mid\nR 0 2\n")

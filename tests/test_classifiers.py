@@ -59,7 +59,7 @@ class TestKnnConfig:
 
     @pytest.mark.parametrize("k", [0, -1, 2, 4])
     def test_k_must_be_positive_odd(self, k):
-        with pytest.raises(OdseError, match="odd"):
+        with pytest.raises(OdseError, match=f"odd integer, got {k}$"):
             KnnConfig(k=k)
 
 
@@ -120,6 +120,11 @@ class TestKnnTieRules:
             knn_label_from_distances([1.0, 2.0], [0, 1], k=5)
         with pytest.raises(TrainingError, match="non-empty"):
             knn_label_from_distances([], [], k=1)
+
+    @pytest.mark.parametrize("k", [0, -1, -2])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(TrainingError, match=f"k >= 1, got {k}$"):
+            knn_label_from_distances([1.0, 2.0, 3.0], [0, 1, 1], k=k)
 
 
 class TestKnnPredict:
@@ -207,6 +212,14 @@ class TestSvmConfig:
             SvmConfig(kkt_tolerance=0.0)
         with pytest.raises(OdseError, match="max_passes"):
             SvmConfig(max_passes=0)
+
+    @pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan])
+    def test_gamma_must_be_finite(self, gamma):
+        with pytest.raises(OdseError, match=f"kernel_gamma must be finite.*got {gamma}"):
+            SvmConfig(kernel_gamma=gamma)
+
+    def test_finite_gamma_accepted(self):
+        assert SvmConfig(kernel_gamma=1e300).kernel_gamma == 1e300
 
 
 class TestSmoTwoPointOracle:

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from odse.alignment import RAW, build_cost_model
-from odse.classifiers import SvmConfig
+from odse.classifiers import KnnConfig, SvmConfig
 from odse.cli import main
+from odse.datasets import DS200, SplitSpec, load_dataset, make_split
 from odse.embedding import RepresentationSet, compute_matrix
-from odse.model import classify_all, load_model, model_to_json
+from odse.experiment import ExperimentConfig, optimize_model, reference_cost_model
+from odse.model import GaConfig, classify_all, load_model, model_to_json, save_model
 from odse.sequences import read_fasta
 
 from conftest import TOY_MATRIX_TEXT, parse_matrix_csv, synthetic_proteins
@@ -170,6 +172,23 @@ class TestSynthesizeAndClassify:
         self.synth(workdir, a)
         self.synth(workdir, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_model_is_the_shared_ga_model(self, workdir, toy_sim, tmp_path):
+        """synthesize saves, byte for byte, the model optimize_model returns
+        for the settings of config.ini."""
+        cli_out, direct_out = tmp_path / "cli.json", tmp_path / "direct.json"
+        assert self.synth(workdir, cli_out) == 0
+        config = ExperimentConfig(
+            split=SplitSpec(DS200, 3),
+            systems=("input-knn", "input-svm"),
+            ga=GaConfig(population_size=4, max_generations=1),
+            knn=KnnConfig(1),
+            svm=SvmConfig(max_passes=25),
+        )
+        data = load_dataset(workdir / "proteins.fasta", workdir / "solubility.csv")
+        train, _ = make_split(DS200, data, 3, cm=reference_cost_model(toy_sim, config))
+        save_model(optimize_model(train, toy_sim, config, config.knn, 3), direct_out)
+        assert cli_out.read_bytes() == direct_out.read_bytes()
 
     def test_classify_matches_library_call(self, workdir):
         model_path = workdir / "model.json"
@@ -546,6 +565,53 @@ class TestBadConfigValues:
         # the value is accepted, so the command gets as far as the dataset
         assert rc == 1
         assert "absent.fasta" in capsys.readouterr().err
+
+
+class TestConfigRangesBeforeData:
+    """A value that its config type rejects ends in that type's one error
+    line in every split command, before any data file is opened: the
+    FASTA and table paths here do not exist."""
+
+    @pytest.mark.parametrize("command", ["splits", "synthesize", "evaluate"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[split]\nresamples = 0\n", "resamples must be at least 1"),
+            ("[ga]\npopulation_size = 3\n", "population_size must be an even integer"),
+            ("[svm]\nkernel_gamma = inf\n", "kernel_gamma must be finite and positive"),
+            ("[svm]\nc = 0\n", "c must be positive"),
+            ("[knn]\nk = 4\n", "k must be a positive odd integer, got 4"),
+            ("[knn]\ninput_k = 0\n", "k must be a positive odd integer, got 0"),
+            ("[knn]\ninput_k = -1\n", "k must be a positive odd integer, got -1"),
+            ("[knn]\ninput_k = 4\n", "k must be a positive odd integer, got 4"),
+            ("[estimator]\nalpha = 1.5\n", "alpha must lie in (0, 1)"),
+            ("[experiment]\nw_acc = 0.5\n", "fitness weights must sum to 1"),
+            ("[experiment]\nw_ent = nan\n", "fitness weights must be nonnegative"),
+            ("[experiment]\nsystems = svm\n", "unknown systems ['svm']"),
+        ],
+        ids=["resamples", "population", "gamma-inf", "c", "k", "input-k-0", "input-k-neg",
+             "input-k-even", "alpha", "weights-sum", "weights-nan", "systems"],
+    )
+    def test_one_error_line_before_reading(
+        self, command, text, message, workdir, tmp_path, capsys
+    ):
+        cfg = tmp_path / "range.ini"
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main(
+            [
+                command,
+                "--fasta", str(tmp_path / "absent.fasta"),
+                "--solubility", str(tmp_path / "absent.csv"),
+                "--matrix", str(workdir / "toy_matrix.txt"),
+                "--config", str(cfg),
+                "--out", str(out),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}")
+        assert not out.exists()
 
 
 class TestNonUtf8Input:

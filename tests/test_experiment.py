@@ -11,6 +11,7 @@ from scipy.integrate import quad
 import odse
 from odse.alignment import build_cost_model, levenshtein
 from odse.classifiers import (
+    KnnConfig,
     SvmConfig,
     knn_label_from_distances,
     svm_predict,
@@ -267,7 +268,7 @@ class TestRunExperimentOptimized:
             split=SplitSpec(DS200, seed=2),
             systems=(ODSE_KNN,),
             ga=GaConfig(population_size=4, max_generations=2, rng_seed=0),
-            knn_k=3,
+            knn=KnnConfig(3),
         )
         report = run_experiment(corpus, toy_sim, cfg)
         (outcome,) = report.outcomes
@@ -314,7 +315,7 @@ class TestInputSpaceReferences:
             svm = svm_train(d_train, labels, cfg.svm)
             preds = {
                 INPUT_KNN: [
-                    knn_label_from_distances(row, labels, cfg.input_knn_k) for row in d_test
+                    knn_label_from_distances(row, labels, cfg.input_knn.k) for row in d_test
                 ],
                 INPUT_SVM: [svm_predict(svm, row[svm.support]) for row in d_test],
             }

@@ -149,6 +149,8 @@ class TestFitnessWeights:
             FitnessWeights(0.5, 0.1, 0.1)
         with pytest.raises(OdseError, match="nonnegative"):
             FitnessWeights(1.2, -0.1, -0.1)
+        with pytest.raises(OdseError, match="nonnegative"):
+            FitnessWeights(float("nan"), 0.1, 0.1)
 
 
 class TestGaConfig:
