@@ -21,10 +21,17 @@ from .sequences import Sequence, read_text
 
 RAW = "raw"
 BY_MAX_LENGTH = "by-max-length"
+NORMALIZATIONS = (RAW, BY_MAX_LENGTH)
 # largest gap_weight, the gap cost in units of the mean off-diagonal cost
 GAP_WEIGHT_MAX = 4.0
 # largest magnitude of a similarity-matrix entry, which is stored as int64
 _SCORE_MAX = int(np.iinfo(np.int64).max)
+
+
+def check_gap_weight(gap_weight: float) -> None:
+    """The one range rule of every gap weight: (0, GAP_WEIGHT_MAX]."""
+    if not 0.0 < gap_weight <= GAP_WEIGHT_MAX:
+        raise CostModelError(f"gap_weight must be in (0, {GAP_WEIGHT_MAX:g}], got {gap_weight}")
 
 
 @dataclass(frozen=True)
@@ -143,7 +150,7 @@ class AlignmentCostModel:
             raise CostModelError("cost table must be symmetric")
         if not (np.isfinite(self.gap_cost) and self.gap_cost >= 0.0):
             raise CostModelError("gap cost must be finite and >= 0")
-        if self.normalization not in (RAW, BY_MAX_LENGTH):
+        if self.normalization not in NORMALIZATIONS:
             raise CostModelError(
                 f"unknown normalization {self.normalization!r}"
             )
@@ -178,10 +185,7 @@ def build_cost_model(
     numerator over all pairs, so costs span [0,1] with zero diagonal.  The
     gap cost is gap_weight times the mean off-diagonal cost.
     """
-    if not (0.0 < gap_weight <= GAP_WEIGHT_MAX):
-        raise CostModelError(
-            f"gap_weight must be in (0, {GAP_WEIGHT_MAX:g}], got {gap_weight}"
-        )
+    check_gap_weight(gap_weight)
     s = m.scores.astype(np.float64)
     diag = np.diagonal(s)
     numer = (diag[:, None] + diag[None, :]) / 2.0 - s

@@ -17,9 +17,10 @@ import os
 import sys
 
 from .alignment import (
-    BY_MAX_LENGTH,
+    NORMALIZATIONS,
     RAW,
     build_cost_model,
+    check_gap_weight,
     load_similarity_matrix,
     pam120_path,
 )
@@ -35,7 +36,6 @@ from .embedding import RepresentationSet, compute_matrix, matrix_to_csv
 from .entropy import MST, QRE
 from .errors import OdseError
 from .experiment import (
-    ALL_SYSTEMS,
     ExperimentConfig,
     optimize_model,
     reference_cost_model,
@@ -56,11 +56,11 @@ from .sequences import read_fasta, read_text
 
 _INT = ("an integer", int)
 _FLOAT = ("a number", float)
-_TEXT = ("text", str)
 _GAMMA = (
     f"a number or {MEDIAN_HEURISTIC!r}",
     lambda text: text if text == MEDIAN_HEURISTIC else float(text),
 )
+_SYSTEMS = ("a list", lambda text: tuple(filter(None, map(str.strip, text.split(",")))))
 
 
 def _choice(options, fold=str):
@@ -75,68 +75,53 @@ def _choice(options, fold=str):
     return ("one of " + ", ".join(map(repr, options)), convert)
 
 
-# section -> key -> (type, default); the [ga], [svm] and [estimator] keys
-# are the field names of GaConfig, SvmConfig and EstimatorConfig
+# section -> key -> type.  The [split], [ga], [svm] and [estimator] keys
+# are field names of SplitSpec, GaConfig, SvmConfig and EstimatorConfig,
+# and systems, normalization and input_gap_weight of ExperimentConfig;
+# each default lives in its config type
 _SETTINGS = {
-    "split": {
-        "name": (_choice(SPLIT_NAMES), "DS-200"),
-        "seed": (_INT, "0"),
-        "resamples": (_INT, "10"),
-    },
+    "split": {"name": _choice(SPLIT_NAMES), "seed": _INT, "resamples": _INT},
     "ga": {
-        "population_size": (_INT, "20"),
-        "crossover_prob": (_FLOAT, "0.9"),
-        "mutation_prob": (_FLOAT, "0.2"),
-        "max_generations": (_INT, "50"),
-        "stall_epsilon": (_FLOAT, "1e-4"),
+        "population_size": _INT,
+        "crossover_prob": _FLOAT,
+        "mutation_prob": _FLOAT,
+        "max_generations": _INT,
+        "stall_epsilon": _FLOAT,
     },
-    "svm": {
-        "c": (_FLOAT, "2"),
-        "kernel_gamma": (_GAMMA, MEDIAN_HEURISTIC),
-        "kkt_tolerance": (_FLOAT, "1e-3"),
-        "max_passes": (_INT, "200"),
-    },
-    "knn": {"k": (_INT, "5"), "input_k": (_INT, "5")},
-    "estimator": {
-        "kind": (_choice((QRE, MST), str.upper), "QRE"),
-        "alpha": (_FLOAT, "0.5"),
-    },
+    "svm": {"c": _FLOAT, "kernel_gamma": _GAMMA, "kkt_tolerance": _FLOAT, "max_passes": _INT},
+    "knn": {"k": _INT, "input_k": _INT},
+    "estimator": {"kind": _choice((QRE, MST), str.upper), "alpha": _FLOAT},
     "experiment": {
-        "systems": (_TEXT, ",".join(ALL_SYSTEMS)),
-        "inner": (_choice(("knn", "svm"), str.lower), "svm"),
-        "normalization": (_choice((RAW, BY_MAX_LENGTH)), RAW),
-        "input_gap_weight": (_FLOAT, "1.0"),
-        "w_acc": (_FLOAT, "0.8"),
-        "w_card": (_FLOAT, "0.1"),
-        "w_ent": (_FLOAT, "0.1"),
+        "systems": _SYSTEMS,
+        "inner": _choice(("knn", "svm"), str.lower),
+        "normalization": _choice(NORMALIZATIONS),
+        "input_gap_weight": _FLOAT,
+        "w_acc": _FLOAT,
+        "w_card": _FLOAT,
+        "w_ent": _FLOAT,
     },
 }
 
 
 def _load_config(path: str | None) -> dict[str, dict]:
-    """Settings of the INI file over the defaults, each converted to its
+    """The settings the INI file sets, by section, each converted to its
     type here, so that a bad value or an unknown name fails before any
     data is read."""
-    cp = configparser.ConfigParser()
-    cp.read_dict(
-        {sec: {key: text for key, (_, text) in keys.items()} for sec, keys in _SETTINGS.items()}
-    )
-    if path is not None and not os.path.exists(path):
+    cfg: dict[str, dict] = {sec: {} for sec in _SETTINGS}
+    if path is None:
+        return cfg
+    if not os.path.exists(path):
         raise OdseError(f"config file {path!r} does not exist")
-    cfg: dict[str, dict] = {}
+    cp = configparser.ConfigParser()
     try:
-        if path is not None:
-            cp.read_string(read_text(path), source=path)
+        cp.read_string(read_text(path), source=path)
         for sec in (cp.default_section, *cp.sections()):
             if sec not in _SETTINGS and sec != cp.default_section:
                 raise OdseError(f"config file {path!r}: unknown section [{sec}]")
-            for key in cp[sec]:
+            for key, text in cp[sec].items():
                 if key not in _SETTINGS.get(sec, ()):
                     raise OdseError(f"config file {path!r}: unknown key {key!r} in [{sec}]")
-        for sec, keys in _SETTINGS.items():
-            cfg[sec] = {}
-            for key, ((kind, convert), _) in keys.items():
-                text = cp[sec][key]
+                kind, convert = _SETTINGS[sec][key]
                 try:
                     cfg[sec][key] = convert(text)
                 except ValueError:
@@ -149,28 +134,29 @@ def _load_config(path: str | None) -> dict[str, dict]:
 def _experiment_config(args):
     """The one ExperimentConfig of a split command, from the INI with
     --split, --seed and --threads over it, and the inner classifier that
-    [experiment] inner names.  Every value is checked here by its own
-    type, so a bad one fails before any data file is opened."""
+    [experiment] inner names (svm unless set).  A setting the INI leaves
+    out takes its config type's default, and every value is checked by
+    its type, so a bad one fails before any data file is opened."""
     cfg = _load_config(args.config)
-    exp = cfg["experiment"]
+    split, knn, exp = cfg["split"], cfg["knn"], cfg["experiment"]
+    if args.split:
+        split["name"] = args.split
+    if args.seed is not None:
+        split["seed"] = args.seed
+    inner = exp.pop("inner", "svm")
+    weights = {w: exp.pop(w) for w in ("w_acc", "w_card", "w_ent") if w in exp}
     config = ExperimentConfig(
-        split=SplitSpec(
-            args.split or cfg["split"]["name"],
-            args.seed if args.seed is not None else cfg["split"]["seed"],
-            cfg["split"]["resamples"],
-        ),
-        systems=tuple(s.strip() for s in exp["systems"].split(",") if s.strip()),
+        split=SplitSpec(**split),
         ga=GaConfig(**cfg["ga"]),
-        fitness=FitnessWeights(exp["w_acc"], exp["w_card"], exp["w_ent"]),
+        fitness=FitnessWeights(**weights),
         estimator=EstimatorConfig(**cfg["estimator"]),
-        knn=KnnConfig(cfg["knn"]["k"]),
+        knn=KnnConfig(knn["k"]) if "k" in knn else KnnConfig(),
         svm=SvmConfig(**cfg["svm"]),
-        input_knn=KnnConfig(cfg["knn"]["input_k"]),
-        input_gap_weight=exp["input_gap_weight"],
-        normalization=exp["normalization"],
+        input_knn=KnnConfig(knn["input_k"]) if "input_k" in knn else KnnConfig(),
         threads=args.threads,
+        **exp,
     )
-    return config, config.knn if exp["inner"] == "knn" else config.svm
+    return config, config.knn if inner == "knn" else config.svm
 
 
 def _thread_count(text: str) -> int:
@@ -189,6 +175,7 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _cmd_matrix(args) -> int:
+    check_gap_weight(args.gap_weight)
     seqs = read_fasta(args.fasta)
     sim = load_similarity_matrix(args.matrix)
     cm = build_cost_model(
@@ -309,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
         commands[name] = sub.add_parser(name, parents=parents, help=text)
         commands[name].set_defaults(func=func)
     commands["matrix"].add_argument("--gap-weight", type=float, default=1.0)
-    commands["matrix"].add_argument("--normalization", choices=(RAW, BY_MAX_LENGTH), default=RAW)
+    commands["matrix"].add_argument("--normalization", choices=NORMALIZATIONS, default=RAW)
     commands["splits"].add_argument("--histogram", help="also write a solubility histogram CSV")
     commands["classify"].add_argument("--model", required=True)
     return parser

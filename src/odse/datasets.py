@@ -59,8 +59,8 @@ class LabeledSequence:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    name: str
-    seed: int
+    name: str = DS200
+    seed: int = 0
     resamples: int = 10
 
     def __post_init__(self):
@@ -77,15 +77,16 @@ def read_solubility_table(text: str) -> dict[str, float]:
 
     Fields are separated by a tab when one is present, otherwise by a
     comma; a row must hold exactly two fields and a non-empty id.  Blank
-    lines and '#' comments are skipped; a single header line with a
-    non-numeric second field is tolerated at the top.
+    lines and '#' comments are skipped; the first other line may be a
+    header, whose second field is not a number.
     """
     table: dict[str, float] = {}
-    saw_data = False
+    first = True
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        header_allowed, first = first, False
         sep = "\t" if "\t" in line else ","
         parts = [p.strip() for p in line.split(sep)]
         if len(parts) != 2:
@@ -97,12 +98,11 @@ def read_solubility_table(text: str) -> dict[str, float]:
         try:
             value = float(parts[1])
         except ValueError:
-            if not saw_data and not table:
-                continue  # header row
+            if header_allowed:
+                continue
             raise DatasetError(
                 f"line {lineno}: solubility {parts[1]!r} is not a number"
             ) from None
-        saw_data = True
         if not 0.0 <= value <= 1.0:
             raise DatasetError(
                 f"line {lineno}: solubility {value} outside [0, 1]"

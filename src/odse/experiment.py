@@ -18,7 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import RAW, AlignmentCostModel, SimilarityMatrix, build_cost_model
+from .alignment import (
+    NORMALIZATIONS,
+    RAW,
+    AlignmentCostModel,
+    SimilarityMatrix,
+    build_cost_model,
+    check_gap_weight,
+)
 from .classifiers import (
     KnnConfig,
     SvmConfig,
@@ -85,7 +92,8 @@ class ExperimentConfig:
     input_knn is input-knn's.  input_gap_weight and normalization make
     the reference cost model of the splits and the input-space tables
     (normalization is also the GA's).  threads is the worker count of
-    every table.  Each field is checked by its own type.
+    every table.  The config fields check themselves; input_gap_weight,
+    normalization and threads are checked here.
     """
 
     split: SplitSpec
@@ -108,6 +116,13 @@ class ExperimentConfig:
             raise OdseError(f"unknown systems {unknown}; choose from {ALL_SYSTEMS}")
         if len(set(self.systems)) != len(self.systems):
             raise OdseError(f"each system may be named once, got {list(self.systems)}")
+        check_gap_weight(self.input_gap_weight)
+        if self.normalization not in NORMALIZATIONS:
+            raise OdseError(
+                f"unknown normalization {self.normalization!r}; choose from {NORMALIZATIONS}"
+            )
+        if self.threads < 1:
+            raise OdseError(f"threads must be at least 1, got {self.threads}")
 
 
 def reference_cost_model(sim: SimilarityMatrix, cfg: ExperimentConfig) -> AlignmentCostModel:

@@ -25,6 +25,7 @@ from .alignment import (
     AlignmentCostModel,
     SimilarityMatrix,
     build_cost_model,
+    check_gap_weight,
 )
 from .classifiers import (
     KnnConfig,
@@ -80,8 +81,7 @@ class OdseGenome:
             raise OdseError("entropy thresholds must lie in [0, 1]")
         if self.tau_c > self.tau_e:
             raise OdseError("tau_c must not exceed tau_e")
-        if not 0.0 < self.gap_weight <= GAP_WEIGHT_MAX:
-            raise OdseError(f"gap_weight {self.gap_weight} outside (0, {GAP_WEIGHT_MAX:g}]")
+        check_gap_weight(self.gap_weight)
 
     def as_vector(self) -> np.ndarray:
         return np.array(
@@ -463,7 +463,8 @@ def ga_optimize(
     count, and the whole run replays exactly from rng_seed.
 
     Work is shared across genomes: one train x train table per gap
-    weight, one list of column scores per (gap weight, sigma), and one
+    weight, one list of column scores per (gap weight, sigma), or per
+    gap weight under the MST estimator, which ignores sigma, and one
     (model, fitness) per genome, each kept while a genome of the current
     population uses it.  Crossover hands gap weight and sigma down
     together and the elite passes unchanged, so most of a generation's
@@ -474,18 +475,22 @@ def ga_optimize(
         train, validation = _stratified_holdout(train, 0.3, rng)
     sets = _checked_sets(train, validation)
     tables: dict[float, tuple[AlignmentCostModel, np.ndarray]] = {}
-    scores: dict[tuple[float, float], list[float]] = {}
+    scores: dict[tuple[float, float | None], list[float]] = {}
     results: dict[OdseGenome, tuple[OdseModel, float]] = {}
 
     def table(w):
         return _train_table(sets.train, sim, w, normalization)
 
+    def score_key(g):
+        return g.gap_weight, None if est.kind == MST else g.sigma
+
     def column_scores(key):
-        return _column_scores(tables[key[0]][1], est, key[1])
+        w, sigma = key
+        return _column_scores(tables[w][1], est, est.sigma if sigma is None else sigma)
 
     def synthesize(g):
         cm, d0 = tables[g.gap_weight]
-        return _synthesize(g, sets, cm, d0, scores[g.gap_weight, g.sigma], inner_cfg, fw, est)
+        return _synthesize(g, sets, cm, d0, scores[score_key(g)], inner_cfg, fw, est)
 
     def fill(cache, fn, keys, pool):
         # missing keys in order of first use, each computed once
@@ -495,10 +500,10 @@ def ga_optimize(
     def evaluate(pop, pool):
         new = [g for g in pop if g not in results]
         fill(tables, table, (g.gap_weight for g in new), pool)
-        fill(scores, column_scores, ((g.gap_weight, g.sigma) for g in new), pool)
+        fill(scores, column_scores, map(score_key, new), pool)
         fill(results, synthesize, new, pool)
         _prune(tables, (g.gap_weight for g in pop))
-        _prune(scores, ((g.gap_weight, g.sigma) for g in pop))
+        _prune(scores, map(score_key, pop))
         _prune(results, pop)
         models = [results[g][0] for g in pop]
         fits = np.array([results[g][1] for g in pop], dtype=np.float64)
@@ -549,22 +554,15 @@ def _inner_to_dict(inner) -> dict:
     if isinstance(inner, KnnInner):
         return {
             "kind": "knn",
-            "config": {"k": inner.config.k, "space": _KNN_SPACE},
+            "config": {**dataclasses.asdict(inner.config), "space": _KNN_SPACE},
             "vectors": inner.vectors.tolist(),
             "labels": [int(v) for v in inner.labels],
         }
     if isinstance(inner, SvmInner):
-        cfg = inner.config
         svm = inner.model
         return {
             "kind": "svm",
-            "config": {
-                "c": cfg.c,
-                "kernel_gamma": cfg.kernel_gamma,
-                "kkt_tolerance": cfg.kkt_tolerance,
-                "max_passes": cfg.max_passes,
-                "space": _SVM_SPACE,
-            },
+            "config": {**dataclasses.asdict(inner.config), "space": _SVM_SPACE},
             "space": _SVM_SPACE,
             "support": inner.support.tolist(),
             "alphas": svm.alphas.tolist(),

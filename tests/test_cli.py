@@ -1,11 +1,13 @@
+import argparse
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from odse.alignment import RAW, build_cost_model
 from odse.classifiers import KnnConfig, SvmConfig
-from odse.cli import main
+from odse.cli import _SETTINGS, _experiment_config, _load_config, main
 from odse.datasets import DS200, SplitSpec, load_dataset, make_split
 from odse.embedding import RepresentationSet, compute_matrix
 from odse.experiment import ExperimentConfig, optimize_model, reference_cost_model
@@ -588,9 +590,10 @@ class TestConfigRangesBeforeData:
             ("[experiment]\nw_acc = 0.5\n", "fitness weights must sum to 1"),
             ("[experiment]\nw_ent = nan\n", "fitness weights must be nonnegative"),
             ("[experiment]\nsystems = svm\n", "unknown systems ['svm']"),
+            ("[experiment]\ninput_gap_weight = 0\n", "gap_weight must be in (0, 4], got 0.0"),
         ],
         ids=["resamples", "population", "gamma-inf", "c", "k", "input-k-0", "input-k-neg",
-             "input-k-even", "alpha", "weights-sum", "weights-nan", "systems"],
+             "input-k-even", "alpha", "weights-sum", "weights-nan", "systems", "gap-weight"],
     )
     def test_one_error_line_before_reading(
         self, command, text, message, workdir, tmp_path, capsys
@@ -612,6 +615,54 @@ class TestConfigRangesBeforeData:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {message}")
         assert not out.exists()
+
+
+class TestMatrixGapWeightBeforeData:
+    """An out-of-range --gap-weight ends matrix in the one gap-weight
+    check's error line before any file is opened: the FASTA and matrix
+    files here do not exist."""
+
+    @pytest.mark.parametrize("value", ["0", "nan", "4.5"])
+    def test_one_error_line_before_reading(self, value, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        rc = main(
+            [
+                "matrix",
+                "--fasta", str(tmp_path / "absent.fasta"),
+                "--matrix", str(tmp_path / "absent.txt"),
+                "--gap-weight", value,
+                "--out", str(out),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: gap_weight must be in (0, 4], got {float(value)}"
+        ]
+        assert not out.exists()
+
+
+class TestReadmeConfiguration:
+    """The INI block of the README's Configuration section names every
+    key with its default value."""
+
+    def block(self, tmp_path):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        ini = text.split("\n## Configuration\n", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.ini"
+        path.write_text(ini, encoding="utf-8")
+        return str(path)
+
+    def test_block_names_every_key(self, tmp_path):
+        cfg = _load_config(self.block(tmp_path))
+        assert {sec: set(keys) for sec, keys in cfg.items()} == {
+            sec: set(keys) for sec, keys in _SETTINGS.items()
+        }
+
+    @pytest.mark.parametrize("source", ["readme", "no-file"])
+    def test_block_equals_the_config_types_defaults(self, source, tmp_path):
+        path = self.block(tmp_path) if source == "readme" else None
+        args = argparse.Namespace(config=path, split=None, seed=None, threads=1)
+        assert _experiment_config(args) == (ExperimentConfig(split=SplitSpec()), SvmConfig())
 
 
 class TestNonUtf8Input:

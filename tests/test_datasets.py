@@ -73,6 +73,9 @@ class TestSplitSpec:
         with pytest.raises(DatasetError, match="resamples"):
             SplitSpec(DS200, seed=0, resamples=0)
 
+    def test_defaults(self):
+        assert SplitSpec() == SplitSpec(DS200, 0, 10)
+
 
 class TestSolubilityTable:
     def test_comma_separated(self):
@@ -90,6 +93,12 @@ class TestSolubilityTable:
     def test_header_line_tolerated(self):
         table = read_solubility_table("id,solubility\na,0.5\n")
         assert table == {"a": 0.5}
+
+    def test_only_the_first_line_may_be_a_header(self):
+        with pytest.raises(DatasetError, match="^line 2: solubility 'bar' is not a number$"):
+            read_solubility_table("id,sol\nfoo,bar\nbaz,qux\na,0.5\n")
+        with pytest.raises(DatasetError, match="^line 4: solubility 'bar' is not a number$"):
+            read_solubility_table("# c\n\nid,sol\nfoo,bar\na,0.5\n")
 
     def test_non_numeric_after_data_rejected(self):
         with pytest.raises(DatasetError, match="line 2.*not a number"):

@@ -152,6 +152,22 @@ class TestExperimentConfig:
         with pytest.raises(OdseError, match="once"):
             ExperimentConfig(split=SplitSpec(DS200, seed=0), systems=(INPUT_KNN, INPUT_KNN))
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("input_gap_weight", 0.0, r"gap_weight must be in \(0, 4\], got 0.0$"),
+            ("input_gap_weight", math.nan, r"gap_weight must be in \(0, 4\], got nan$"),
+            ("input_gap_weight", 4.5, r"gap_weight must be in \(0, 4\], got 4.5$"),
+            ("normalization", "bogus", "unknown normalization 'bogus'"),
+            ("threads", 0, "threads must be at least 1, got 0$"),
+            ("threads", -2, "threads must be at least 1, got -2$"),
+        ],
+        ids=["gap-0", "gap-nan", "gap-above", "normalization", "threads-0", "threads-neg"],
+    )
+    def test_out_of_range_rejected(self, field, value, message):
+        with pytest.raises(OdseError, match=message):
+            ExperimentConfig(split=SplitSpec(), **{field: value})
+
 
 
 class TestAccuracyBookkeeping:

@@ -789,14 +789,15 @@ class TestGaOptimize:
 
 class TestGaReuse:
     """ga_optimize builds one table per gap weight, scores its columns
-    once per (gap weight, sigma) and synthesizes each genome once."""
+    once per (gap weight, sigma), or once per gap weight under MST, and
+    synthesizes each genome once."""
 
     CFG = GaConfig(
         population_size=6, mutation_prob=0.3, max_generations=4,
         stall_epsilon=1e-12, rng_seed=13,
     )
 
-    def run(self, toy_sim, inner, monkeypatch, threads=1):
+    def run(self, toy_sim, inner, monkeypatch, threads=1, est=EstimatorConfig()):
         """The run's sets and every (genome, (model, fitness)) it
         synthesized."""
         train, val = TestColumnSelection().corpus()
@@ -810,8 +811,7 @@ class TestGaReuse:
 
         monkeypatch.setattr(odse.model, "_synthesize", recording)
         model = ga_optimize(
-            train, val, toy_sim, inner, FitnessWeights(), EstimatorConfig(),
-            self.CFG, threads=threads,
+            train, val, toy_sim, inner, FitnessWeights(), est, self.CFG, threads=threads
         )
         assert len(model.synthesis_log) == self.CFG.max_generations + 1
         # elites and unchanged copies are not synthesized again
@@ -836,9 +836,9 @@ class TestGaReuse:
             assert model_to_json(model) == model_to_json(fresh), g
             assert fitness == fresh_fitness
 
-    def test_one_table_per_gap_weight_and_one_score_per_column_and_sigma(
-        self, toy_sim, monkeypatch
-    ):
+    def count_work(self, monkeypatch):
+        """Lists that collect the gap cost of each train x train table
+        and the length of each scored column."""
         tables, columns = [], []
         compute, scorer = odse.model.compute_matrix, odse.model.normalized_column_entropy
 
@@ -853,11 +853,25 @@ class TestGaReuse:
 
         monkeypatch.setattr(odse.model, "compute_matrix", counting_compute)
         monkeypatch.setattr(odse.model, "normalized_column_entropy", counting_scorer)
+        return tables, columns
+
+    def test_one_table_per_gap_weight_and_one_score_per_column_and_sigma(
+        self, toy_sim, monkeypatch
+    ):
+        tables, columns = self.count_work(monkeypatch)
         train, _, made = self.run(toy_sim, KnnConfig(k=1), monkeypatch)
         gaps = {g.gap_weight for g, _ in made}
         pairs = {(g.gap_weight, g.sigma) for g, _ in made}
         assert len(tables) == len(set(tables)) == len(gaps)
         assert columns == [len(train)] * (len(train) * len(pairs))
+
+    def test_mst_scores_each_table_once_whatever_sigma(self, toy_sim, monkeypatch):
+        tables, columns = self.count_work(monkeypatch)
+        train, _, made = self.run(toy_sim, KnnConfig(k=1), monkeypatch, est=MST_EST)
+        gaps = {g.gap_weight for g, _ in made}
+        # some gap weight is used with more than one sigma
+        assert len(gaps) < len({(g.gap_weight, g.sigma) for g, _ in made})
+        assert columns == [len(train)] * (len(train) * len(tables))
 
 
 class TestSelection:
