@@ -60,7 +60,6 @@ from .entropy import (
     EntropyValue,
     EstimatorConfig,
     mst_entropy,
-    mst_total_length,
     normalized_column_entropy,
     normalized_vector_entropy,
     qre_entropy,

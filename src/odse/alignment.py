@@ -228,10 +228,10 @@ def alignment_cost_rows(
     does the numpy loop's floating-point operations in the same order,
     so the two agree bit for bit whatever the batch's order or size.
     Batches whose neighbouring targets have similar lengths run fastest.
+    Both paths check the batch first: a symbol code outside the cost
+    table raises IndexError, and a target length outside the padded
+    width or a cost table that does not fit raises ValueError.
     """
-    kernel = _dp.load()
-    if kernel is None:
-        return numpy_cost_rows(query, proto_mat, proto_lens, sub_cost, gap)
     query = np.ascontiguousarray(query, dtype=np.intp)
     proto_mat = np.ascontiguousarray(proto_mat, dtype=np.intp)
     proto_lens = np.ascontiguousarray(proto_lens, dtype=np.intp)
@@ -245,6 +245,9 @@ def alignment_cost_rows(
     for codes in (query, proto_mat):
         if codes.size and (codes.min() < 0 or codes.max() >= n_alpha):
             raise IndexError("symbol code outside the cost table")
+    kernel = _dp.load()
+    if kernel is None:
+        return numpy_cost_rows(query, proto_mat, proto_lens, sub_cost, gap)
     out = np.empty(n_targets, dtype=np.float64)
     status = kernel(
         query.ctypes.data, len(query), proto_mat.ctypes.data, n_targets, width,

@@ -18,7 +18,6 @@ import sys
 
 from .alignment import (
     NORMALIZATIONS,
-    RAW,
     build_cost_model,
     check_gap_weight,
     load_similarity_matrix,
@@ -175,12 +174,13 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _cmd_matrix(args) -> int:
-    check_gap_weight(args.gap_weight)
+    # an option left unset takes build_cost_model's own default
+    options = {"gap_weight": args.gap_weight, "normalization": args.normalization}
+    given = {name: value for name, value in options.items() if value is not None}
+    if args.gap_weight is not None:
+        check_gap_weight(args.gap_weight)
     seqs = read_fasta(args.fasta)
-    sim = load_similarity_matrix(args.matrix)
-    cm = build_cost_model(
-        sim, gap_weight=args.gap_weight, normalization=args.normalization
-    )
+    cm = build_cost_model(load_similarity_matrix(args.matrix), **given)
     d = compute_matrix(seqs, RepresentationSet(tuple(seqs)), cm, args.threads)
     _write_output(matrix_to_csv(d), args.out)
     return 0
@@ -202,8 +202,7 @@ def _cmd_splits(args) -> int:
     }
     _write_output(json.dumps(doc, indent=1) + "\n", args.out)
     if args.histogram:
-        with open(args.histogram, "w", encoding="utf-8") as fh:
-            fh.write(solubility_histogram_csv(data))
+        _write_output(solubility_histogram_csv(data), args.histogram)
     return 0
 
 
@@ -243,13 +242,10 @@ def _cmd_evaluate(args) -> int:
     report = run_experiment(data, sim, config)
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "report.csv"), "w", encoding="utf-8") as fh:
-        fh.write(report_to_csv(report))
-    with open(os.path.join(outdir, "report.json"), "w", encoding="utf-8") as fh:
-        fh.write(report_to_json(report))
+    _write_output(report_to_csv(report), os.path.join(outdir, "report.csv"))
+    _write_output(report_to_json(report), os.path.join(outdir, "report.json"))
     text = report_to_text(report)
-    with open(os.path.join(outdir, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_output(text, os.path.join(outdir, "report.txt"))
     print(text, end="")
     return 0
 
@@ -295,8 +291,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         commands[name] = sub.add_parser(name, parents=parents, help=text)
         commands[name].set_defaults(func=func)
-    commands["matrix"].add_argument("--gap-weight", type=float, default=1.0)
-    commands["matrix"].add_argument("--normalization", choices=NORMALIZATIONS, default=RAW)
+    commands["matrix"].add_argument("--gap-weight", type=float)
+    commands["matrix"].add_argument("--normalization", choices=NORMALIZATIONS)
     commands["splits"].add_argument("--histogram", help="also write a solubility histogram CSV")
     commands["classify"].add_argument("--model", required=True)
     return parser

@@ -97,18 +97,6 @@ def _power_sum(lengths: np.ndarray, gamma: float) -> float:
     return float(np.sum(np.sort(lengths**gamma)))
 
 
-def mst_total_length(samples, gamma: float) -> float:
-    """Sum over spanning-tree edges of (Euclidean length) ** gamma;
-    inf when the sum exceeds the float range."""
-    x = _as_matrix(samples)
-    n = x.shape[0]
-    if n < 2:
-        raise OdseError("spanning-tree length needs at least two samples")
-    if not gamma > 0.0:
-        raise OdseError("gamma must be positive")
-    return _power_sum(_prim_mst_lengths(euclidean_distances(x, x)), gamma)
-
-
 def mst_entropy(samples, cfg: EstimatorConfig) -> float:
     """Renyi entropy of order alpha from the power-weighted spanning tree.
 

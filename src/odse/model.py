@@ -181,7 +181,7 @@ def train_inner(vectors: np.ndarray, labels, cfg):
     labels = np.asarray(labels)
     if isinstance(cfg, KnnConfig):
         if vectors.shape[0] < cfg.k:
-            raise TrainingError("fewer training vectors than k")
+            raise TrainingError(f"kNN has {vectors.shape[0]} vectors, fewer than k={cfg.k}")
         return KnnInner(vectors=np.array(vectors), labels=labels, config=cfg)
     if isinstance(cfg, SvmConfig):
         svm = svm_train(euclidean_distances(vectors, vectors), labels, cfg)
@@ -306,7 +306,7 @@ def _synthesize(
     inner_cfg,
     fw: FitnessWeights,
     est: EstimatorConfig,
-) -> tuple[OdseModel, float]:
+) -> OdseModel:
     """Synthesize and score the model of g from the cost model of its gap
     weight, that cost model's train x train table d0 and the column
     scores of d0 under g's sigma."""
@@ -337,15 +337,13 @@ def _synthesize(
         h_norm = normalized_vector_entropy(d1, dataclasses.replace(est, kind=MST)).normalized
     else:
         h_norm = 0.0
-    fitness = fw.w_acc * pi + fw.w_card * card + fw.w_ent * h_norm
-    model = OdseModel(
+    return OdseModel(
         genome=g,
         representation=r1,
         cost_model=cm,
         inner=inner,
-        fitness=fitness,
+        fitness=fw.w_acc * pi + fw.w_card * card + fw.w_ent * h_norm,
     )
-    return model, fitness
 
 
 def synthesize_instance(
@@ -367,7 +365,8 @@ def synthesize_instance(
     sets = _checked_sets(train, validation)
     cm, d0 = _train_table(sets.train, sim, g.gap_weight, normalization)
     scores = _column_scores(d0, est, g.sigma)
-    return _synthesize(g, sets, cm, d0, scores, inner_cfg, fw, est)
+    model = _synthesize(g, sets, cm, d0, scores, inner_cfg, fw, est)
+    return model, model.fitness
 
 
 # --------------------------------------------------------------------------
@@ -465,7 +464,7 @@ def ga_optimize(
     Work is shared across genomes: one train x train table per gap
     weight, one list of column scores per (gap weight, sigma), or per
     gap weight under the MST estimator, which ignores sigma, and one
-    (model, fitness) per genome, each kept while a genome of the current
+    model per genome, each kept while a genome of the current
     population uses it.  Crossover hands gap weight and sigma down
     together and the elite passes unchanged, so most of a generation's
     tables, scores and models come from the one before.
@@ -476,7 +475,7 @@ def ga_optimize(
     sets = _checked_sets(train, validation)
     tables: dict[float, tuple[AlignmentCostModel, np.ndarray]] = {}
     scores: dict[tuple[float, float | None], list[float]] = {}
-    results: dict[OdseGenome, tuple[OdseModel, float]] = {}
+    results: dict[OdseGenome, OdseModel] = {}
 
     def table(w):
         return _train_table(sets.train, sim, w, normalization)
@@ -505,8 +504,8 @@ def ga_optimize(
         _prune(tables, (g.gap_weight for g in pop))
         _prune(scores, map(score_key, pop))
         _prune(results, pop)
-        models = [results[g][0] for g in pop]
-        fits = np.array([results[g][1] for g in pop], dtype=np.float64)
+        models = [results[g] for g in pop]
+        fits = np.array([m.fitness for m in models], dtype=np.float64)
         return models, fits
 
     # one pool serves every generation of the run
@@ -602,9 +601,7 @@ def _inner_from_dict(rec: dict, width: int):
         # checked on the stored values: the int64 cast truncates 0.9 to 0
         if not np.isin(rec["labels"], (0, 1)).all():
             raise OdseError("kNN labels must be the classes 0 and 1")
-        if len(vectors) < cfg.k:
-            raise OdseError(f"kNN has {len(vectors)} vectors, fewer than k={cfg.k}")
-        return KnnInner(vectors=vectors, labels=labels, config=cfg)
+        return train_inner(vectors, labels, cfg)
     if rec["kind"] == "svm":
         c = rec["config"]
         _check_space(c["space"], _SVM_SPACE)
@@ -635,12 +632,7 @@ def _inner_from_dict(rec: dict, width: int):
 def model_to_json(model: OdseModel) -> str:
     doc = {
         "format": _FORMAT,
-        "genome": {
-            "sigma": model.genome.sigma,
-            "tau_c": model.genome.tau_c,
-            "tau_e": model.genome.tau_e,
-            "gap_weight": model.genome.gap_weight,
-        },
+        "genome": dataclasses.asdict(model.genome),
         "fitness": model.fitness,
         "representation": [
             {"id": p.id, "symbols": p.symbols, "provenance": tag}
@@ -653,10 +645,7 @@ def model_to_json(model: OdseModel) -> str:
             "normalization": model.cost_model.normalization,
         },
         "inner": _inner_to_dict(model.inner),
-        "synthesis_log": [
-            {"generation": s.generation, "best": s.best, "mean": s.mean}
-            for s in model.synthesis_log
-        ],
+        "synthesis_log": [dataclasses.asdict(s) for s in model.synthesis_log],
     }
     return json.dumps(doc, indent=1)
 
@@ -696,10 +685,7 @@ def _model_from_doc(doc) -> OdseModel:
     for p in rep.prototypes:
         if not (isinstance(p.symbols, str) and set(p.symbols) <= set(cm.alphabet)):
             raise OdseError(f"prototype {p.id!r}: symbols must be text over the alphabet")
-    log = tuple(
-        GenerationStat(s["generation"], s["best"], s["mean"])
-        for s in doc["synthesis_log"]
-    )
+    log = tuple(GenerationStat(**s) for s in doc["synthesis_log"])
     return OdseModel(
         genome=genome,
         representation=rep,

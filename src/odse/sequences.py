@@ -27,44 +27,31 @@ def parse_fasta(text: str) -> list[Sequence]:
     The record id is the first whitespace-delimited word after '>'.
     Sequence lines are concatenated, whitespace-stripped and upper-cased.
     Records containing '*' (a stop marker, not a residue) are rejected.
+    A malformed line raises a `DatasetError` naming its 1-based number.
     """
-    records: list[Sequence] = []
-    current_id = None
-    chunks: list[str] = []
-
-    def flush():
-        if current_id is None:
-            return
-        residues = "".join(chunks)
-        if "*" in residues:
-            raise DatasetError(
-                f"sequence {current_id!r} contains the stop marker '*'"
-            )
-        records.append(Sequence(current_id, residues))
-
-    for raw in text.splitlines():
+    records: dict[str, list[str]] = {}
+    current = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith(">"):
-            flush()
-            header = line[1:].strip()
-            if not header:
-                raise DatasetError("FASTA header without an identifier")
-            current_id = header.split()[0]
-            chunks = []
+            words = line[1:].split()
+            if not words:
+                raise DatasetError(f"line {lineno}: FASTA header without an identifier")
+            current = words[0]
+            if current in records:
+                raise DatasetError(f"line {lineno}: duplicate FASTA id {current!r}")
+            records[current] = []
+        elif current is None:
+            raise DatasetError(f"line {lineno}: sequence data before any FASTA header")
+        elif "*" in line:
+            raise DatasetError(
+                f"line {lineno}: sequence {current!r} contains the stop marker '*'"
+            )
         else:
-            if current_id is None:
-                raise DatasetError("sequence data before any FASTA header")
-            chunks.append("".join(line.split()).upper())
-    flush()
-
-    seen: set[str] = set()
-    for rec in records:
-        if rec.id in seen:
-            raise DatasetError(f"duplicate FASTA id {rec.id!r}")
-        seen.add(rec.id)
-    return records
+            records[current].append("".join(line.split()).upper())
+    return [Sequence(rid, "".join(parts)) for rid, parts in records.items()]
 
 
 def read_text(path) -> str:
@@ -78,9 +65,12 @@ def read_text(path) -> str:
 
 
 def read_fasta(path) -> list[Sequence]:
-    """Sequences of a FASTA file; a file without records raises a
-    `DatasetError` naming it."""
-    records = parse_fasta(read_text(path))
+    """Sequences of a FASTA file; a malformed file or one without records
+    raises a `DatasetError` naming it."""
+    try:
+        records = parse_fasta(read_text(path))
+    except DatasetError as exc:
+        raise DatasetError(f"{path}: {exc}") from None
     if not records:
         raise DatasetError(f"{path}: no FASTA records")
     return records

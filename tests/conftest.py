@@ -15,7 +15,8 @@ import pytest
 
 from odse.alignment import build_cost_model, parse_similarity_matrix
 from odse.datasets import LabeledSequence
-from odse.embedding import DissimilarityMatrix
+from odse.embedding import DissimilarityMatrix, euclidean_distances
+from odse.entropy import _power_sum, _prim_mst_lengths
 from odse.sequences import Sequence
 
 TOY_MATRIX_TEXT = """\
@@ -112,6 +113,13 @@ def alignment_oracle(s: Sequence, t: Sequence, cm) -> float:
 
     walk(0, 0, 0.0)
     return best[0]
+
+
+def mst_power_sum(points: np.ndarray, gamma: float) -> float:
+    """Power-weighted length of the spanning tree `mst_entropy` grows on
+    points: its Prim step and its sorted power sum, on the Euclidean
+    distance table it builds."""
+    return _power_sum(_prim_mst_lengths(euclidean_distances(points, points)), gamma)
 
 
 def spanning_tree_oracle(points: np.ndarray, gamma: float) -> float:

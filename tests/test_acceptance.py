@@ -38,7 +38,6 @@ from odse.entropy import (
     EstimatorConfig,
     MST,
     mst_entropy,
-    mst_total_length,
     normalized_column_entropy,
     qre_entropy,
 )
@@ -61,6 +60,7 @@ from conftest import (
     TOY_MATRIX_TEXT,
     alignment_oracle,
     motif_dataset,
+    mst_power_sum,
     random_sequences,
     spanning_tree_oracle,
     synthetic_proteins,
@@ -117,15 +117,16 @@ def test_criterion_03_parzen_entropy_analytic_cases():
 
 
 def test_criterion_04_spanning_tree_length_oracle():
-    """Power-weighted MST length equals the brute-force minimum over all
-    spanning trees; the two-point entropy case lands on zero."""
+    """The power-weighted tree length inside `mst_entropy` equals the
+    brute-force minimum over all spanning trees; the two-point entropy
+    case lands on zero."""
     rng = np.random.default_rng(17)
     for trial in range(100):
         n = int(rng.integers(2, 7))
         d = int(rng.integers(1, 4))
         gamma = float(rng.uniform(0.3, 2.0))
         pts = rng.normal(size=(n, d))
-        got = mst_total_length(pts, gamma)
+        got = mst_power_sum(pts, gamma)
         want = spanning_tree_oracle(pts, gamma)
         assert got == want, (trial, n, d, gamma)
     two = mst_entropy(np.array([[0.0], [2.0]]), EstimatorConfig(kind=MST, alpha=0.5))

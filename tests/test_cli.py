@@ -98,6 +98,31 @@ class TestMatrixCommand:
         got = parse_matrix_csv(out.read_text(encoding="utf-8"))
         assert float(got.values.max()) <= 1.0
 
+    def test_unset_options_take_the_cost_models_defaults(self, workdir):
+        # without --gap-weight and --normalization, build_cost_model's
+        # own defaults (1 and raw) apply; given, they write the same bytes
+        outs = [workdir / "default.csv", workdir / "explicit.csv"]
+        for out, extra in zip(outs, ([], ["--gap-weight", "1", "--normalization", "raw"])):
+            argv = [
+                "matrix",
+                "--fasta", str(workdir / "small.fasta"),
+                "--matrix", str(workdir / "toy_matrix.txt"),
+                "--out", str(out),
+            ]
+            assert main(argv + extra) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_malformed_fasta_names_the_file_and_line(self, workdir, tmp_path, capsys):
+        notes = tmp_path / "README.md"
+        notes.write_text("# odse\n\nSome text.\n", encoding="utf-8")
+        out = tmp_path / "never.csv"
+        argv = ["matrix", "--fasta", str(notes), "--matrix", str(workdir / "toy_matrix.txt")]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {notes}: line 1: sequence data before any FASTA header"
+        ]
+        assert not out.exists()
+
 
 class TestSplitsCommand:
     def run_splits(self, workdir, out, seed, histogram=None):

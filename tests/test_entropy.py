@@ -9,14 +9,13 @@ from odse.entropy import (
     QRE,
     EstimatorConfig,
     mst_entropy,
-    mst_total_length,
     normalized_column_entropy,
     normalized_vector_entropy,
     qre_entropy,
 )
 from odse.errors import OdseError
 
-from conftest import spanning_tree_oracle
+from conftest import mst_power_sum, spanning_tree_oracle
 
 
 class TestConfig:
@@ -107,14 +106,17 @@ class TestQre:
 
 
 class TestMstLength:
+    """The power-weighted tree length inside `mst_entropy`: its Prim
+    step and its sorted power sum."""
+
     def test_two_points(self):
         pts = np.array([[0.0], [3.0]])
-        assert mst_total_length(pts, 1.0) == 3.0
-        assert mst_total_length(pts, 0.5) == pytest.approx(math.sqrt(3.0))
+        assert mst_power_sum(pts, 1.0) == 3.0
+        assert mst_power_sum(pts, 0.5) == pytest.approx(math.sqrt(3.0))
 
     def test_collinear_chain(self):
         pts = np.array([[0.0], [1.0], [2.0]])
-        assert mst_total_length(pts, 1.0) == 2.0
+        assert mst_power_sum(pts, 1.0) == 2.0
 
     def test_matches_spanning_tree_enumeration(self):
         rng = np.random.default_rng(99)
@@ -122,18 +124,11 @@ class TestMstLength:
             for _ in range(4):
                 pts = rng.uniform(0.0, 5.0, size=(n, 2))
                 gamma = float(rng.uniform(0.3, 2.0))
-                assert mst_total_length(pts, gamma) == spanning_tree_oracle(
-                    pts, gamma
-                )
-
-    def test_gamma_must_be_positive(self):
-        pts = np.array([[0.0], [1.0]])
-        with pytest.raises(OdseError, match="gamma"):
-            mst_total_length(pts, 0.0)
+                assert mst_power_sum(pts, gamma) == spanning_tree_oracle(pts, gamma)
 
     def test_needs_two_samples(self):
-        with pytest.raises(OdseError):
-            mst_total_length(np.array([[0.0]]), 1.0)
+        with pytest.raises(OdseError, match="two samples"):
+            mst_entropy(np.array([[0.0]]), EstimatorConfig(kind=MST))
 
 
 class TestMstEntropy:
@@ -161,9 +156,9 @@ class TestMstEntropy:
         pts = rng.uniform(size=(200, 400))
         pts[-3:] = pts[:3]  # zero-length edges add nothing in log space
         s = 300.0
-        assert math.isfinite(mst_total_length(pts, 200.0))
+        assert math.isfinite(mst_power_sum(pts, 200.0))
         with np.errstate(over="ignore"):
-            assert mst_total_length(pts * s, 200.0) == math.inf
+            assert mst_power_sum(pts * s, 200.0) == math.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             base = mst_entropy(pts, cfg)

@@ -182,15 +182,6 @@ class TestCompiledKernel:
                     for rows in (alignment_cost_rows, plain_kernel):
                         assert_kernels_agree(rows, query, mat, lens, cm)
 
-    def test_bad_codes_and_lengths_rejected(self, toy_cm):
-        sub, gap = toy_cm.sub_cost, toy_cm.gap_cost
-        with pytest.raises(IndexError):
-            alignment_cost_rows(np.array([4]), np.array([[0]]), np.array([1]), sub, gap)
-        with pytest.raises(IndexError):
-            alignment_cost_rows(np.array([0]), np.array([[-1]]), np.array([1]), sub, gap)
-        with pytest.raises(ValueError, match="width"):
-            alignment_cost_rows(np.array([0]), np.array([[0]]), np.array([2]), sub, gap)
-
     def test_concurrent_first_calls_build_once(self, fresh_build):
         loaded = []
         threads = [threading.Thread(target=lambda: loaded.append(_dp.load())) for _ in range(4)]
@@ -207,6 +198,25 @@ class TestCompiledKernel:
         (fresh_build / "a").write_text("not a directory", encoding="utf-8")
         assert _dp.load() is not None
         assert (fresh_build / "b" / _dp.library_name()).exists()
+
+
+@pytest.mark.parametrize("path", [pytest.param("compiled", marks=needs_kernel), "numpy"])
+def test_bad_codes_and_lengths_rejected(path, toy_cm, monkeypatch):
+    # both paths check the batch before either runs: unchecked, the numpy
+    # loop would read code -1 as the table's last column
+    if path == "numpy":
+        monkeypatch.setattr(_dp, "load", lambda: None)
+    sub, gap = toy_cm.sub_cost, toy_cm.gap_cost
+    with pytest.raises(IndexError):
+        alignment_cost_rows(np.array([4]), np.array([[0]]), np.array([1]), sub, gap)
+    with pytest.raises(IndexError):
+        alignment_cost_rows(np.array([0]), np.array([[4]]), np.array([1]), sub, gap)
+    with pytest.raises(IndexError):
+        alignment_cost_rows(np.array([0]), np.array([[-1]]), np.array([1]), sub, gap)
+    with pytest.raises(IndexError):
+        alignment_cost_rows([-1], [[0]], [1], sub, gap)
+    with pytest.raises(ValueError, match="width"):
+        alignment_cost_rows(np.array([0]), np.array([[0]]), np.array([2]), sub, gap)
 
 
 def test_fallback_gives_unchanged_results(pam120, monkeypatch):

@@ -798,16 +798,15 @@ class TestGaReuse:
     )
 
     def run(self, toy_sim, inner, monkeypatch, threads=1, est=EstimatorConfig()):
-        """The run's sets and every (genome, (model, fitness)) it
-        synthesized."""
+        """The run's sets and every (genome, model) it synthesized."""
         train, val = TestColumnSelection().corpus()
         made = []
         synthesize = odse.model._synthesize
 
         def recording(g, *args):
-            out = synthesize(g, *args)
-            made.append((g, out))
-            return out
+            model = synthesize(g, *args)
+            made.append((g, model))
+            return model
 
         monkeypatch.setattr(odse.model, "_synthesize", recording)
         model = ga_optimize(
@@ -829,12 +828,12 @@ class TestGaReuse:
         # genomes share gap weights, and some share a gap weight but not sigma
         assert len(gaps) < len(pairs) < len(made)
         monkeypatch.undo()
-        for g, (model, fitness) in made:
+        for g, model in made:
             fresh, fresh_fitness = synthesize_instance(
                 g, train, val, toy_sim, inner, FitnessWeights(), EstimatorConfig()
             )
             assert model_to_json(model) == model_to_json(fresh), g
-            assert fitness == fresh_fitness
+            assert model.fitness == fresh_fitness == fresh.fitness
 
     def count_work(self, monkeypatch):
         """Lists that collect the gap cost of each train x train table
@@ -968,6 +967,27 @@ class TestPersistence:
         assert np.array_equal(loaded.cost_model.sub_cost, model.cost_model.sub_cost)
         assert loaded.cost_model.gap_cost == model.cost_model.gap_cost
         assert loaded.cost_model.alphabet == model.cost_model.alphabet
+
+    def test_archive_key_order(self):
+        doc = json.loads(model_to_json(self.build_knn_model()))
+        assert list(doc) == [
+            "format", "genome", "fitness", "representation", "cost_model", "inner",
+            "synthesis_log",
+        ]
+        assert list(doc["genome"]) == ["sigma", "tau_c", "tau_e", "gap_weight"]
+        assert len(doc["synthesis_log"]) == 3
+        for rec in doc["synthesis_log"]:
+            assert list(rec) == ["generation", "best", "mean"]
+
+    @pytest.mark.parametrize("change", [
+        lambda rec: rec.pop("mean"),
+        lambda rec: rec.update(worst=0.0),
+    ], ids=["missing", "unknown"])
+    def test_log_record_keys_checked(self, change):
+        doc = json.loads(model_to_json(self.build_knn_model()))
+        change(doc["synthesis_log"][0])
+        with pytest.raises(OdseError, match="malformed model archive"):
+            model_from_json(json.dumps(doc))
 
     def test_unknown_format_rejected(self):
         with pytest.raises(OdseError, match="format"):

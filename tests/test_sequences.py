@@ -72,3 +72,26 @@ def test_file_without_records_rejected_naming_it(tmp_path, text):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}: no FASTA records$"):
         read_fasta(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("ARND\n>x\nAA\n", "line 1: sequence data before any FASTA header"),
+        ("\n# notes\n>x\nAA\n", "line 2: sequence data before any FASTA header"),
+        (">x\nAA\n\n>  \nRR\n", "line 4: FASTA header without an identifier"),
+        (">x\nAA\nAR*D\n>y\nRR\n", "line 3: sequence 'x' contains the stop marker '*'"),
+        (">x desc\nAA\n>y\nRR\n>x\nNN\n", "line 5: duplicate FASTA id 'x'"),
+    ],
+)
+def test_errors_name_their_line(text, message):
+    with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+        parse_fasta(text)
+
+
+def test_read_fasta_errors_name_the_file_and_line(tmp_path):
+    path = tmp_path / "notes.md"
+    path.write_text("# a title\n\n>x\nAA\n>x\nRR\n", encoding="utf-8")
+    message = f"{path}: line 1: sequence data before any FASTA header"
+    with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+        read_fasta(path)
