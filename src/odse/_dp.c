@@ -1,8 +1,14 @@
-/* Global-alignment costs of one encoded query against a batch of encoded,
- * padded targets: the dynamic program behind odse.alignment.alignment_cost_rows.
+/* The two compiled kernels of odse, in one library: odse_cost_rows, the
+ * alignment dynamic program, and odse_smo_sweep, one sweep of the SVM
+ * solver (at the end of this file).  Each does the floating-point
+ * operations of its numpy reference in the same order, so the results
+ * are equal bit for bit.
  *
- * The arithmetic is that of the numpy loop, operation for operation, so
- * the results are equal bit for bit.  Row i of the table is built from
+ * odse_cost_rows: global-alignment costs of one encoded query against a
+ * batch of encoded, padded targets, the dynamic program behind
+ * odse.alignment.alignment_cost_rows.
+ *
+ * Row i of the table is built from
  *     c[j]     = min(diag + sub[a][t[j-1]], up + gap)   (c[0] = (i+1)*gap)
  *     m        = min(m, c[j] - jg[j])                  (prefix minimum)
  *     state[j] = m + jg[j]
@@ -28,6 +34,7 @@
  * callers share no state.
  */
 
+#include <math.h>
 #include <stddef.h>
 #include <stdlib.h>
 
@@ -98,4 +105,89 @@ int odse_cost_rows(const ptrdiff_t *query, ptrdiff_t n_query,
     free(jg);
     free(tt);
     return 0;
+}
+
+/* One sweep of odse.classifiers.smo_solve over i = 0..n-1: the loop body
+ * of odse.classifiers.numpy_smo_sweep, operation for operation.
+ *
+ * k and eta are row-major n x n (the Gram matrix and every pair's
+ * curvature K_ii + K_jj - 2 K_ij); alphas and errors are updated in
+ * place and *bias holds the running bias.  Returns the number of pair
+ * steps taken.  numpy's elementwise maximum and minimum propagate NaN
+ * from either operand, as MAXIMUM and MINIMUM below do, and its argmax
+ * takes the first maximal value or the first NaN, as the partner scan
+ * does.  Each expression keeps numpy's operand grouping, so the results
+ * are equal bit for bit.  The sweep keeps no state between calls.
+ */
+#define MAXIMUM(a, b) (((a) >= (b) || (a) != (a)) ? (a) : (b))
+#define MINIMUM(a, b) (((a) <= (b) || (a) != (a)) ? (a) : (b))
+
+ptrdiff_t odse_smo_sweep(const double *k, const double *y, const double *eta,
+                         ptrdiff_t n, double c, double tol, double step_eps,
+                         double *alphas, double *errors, double *bias)
+{
+    double b = *bias;
+    ptrdiff_t changed = 0;
+    for (ptrdiff_t i = 0; i < n; i++) {
+        const double e_i = errors[i];
+        const double r_i = e_i * y[i];
+        if (!((r_i < -tol && alphas[i] < c) || (r_i > tol && alphas[i] > 0.0)))
+            continue;
+        const double a_i = alphas[i];
+        const double *eta_i = eta + i * n;
+        /* masked argmax of |E_j - E_i| over the feasible partners; an
+         * infeasible partner scores -1, below any feasible one */
+        ptrdiff_t j = -1;
+        double best = 0.0, a_j_new = 0.0;
+        for (ptrdiff_t m = 0; m < n; m++) {
+            double lo, hi, score = -1.0, a_new = 0.0;
+            if (y[m] == y[i]) {
+                lo = (a_i + alphas[m]) - c;
+                hi = a_i + alphas[m];
+            } else {
+                lo = alphas[m] - a_i;
+                hi = (c + alphas[m]) - a_i;
+            }
+            lo = MAXIMUM(0.0, lo);
+            hi = MINIMUM(c, hi);
+            if (m != i && lo < hi && eta_i[m] > 0.0) {
+                a_new = alphas[m] + (y[m] * (e_i - errors[m])) / eta_i[m];
+                a_new = MAXIMUM(a_new, lo);
+                a_new = MINIMUM(a_new, hi);
+                if (!(fabs(a_new - alphas[m]) < step_eps))
+                    score = fabs(errors[m] - e_i);
+            }
+            if (j < 0 || !(score <= best)) {
+                best = score;
+                j = m;
+                a_j_new = a_new;
+                if (best != best)
+                    break;
+            }
+        }
+        if (best < 0.0)
+            continue;
+        const double a_j = alphas[j];
+        const double a_i_new = a_i + (y[i] * y[j]) * (a_j - a_j_new);
+        const double d_i = y[i] * (a_i_new - a_i);
+        const double d_j = y[j] * (a_j_new - a_j);
+        const double b1 = ((b - e_i) - d_i * k[i * n + i]) - d_j * k[i * n + j];
+        const double b2 = ((b - errors[j]) - d_i * k[i * n + j]) - d_j * k[j * n + j];
+        double b_new;
+        if (0.0 < a_i_new && a_i_new < c)
+            b_new = b1;
+        else if (0.0 < a_j_new && a_j_new < c)
+            b_new = b2;
+        else
+            b_new = 0.5 * (b1 + b2);
+        const double shift = b_new - b;
+        for (ptrdiff_t m = 0; m < n; m++)
+            errors[m] += (d_i * k[m * n + i] + d_j * k[m * n + j]) + shift;
+        alphas[i] = a_i_new;
+        alphas[j] = a_j_new;
+        b = b_new;
+        changed++;
+    }
+    *bias = b;
+    return changed;
 }

@@ -1,13 +1,15 @@
-"""Build, cache and load the compiled alignment kernel in `_dp.c`.
+"""Build, cache and load the compiled kernels in `_dp.c`.
 
-The shared library is compiled with the system C compiler on the first
-kernel call, never at import.  It is cached under a name keyed by a hash
-of the source and the compiler flags, first in the package's
+The one shared library holds two kernels: the alignment dynamic program
+behind `alignment.alignment_cost_rows` and one sweep of the SVM solver
+`classifiers.smo_solve`.  It is compiled with the system C compiler on
+the first kernel call, never at import.  It is cached under a name keyed
+by a hash of the source and the compiler flags, first in the package's
 `__pycache__` directory and, when that is not writable, in
 `~/.cache/odse`.  Each build writes a temporary file and moves it into
 place with `os.replace`, so a concurrent process never loads a partial
 library.  When no compiler is found or no build succeeds, `load` returns
-None and the caller runs the numpy loop instead.
+None and each caller runs its numpy loop instead.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ import shutil
 import subprocess
 import tempfile
 import threading
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 SOURCE = Path(__file__).with_name("_dp.c")
 # -ffp-contract=off keeps every multiply and add separate, as numpy does
@@ -66,12 +70,25 @@ def _build(cc: str, target: Path) -> None:
             os.unlink(tmp)
 
 
-def _open(path: Path):
-    fn = ctypes.CDLL(str(path)).odse_cost_rows
-    ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
-    fn.argtypes = (ptr, size, ptr, size, size, ptr, ptr, size, ctypes.c_double, ptr)
-    fn.restype = ctypes.c_int
-    return fn
+class Kernels(NamedTuple):
+    """The ctypes functions of one loaded library."""
+
+    cost_rows: Callable[..., int]
+    smo_sweep: Callable[..., int]
+
+
+def _open(path: Path) -> Kernels:
+    lib = ctypes.CDLL(str(path))
+    ptr, size, real = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
+    cost_rows = lib.odse_cost_rows
+    cost_rows.argtypes = (ptr, size, ptr, size, size, ptr, ptr, size, real, ptr)
+    cost_rows.restype = ctypes.c_int
+    smo_sweep = lib.odse_smo_sweep
+    smo_sweep.argtypes = (
+        ptr, ptr, ptr, size, real, real, real, ptr, ptr, ctypes.POINTER(real),
+    )
+    smo_sweep.restype = size
+    return Kernels(cost_rows, smo_sweep)
 
 
 def _find_or_build():
@@ -89,15 +106,15 @@ def _find_or_build():
             stderr = getattr(exc, "stderr", None) or b""
             failures.append(f"{directory}: {exc} {stderr.decode(errors='replace').strip()}")
     if failures:
-        _log.warning("alignment kernel unavailable, using the numpy loop: %s", "; ".join(failures))
+        _log.warning("compiled kernels unavailable, using the numpy loops: %s", "; ".join(failures))
     elif cc is None:
-        _log.debug("no C compiler on PATH; using the numpy alignment loop")
+        _log.debug("no C compiler on PATH; using the numpy loops")
     return None
 
 
-def load():
-    """The compiled kernel's ctypes function, built on the first call;
-    None when it cannot be built or loaded."""
+def load() -> Kernels | None:
+    """The compiled kernels, built on the first call; None when they
+    cannot be built or loaded."""
     global _kernel
     if _kernel is _UNSET:
         with _lock:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _dp
 from .errors import CostModelError, MatrixFormatError, SymbolError
-from .sequences import Sequence, read_text
+from .sequences import Sequence, numbered_lines, read_text
 
 RAW = "raw"
 BY_MAX_LENGTH = "by-max-length"
@@ -62,7 +62,7 @@ def parse_similarity_matrix(text: str) -> SimilarityMatrix:
     alphabet: list[str] = []
     rows: dict[str, tuple[int, list[int]]] = {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in numbered_lines(text):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -245,11 +245,11 @@ def alignment_cost_rows(
     for codes in (query, proto_mat):
         if codes.size and (codes.min() < 0 or codes.max() >= n_alpha):
             raise IndexError("symbol code outside the cost table")
-    kernel = _dp.load()
-    if kernel is None:
+    kernels = _dp.load()
+    if kernels is None:
         return numpy_cost_rows(query, proto_mat, proto_lens, sub_cost, gap)
     out = np.empty(n_targets, dtype=np.float64)
-    status = kernel(
+    status = kernels.cost_rows(
         query.ctypes.data, len(query), proto_mat.ctypes.data, n_targets, width,
         proto_lens.ctypes.data, sub_cost.ctypes.data, n_alpha, float(gap),
         out.ctypes.data,

@@ -17,7 +17,7 @@ import numpy as np
 from .alignment import AlignmentCostModel
 from .embedding import RepresentationSet, compute_matrix
 from .errors import DatasetError
-from .sequences import Sequence, read_fasta, read_text
+from .sequences import Sequence, numbered_lines, read_fasta, read_text
 
 INSOLUBLE_MAX = 0.3
 SOLUBLE_MIN = 0.7
@@ -82,7 +82,7 @@ def read_solubility_table(text: str) -> dict[str, float]:
     """
     table: dict[str, float] = {}
     first = True
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in numbered_lines(text):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -21,6 +21,15 @@ class Sequence:
         return iter(self.symbols)
 
 
+def numbered_lines(text: str):
+    """(1-based number, line) pairs of text, numbered as a text editor
+    numbers them: lines break only at '\\n', '\\r\\n' and '\\r', not at the
+    form feeds, vertical tabs, '\\x1c'-'\\x1e', '\\x85' and U+2028 where
+    `str.splitlines` also breaks."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return enumerate(lines, start=1)
+
+
 def parse_fasta(text: str) -> list[Sequence]:
     """Parse FASTA text into sequences.
 
@@ -31,7 +40,7 @@ def parse_fasta(text: str) -> list[Sequence]:
     """
     records: dict[str, list[str]] = {}
     current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in numbered_lines(text):
         line = raw.strip()
         if not line:
             continue

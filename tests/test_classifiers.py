@@ -15,6 +15,7 @@ from odse.classifiers import (
     svm_train,
 )
 import odse.classifiers
+from odse import _dp
 from odse.alignment import levenshtein
 from odse.embedding import RepresentationSet, compute_matrix, euclidean_distances
 from odse.entropy import EstimatorConfig
@@ -485,7 +486,9 @@ def assert_same_solve(gram, y, c, tol, max_passes):
 
 class TestSmoPartnerRule:
     """smo_solve picks each partner with one masked argmax; the sorted
-    per-partner loop it replaced is the oracle."""
+    per-partner loop it replaced is the oracle.  These run the sweep in
+    use, the compiled kernel wherever a C compiler is found;
+    TestSmoPartnerRuleNumpy runs them on the numpy sweep."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_grams_match_sorted_loop(self, seed):
@@ -545,3 +548,12 @@ class TestSmoPartnerRule:
         assert len(solves) >= 4
         for gram, y, c, tol, max_passes in solves:
             assert_same_solve(gram, y, c, tol, max_passes)
+
+
+class TestSmoPartnerRuleNumpy(TestSmoPartnerRule):
+    """The oracle checks above on `numpy_smo_sweep`, the sweep that runs
+    where no C compiler is found."""
+
+    @pytest.fixture(autouse=True)
+    def numpy_sweep(self, monkeypatch):
+        monkeypatch.setattr(_dp, "load", lambda: None)

@@ -1,10 +1,12 @@
-"""The compiled alignment kernel against the numpy reference loop, the
-fallback when it cannot be built, and how and when it is built."""
+"""The compiled kernels (alignment DP and SMO sweep) against their numpy
+reference loops, the fallbacks when they cannot be built, and how and
+when they are built."""
 
 import platform
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import odse
-from odse import _dp, alignment
+from odse import _dp, alignment, classifiers
 from odse.alignment import (
     BY_MAX_LENGTH,
     GAP_WEIGHT_MAX,
@@ -25,12 +27,14 @@ from odse.alignment import (
     numpy_cost_rows,
     pam120_path,
 )
+from odse.classifiers import smo_solve
 from odse.embedding import RepresentationSet, compute_matrix
 
 from conftest import RESIDUES, random_sequences
+from test_classifiers import random_gram
 
 needs_kernel = pytest.mark.skipif(
-    _dp.load() is None, reason="no C compiler to build the alignment kernel"
+    _dp.load() is None, reason="no C compiler to build the compiled kernels"
 )
 
 
@@ -71,14 +75,18 @@ def plain_library(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def plain_kernel(plain_library):
+def plain_kernels(plain_library):
+    return _dp._open(plain_library)
+
+
+@pytest.fixture(scope="module")
+def plain_kernel(plain_kernels):
     """`alignment_cost_rows` over the plain build instead of the library
     in use, which on x86-64 machines with AVX2 runs its AVX2 clone."""
-    plain = _dp._open(plain_library)
 
     def rows(*args):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_dp, "load", lambda: plain)
+            mp.setattr(_dp, "load", lambda: plain_kernels)
             return alignment_cost_rows(*args)
 
     return rows
@@ -253,3 +261,90 @@ def test_import_builds_no_kernel():
         "from odse import _dp; assert _dp._kernel is _dp._UNSET"
     )
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
+def solve_with(kernels, gram, y, c, max_passes):
+    """`smo_solve` with `_dp.load` giving kernels: None runs the numpy
+    sweep."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_dp, "load", lambda: kernels)
+        return smo_solve(gram, y, c, 1e-3, max_passes)
+
+
+def assert_same_bits(got, want):
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+
+
+def never_called(*args):
+    raise AssertionError("a sweep ran")
+
+
+@needs_kernel
+class TestCompiledSmoSweep:
+    def test_compiled_sweep_is_the_one_in_use(self, monkeypatch):
+        monkeypatch.setattr(classifiers, "numpy_smo_sweep", never_called)
+        alphas, _ = smo_solve(np.eye(2), np.array([1.0, -1.0]), 1.0, 1e-3, 10)
+        assert alphas.tolist() == [1.0, 1.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_numpy_sweep_on_drawn_grams(self, data, plain_kernels):
+        build = data.draw(st.sampled_from(("in-use", "plain")))
+        kernels = _dp.load() if build == "in-use" else plain_kernels
+        kind = data.draw(st.sampled_from(("psd", "ulps", "indefinite")))
+        n = data.draw(st.integers(2, 120))
+        y = np.array(data.draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=n, max_size=n)))
+        c = 10.0 ** data.draw(st.floats(-7.0, 2.0))
+        max_passes = data.draw(st.integers(1, 200))
+        gram = random_gram(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), n, kind)
+        want = solve_with(None, gram, y, c, max_passes)
+        assert_same_bits(solve_with(kernels, gram, y, c, max_passes), want)
+
+    def test_threads_solving_at_once_give_serial_results(self):
+        # ctypes drops the GIL for the sweep, so solves on the GA's
+        # thread pool overlap; the sweep keeps no state between calls
+        rng = np.random.default_rng(23)
+        problems = []
+        for kind in ("psd", "ulps", "indefinite") * 3:
+            n = int(rng.integers(60, 121))
+            y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+            problems.append((random_gram(rng, n, kind), y, 2.0, 1e-3, 200))
+        serial = [smo_solve(*p) for p in problems]
+        with ThreadPoolExecutor(4) as pool:
+            for _ in range(3):
+                for got, want in zip(pool.map(lambda p: smo_solve(*p), problems), serial):
+                    assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("path", [pytest.param("compiled", marks=needs_kernel), "numpy"])
+def test_bad_smo_inputs_rejected(path, monkeypatch):
+    # both paths check gram and targets before any sweep runs: unchecked,
+    # a mis-shaped gram is an out-of-bounds read in C, and a NaN makes
+    # numpy's argmax and the C scan pick partners by different rules
+    if path == "numpy":
+        monkeypatch.setattr(_dp, "load", lambda: None)
+        monkeypatch.setattr(classifiers, "numpy_smo_sweep", never_called)
+    else:
+        kernels = _dp.load()._replace(smo_sweep=never_called)
+        monkeypatch.setattr(_dp, "load", lambda: kernels)
+    y = np.array([1.0, -1.0, 1.0])
+    gram = np.eye(3)
+    for bad_gram, bad_y in [
+        (np.eye(3, 4), y),
+        (np.eye(4), y),
+        (np.ones(3), y),
+        (np.ones((3, 3, 1)), y),
+        (gram, y[:, None]),
+        (gram, np.float64(1.0)),
+    ]:
+        with pytest.raises(ValueError, match="array"):
+            smo_solve(bad_gram, bad_y, 1.0, 1e-3, 10)
+    for value in (np.nan, np.inf, -np.inf):
+        bad_gram = gram.copy()
+        bad_gram[2, 1] = value
+        bad_y = y.copy()
+        bad_y[1] = value
+        for args in ((bad_gram, y), (gram, bad_y)):
+            with pytest.raises(ValueError, match="finite"):
+                smo_solve(*args, 1.0, 1e-3, 10)

@@ -15,7 +15,7 @@ from odse.datasets import read_solubility_table
 from odse.errors import OdseError
 from odse.classifiers import KnnConfig, SvmConfig
 from odse.model import classify_all, model_from_json, model_to_json
-from odse.sequences import Sequence, read_fasta
+from odse.sequences import Sequence, parse_fasta, read_fasta
 
 from conftest import TOY_MATRIX_TEXT
 from test_model import built_model
@@ -181,3 +181,33 @@ def test_model_prototypes_outside_the_alphabet_rejected(symbols, model_docs):
     doc["representation"][0]["symbols"] = symbols
     with pytest.raises(OdseError):
         model_from_json(json.dumps(doc))
+
+
+# characters where str.splitlines breaks a line but a text editor does not
+NOT_LINE_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+LINE_ENDS = ("\n", "\r\n", "\r")
+
+
+def assert_error_on_line_3(read, text):
+    with pytest.raises(OdseError, match="^line 3: "):
+        read(text)
+
+
+@pytest.mark.parametrize("end", LINE_ENDS)
+@pytest.mark.parametrize("char", NOT_LINE_BREAKS)
+def test_fasta_lines_numbered_as_an_editor_shows_them(char, end):
+    assert_error_on_line_3(parse_fasta, end.join([">x", f"AA{char}RR", "A*", ""]))
+
+
+@pytest.mark.parametrize("end", LINE_ENDS)
+@pytest.mark.parametrize("char", NOT_LINE_BREAKS)
+def test_matrix_lines_numbered_as_an_editor_shows_them(char, end):
+    text = end.join([f"  A{char}R", "A 4 -1", "R -1", ""])
+    assert_error_on_line_3(parse_similarity_matrix, text)
+
+
+@pytest.mark.parametrize("end", LINE_ENDS)
+@pytest.mark.parametrize("char", NOT_LINE_BREAKS)
+def test_solubility_lines_numbered_as_an_editor_shows_them(char, end):
+    text = end.join(["id,solubility", f"p1,0.5{char}", "p2,2", ""])
+    assert_error_on_line_3(read_solubility_table, text)
