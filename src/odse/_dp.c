@@ -1,63 +1,188 @@
-/* The two compiled kernels of odse, in one library: odse_cost_rows, the
+/* The two compiled kernels of odse, in one library: odse_cost_table, the
  * alignment dynamic program, and odse_smo_sweep, one sweep of the SVM
  * solver (at the end of this file).  Each does the floating-point
  * operations of its numpy reference in the same order, so the results
  * are equal bit for bit.
  *
- * odse_cost_rows: global-alignment costs of one encoded query against a
- * batch of encoded, padded targets, the dynamic program behind
- * odse.alignment.alignment_cost_rows.
+ * odse_cost_table: global-alignment costs of a list of encoded queries
+ * against a batch of encoded, padded targets, the dynamic program behind
+ * odse.alignment.dissimilarity_table and alignment_cost_rows.
  *
- * Row i of the table is built from
+ * Row i of one alignment's table is built from
  *     c[j]     = min(diag + sub[a][t[j-1]], up + gap)   (c[0] = (i+1)*gap)
  *     m        = min(m, c[j] - jg[j])                  (prefix minimum)
  *     state[j] = m + jg[j]
  * with jg[j] = gap*j.  Compile with -ffp-contract=off so no multiply-add
  * is fused.
  *
- * The query is aligned against LANES targets at a time (inter-sequence
- * lanes, as in Rognes 2011, SWIPE).  Each block's codes are transposed
- * lane-major into tt[j*LANES + l] and its DP state is one lane-major row,
- * so the innermost loop runs over the lanes and each lane does exactly
- * the scalar operations above; the two selects `a < b ? a : b` are x86
- * minpd, signed zeros included.  A block runs to its longest target and
- * each lane reads its result at its own length, which the padded cells
- * past it never reach.  Lanes past the last target align code 0 and are
- * never read.  Callers that order targets by length keep the lanes full.
+ * The targets are aligned LANES at a time (inter-sequence lanes, as in
+ * Rognes 2011, SWIPE).  For each block of LANES targets the codes are
+ * transposed lane-major once, and the block's substitution profile
+ *     prof[a][j-1][l] = sub[a][t_l[j-1]]
+ * is built once; then every query runs through the block.  A query row
+ * reads one contiguous profile row, prof[a], instead of gathering
+ * sub[a][t] per cell, and each lane does exactly the scalar operations
+ * above on its own target: the profile entry is the same double as
+ * sub[a][t], and the two selects `a < b ? a : b` are x86 minpd, signed
+ * zeros and NaN operands included.  A block runs to its longest target
+ * and each lane reads its result at its own length, which the padded
+ * cells past it never reach.  Lanes past the last target align code 0
+ * and are never read.  Callers that order targets by length keep the
+ * lanes full.
  *
- * On x86-64 ELF builds the function is compiled twice, for AVX2 and for
- * the baseline, and the loader picks one at run time; both clones do the
- * same IEEE operations, so the choice never changes a result.
+ * On x86-64 ELF builds with a GNU-compatible compiler the block loop is
+ * also written with AVX2 intrinsics, eight lanes as two vectors of four
+ * so two independent prefix-minimum chains hide each other's latency;
+ * it is chosen at run time when the processor has AVX2.  Both loops do
+ * the same IEEE operations, so the choice never changes a result.
  *
  * Inputs are validated by the caller (codes in range, lengths within the
- * padded width).  The scratch rows are allocated per call, so concurrent
- * callers share no state.
+ * padded width).  Query q is codes[starts[q] .. starts[q+1]-1]; its cost
+ * to target k is written to out[q*n_cols + cols[k]], or out[q*n_cols + k]
+ * when cols is NULL.  The scratch is allocated per call and sized by the
+ * padded width, so concurrent callers share no state and a call's memory
+ * does not grow with its query count.
  */
 
 #include <math.h>
 #include <stddef.h>
+#include <stdint.h>
 #include <stdlib.h>
 
-#define LANES 4
+#define LANES 8
 
 #if defined(__x86_64__) && defined(__GNUC__) && defined(__ELF__)
-__attribute__((target_clones("avx2", "default")))
+#define ODSE_AVX2 1
+#include <immintrin.h>
 #endif
-int odse_cost_rows(const ptrdiff_t *query, ptrdiff_t n_query,
-                   const ptrdiff_t *targets, ptrdiff_t n_targets,
-                   ptrdiff_t width, const ptrdiff_t *lens,
-                   const double *sub, ptrdiff_t n_alpha, double gap,
-                   double *out)
+
+/* The DP of one query of n codes against one block of targets, whose
+ * profile is prof and whose longest target has len codes.  state is the
+ * block's lane-major DP row of len+1 columns; it is left holding the
+ * query's last row. */
+typedef void query_fn(const ptrdiff_t *query, ptrdiff_t n, const double *prof,
+                      ptrdiff_t len, const double *jg, double gap,
+                      double *state);
+
+/* One cell of four lanes: the recurrence above, lane by lane. */
+static inline void cells4(double *restrict s, const double *restrict p,
+                          double *restrict diag, double *restrict m,
+                          double g, double gap)
 {
-    size_t cols = (size_t)width + 1;
-    double *jg = malloc((1 + LANES) * cols * sizeof(double));
-    ptrdiff_t *tt = malloc(LANES * cols * sizeof(ptrdiff_t));
-    if (jg == NULL || tt == NULL) {
-        free(jg);
+    for (ptrdiff_t l = 0; l < 4; l++) {
+        double up = s[l];
+        double c = diag[l] + p[l];
+        double u = up + gap;
+        c = u < c ? u : c;
+        double v = c - g;
+        m[l] = v < m[l] ? v : m[l];
+        s[l] = m[l] + g;
+        diag[l] = up;
+    }
+}
+
+static void query_plain(const ptrdiff_t *query, ptrdiff_t n, const double *prof,
+                        ptrdiff_t len, const double *jg, double gap,
+                        double *state)
+{
+    for (ptrdiff_t j = 0; j <= len; j++)
+        for (ptrdiff_t l = 0; l < LANES; l++)
+            state[j * LANES + l] = jg[j];
+    for (ptrdiff_t i = 0; i < n; i++) {
+        const double *p = prof + query[i] * len * LANES;
+        double diag[LANES], m[LANES];
+        for (ptrdiff_t l = 0; l < LANES; l++) {
+            diag[l] = state[l];
+            m[l] = (double)(i + 1) * gap - jg[0];
+            state[l] = m[l] + jg[0];
+        }
+        for (ptrdiff_t j = 1; j <= len; j++) {
+            /* two independent groups of four lanes */
+            double *s = state + j * LANES;
+            const double *pj = p + (j - 1) * LANES;
+            cells4(s, pj, diag, m, jg[j], gap);
+            cells4(s + 4, pj + 4, diag + 4, m + 4, jg[j], gap);
+        }
+    }
+}
+
+#ifdef ODSE_AVX2
+/* query_plain with the eight lanes in two AVX2 registers.
+ * _mm256_min_pd(x, y) is x < y ? x : y, lane by lane. */
+__attribute__((target("avx2")))
+static void query_avx2(const ptrdiff_t *query, ptrdiff_t n, const double *prof,
+                       ptrdiff_t len, const double *jg, double gap,
+                       double *state)
+{
+    const __m256d vgap = _mm256_set1_pd(gap);
+    for (ptrdiff_t j = 0; j <= len; j++) {
+        __m256d g = _mm256_set1_pd(jg[j]);
+        _mm256_store_pd(state + j * LANES, g);
+        _mm256_store_pd(state + j * LANES + 4, g);
+    }
+    for (ptrdiff_t i = 0; i < n; i++) {
+        const double *p = prof + query[i] * len * LANES;
+        __m256d diag0 = _mm256_load_pd(state);
+        __m256d diag1 = _mm256_load_pd(state + 4);
+        __m256d m0 = _mm256_set1_pd((double)(i + 1) * gap - jg[0]);
+        __m256d m1 = m0;
+        __m256d g = _mm256_set1_pd(jg[0]);
+        _mm256_store_pd(state, _mm256_add_pd(m0, g));
+        _mm256_store_pd(state + 4, _mm256_add_pd(m1, g));
+        for (ptrdiff_t j = 1; j <= len; j++) {
+            double *s = state + j * LANES;
+            const double *pj = p + (j - 1) * LANES;
+            g = _mm256_broadcast_sd(jg + j);
+            __m256d up0 = _mm256_load_pd(s);
+            __m256d up1 = _mm256_load_pd(s + 4);
+            __m256d c0 = _mm256_add_pd(diag0, _mm256_load_pd(pj));
+            __m256d c1 = _mm256_add_pd(diag1, _mm256_load_pd(pj + 4));
+            c0 = _mm256_min_pd(_mm256_add_pd(up0, vgap), c0);
+            c1 = _mm256_min_pd(_mm256_add_pd(up1, vgap), c1);
+            m0 = _mm256_min_pd(_mm256_sub_pd(c0, g), m0);
+            m1 = _mm256_min_pd(_mm256_sub_pd(c1, g), m1);
+            _mm256_store_pd(s, _mm256_add_pd(m0, g));
+            _mm256_store_pd(s + 4, _mm256_add_pd(m1, g));
+            diag0 = up0;
+            diag1 = up1;
+        }
+    }
+}
+#endif
+
+/* 32-byte aligned pointer into buf, which holds 4 doubles of slack. */
+static double *aligned32(double *buf)
+{
+    return (double *)(((uintptr_t)buf + 31) & ~(uintptr_t)31);
+}
+
+int odse_cost_table(const ptrdiff_t *codes, const ptrdiff_t *starts,
+                    ptrdiff_t n_queries, const ptrdiff_t *targets,
+                    const ptrdiff_t *lens, ptrdiff_t n_targets,
+                    ptrdiff_t width, const double *sub, ptrdiff_t n_alpha,
+                    double gap, const ptrdiff_t *cols, ptrdiff_t n_cols,
+                    double *out)
+{
+    query_fn *run = query_plain;
+#ifdef ODSE_AVX2
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2"))
+        run = query_avx2;
+#endif
+    size_t cols_w = (size_t)width + 1;
+    /* jg, the DP row and the profile, each 32-byte aligned */
+    size_t row = LANES * cols_w, prof_n = (size_t)n_alpha * LANES * (size_t)width;
+    size_t n = (cols_w + 4) + (row + 4) + (prof_n + 4);
+    double *buf = malloc(n * sizeof(double));
+    ptrdiff_t *tt = malloc((LANES * (size_t)width + 1) * sizeof(ptrdiff_t));
+    if (buf == NULL || tt == NULL) {
+        free(buf);
         free(tt);
         return -1;
     }
-    double *state = jg + cols;
+    double *jg = aligned32(buf);
+    double *state = aligned32(jg + cols_w);
+    double *prof = aligned32(state + row);
     for (ptrdiff_t j = 0; j <= width; j++)
         jg[j] = gap * (double)j;
 
@@ -70,39 +195,20 @@ int odse_cost_rows(const ptrdiff_t *query, ptrdiff_t n_query,
         for (ptrdiff_t j = 0; j < len; j++)
             for (ptrdiff_t l = 0; l < LANES; l++)
                 tt[j * LANES + l] = l < nl ? targets[(k0 + l) * width + j] : 0;
-        for (ptrdiff_t j = 0; j <= len; j++)
-            for (ptrdiff_t l = 0; l < LANES; l++)
-                state[j * LANES + l] = jg[j];
-
-        for (ptrdiff_t i = 0; i < n_query; i++) {
-            const double *restrict row = sub + query[i] * n_alpha;
-            double diag[LANES], m[LANES];
-            for (ptrdiff_t l = 0; l < LANES; l++) {
-                diag[l] = state[l];
-                m[l] = (double)(i + 1) * gap - jg[0];
-                state[l] = m[l] + jg[0];
-            }
-            for (ptrdiff_t j = 1; j <= len; j++) {
-                /* restrict lets the compiler vectorize the lane loop */
-                double *restrict s = state + j * LANES;
-                const ptrdiff_t *restrict t = tt + (j - 1) * LANES;
-                const double g = jg[j];
-                for (ptrdiff_t l = 0; l < LANES; l++) {
-                    double up = s[l];
-                    double c = diag[l] + row[t[l]];
-                    double u = up + gap;
-                    c = u < c ? u : c;
-                    double v = c - g;
-                    m[l] = v < m[l] ? v : m[l];
-                    s[l] = m[l] + g;
-                    diag[l] = up;
-                }
-            }
+        for (ptrdiff_t a = 0; a < n_alpha; a++) {
+            const double *sa = sub + a * n_alpha;
+            double *pa = prof + a * len * LANES;
+            for (ptrdiff_t j = 0; j < len * LANES; j++)
+                pa[j] = sa[tt[j]];
         }
-        for (ptrdiff_t l = 0; l < nl; l++)
-            out[k0 + l] = state[lens[k0 + l] * LANES + l];
+        for (ptrdiff_t q = 0; q < n_queries; q++) {
+            run(codes + starts[q], starts[q + 1] - starts[q], prof, len, jg, gap, state);
+            double *row_q = out + q * n_cols;
+            for (ptrdiff_t l = 0; l < nl; l++)
+                row_q[cols ? cols[k0 + l] : k0 + l] = state[lens[k0 + l] * LANES + l];
+        }
     }
-    free(jg);
+    free(buf);
     free(tt);
     return 0;
 }

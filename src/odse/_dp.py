@@ -1,15 +1,16 @@
 """Build, cache and load the compiled kernels in `_dp.c`.
 
 The one shared library holds two kernels: the alignment dynamic program
-behind `alignment.alignment_cost_rows` and one sweep of the SVM solver
-`classifiers.smo_solve`.  It is compiled with the system C compiler on
-the first kernel call, never at import.  It is cached under a name keyed
-by a hash of the source and the compiler flags, first in the package's
-`__pycache__` directory and, when that is not writable, in
-`~/.cache/odse`.  Each build writes a temporary file and moves it into
-place with `os.replace`, so a concurrent process never loads a partial
-library.  When no compiler is found or no build succeeds, `load` returns
-None and each caller runs its numpy loop instead.
+behind `alignment.dissimilarity_table` and `alignment.alignment_cost_rows`,
+and one sweep of the SVM solver `classifiers.smo_solve`.  It is compiled
+with the system C compiler on the first kernel call, never at import.
+It is cached under a name keyed by a hash of the source and the
+compiler flags, first in the package's `__pycache__` directory and,
+when that is not writable, in `~/.cache/odse`.  Each build writes a
+temporary file and moves it into place with `os.replace`, so a
+concurrent process never loads a partial library.  When no compiler is
+found or no build succeeds, `load` returns None and each caller runs its
+numpy loop instead.
 """
 
 from __future__ import annotations
@@ -73,22 +74,24 @@ def _build(cc: str, target: Path) -> None:
 class Kernels(NamedTuple):
     """The ctypes functions of one loaded library."""
 
-    cost_rows: Callable[..., int]
+    cost_table: Callable[..., int]
     smo_sweep: Callable[..., int]
 
 
 def _open(path: Path) -> Kernels:
     lib = ctypes.CDLL(str(path))
     ptr, size, real = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
-    cost_rows = lib.odse_cost_rows
-    cost_rows.argtypes = (ptr, size, ptr, size, size, ptr, ptr, size, real, ptr)
-    cost_rows.restype = ctypes.c_int
+    cost_table = lib.odse_cost_table
+    cost_table.argtypes = (
+        ptr, ptr, size, ptr, ptr, size, size, ptr, size, real, ptr, size, ptr,
+    )
+    cost_table.restype = ctypes.c_int
     smo_sweep = lib.odse_smo_sweep
     smo_sweep.argtypes = (
         ptr, ptr, ptr, size, real, real, real, ptr, ptr, ctypes.POINTER(real),
     )
     smo_sweep.restype = size
-    return Kernels(cost_rows, smo_sweep)
+    return Kernels(cost_table, smo_sweep)
 
 
 def _find_or_build():

@@ -26,6 +26,9 @@ NORMALIZATIONS = (RAW, BY_MAX_LENGTH)
 GAP_WEIGHT_MAX = 4.0
 # largest magnitude of a similarity-matrix entry, which is stored as int64
 _SCORE_MAX = int(np.iinfo(np.int64).max)
+# most queries one call of the compiled alignment kernel takes, which
+# bounds the by-max-length temporaries of one chunk of a table
+CHUNK_ROWS = 256
 
 
 def check_gap_weight(gap_weight: float) -> None:
@@ -148,8 +151,13 @@ class AlignmentCostModel:
             raise CostModelError("diagonal costs must be exactly 0")
         if not np.array_equal(c, c.T):
             raise CostModelError("cost table must be symmetric")
-        if not (np.isfinite(self.gap_cost) and self.gap_cost >= 0.0):
-            raise CostModelError("gap cost must be finite and >= 0")
+        # build_cost_model gives at most GAP_WEIGHT_MAX (the off-diagonal
+        # mean is at most 1); a larger gap cost, say from an edited model
+        # archive, can overflow the DP to inf
+        if not 0.0 <= self.gap_cost <= GAP_WEIGHT_MAX:
+            raise CostModelError(
+                f"gap cost must be in [0, {GAP_WEIGHT_MAX:g}], got {self.gap_cost}"
+            )
         if self.normalization not in NORMALIZATIONS:
             raise CostModelError(
                 f"unknown normalization {self.normalization!r}"
@@ -212,6 +220,42 @@ def build_cost_model(
     )
 
 
+def _checked_batch(codes, proto_mat, proto_lens, sub_cost):
+    """The arrays both DP paths read, contiguous, after the checks both run
+    first: a symbol code outside the cost table raises IndexError, and a
+    target length outside the padded width or a cost table that does not
+    fit raises ValueError."""
+    codes = np.ascontiguousarray(codes, dtype=np.intp)
+    proto_mat = np.ascontiguousarray(proto_mat, dtype=np.intp)
+    proto_lens = np.ascontiguousarray(proto_lens, dtype=np.intp)
+    sub_cost = np.ascontiguousarray(sub_cost, dtype=np.float64)
+    n_targets, width = proto_mat.shape
+    n_alpha = sub_cost.shape[0]
+    if sub_cost.shape != (n_alpha, n_alpha) or proto_lens.shape != (n_targets,):
+        raise ValueError("cost table or target lengths do not match the batch")
+    if proto_lens.size and (proto_lens.min() < 0 or proto_lens.max() > width):
+        raise ValueError("target lengths must lie within the padded width")
+    for c in (codes, proto_mat):
+        if c.size and (c.min() < 0 or c.max() >= n_alpha):
+            raise IndexError("symbol code outside the cost table")
+    return codes, proto_mat, proto_lens, sub_cost
+
+
+def _kernel_table(kernels, codes, starts, proto_mat, proto_lens, sub_cost, gap, cols, out):
+    """One call of the compiled kernel: the raw costs of query q, the codes
+    codes[starts[q]:starts[q + 1]], to target k go to out[q, cols[k]]
+    (out[q, k] when cols is None; out may be one row)."""
+    n_targets, width = proto_mat.shape
+    status = kernels.cost_table(
+        codes.ctypes.data, starts.ctypes.data, len(starts) - 1,
+        proto_mat.ctypes.data, proto_lens.ctypes.data, n_targets, width,
+        sub_cost.ctypes.data, sub_cost.shape[0], float(gap),
+        None if cols is None else cols.ctypes.data, out.shape[-1], out.ctypes.data,
+    )
+    if status != 0:
+        raise MemoryError("alignment kernel could not allocate its scratch")
+
+
 def alignment_cost_rows(
     query: np.ndarray,
     proto_mat: np.ndarray,
@@ -222,40 +266,26 @@ def alignment_cost_rows(
     """Global-alignment costs of one encoded query against a batch of
     encoded, padded targets.
 
-    Runs the compiled kernel in `_dp.c`, built on the first call, or the
-    numpy loop `numpy_cost_rows` when the kernel cannot be built.  The
-    kernel aligns four targets at a time, one per lane, and every lane
-    does the numpy loop's floating-point operations in the same order,
-    so the two agree bit for bit whatever the batch's order or size.
-    Batches whose neighbouring targets have similar lengths run fastest.
-    Both paths check the batch first: a symbol code outside the cost
-    table raises IndexError, and a target length outside the padded
+    The one-query view of the table kernel behind `dissimilarity_table`:
+    it runs the compiled kernel in `_dp.c`, built on the first call, or
+    the numpy loop `numpy_cost_rows` when the kernel cannot be built.
+    The kernel aligns eight targets at a time, one per lane, and every
+    lane does the numpy loop's floating-point operations in the same
+    order, so the two agree bit for bit whatever the batch's order or
+    size.  Batches whose neighbouring targets have similar lengths run
+    fastest.  Both paths check the batch first: a symbol code outside the
+    cost table raises IndexError, and a target length outside the padded
     width or a cost table that does not fit raises ValueError.
     """
-    query = np.ascontiguousarray(query, dtype=np.intp)
-    proto_mat = np.ascontiguousarray(proto_mat, dtype=np.intp)
-    proto_lens = np.ascontiguousarray(proto_lens, dtype=np.intp)
-    sub_cost = np.ascontiguousarray(sub_cost, dtype=np.float64)
-    n_targets, width = proto_mat.shape
-    n_alpha = sub_cost.shape[0]
-    if sub_cost.shape != (n_alpha, n_alpha) or proto_lens.shape != (n_targets,):
-        raise ValueError("cost table or target lengths do not match the batch")
-    if proto_lens.size and (proto_lens.min() < 0 or proto_lens.max() > width):
-        raise ValueError("target lengths must lie within the padded width")
-    for codes in (query, proto_mat):
-        if codes.size and (codes.min() < 0 or codes.max() >= n_alpha):
-            raise IndexError("symbol code outside the cost table")
+    query, proto_mat, proto_lens, sub_cost = _checked_batch(
+        query, proto_mat, proto_lens, sub_cost
+    )
     kernels = _dp.load()
     if kernels is None:
         return numpy_cost_rows(query, proto_mat, proto_lens, sub_cost, gap)
-    out = np.empty(n_targets, dtype=np.float64)
-    status = kernels.cost_rows(
-        query.ctypes.data, len(query), proto_mat.ctypes.data, n_targets, width,
-        proto_lens.ctypes.data, sub_cost.ctypes.data, n_alpha, float(gap),
-        out.ctypes.data,
-    )
-    if status != 0:
-        raise MemoryError("alignment kernel could not allocate its scratch row")
+    out = np.empty(len(proto_lens), dtype=np.float64)
+    starts = np.array([0, len(query)], dtype=np.intp)
+    _kernel_table(kernels, query, starts, proto_mat, proto_lens, sub_cost, gap, None, out)
     return out
 
 
@@ -299,36 +329,60 @@ def dissimilarity_table(
 
     Every alignment table is built here.  The targets are encoded,
     ordered by length (stable) so the kernel's blocks of lanes are
-    nearly full, and zero-padded to a common width once; each query is
-    encoded once, and each row is one `alignment_cost_rows` call, written
-    back in the caller's column order.  Each target's cost depends on no
-    other target, so neither the order nor the number of worker threads
-    changes the result.
+    nearly full, and zero-padded to a common width once; the queries are
+    encoded once into one flat code array with offsets, and the whole
+    batch is checked once.  The queries are then cut into contiguous
+    chunks of nearly equal size and at most CHUNK_ROWS queries, a
+    multiple of `threads` of them (or one per query, if there are
+    fewer), and each chunk is one call of the compiled kernel, which
+    writes its rows straight into the caller's column order (without a
+    compiler, each row is one `numpy_cost_rows` call).
+    Each cost depends on one query and one target alone, so neither the
+    order, the chunks nor the number of worker threads changes a result.
     """
     codes = [cm.encode(t) for t in targets]
     lens = np.array([len(c) for c in codes], dtype=np.intp)
     order = np.argsort(lens, kind="stable")
-    lens = lens[order]
     mat = np.zeros((len(codes), int(lens.max(initial=0))), dtype=np.intp)
     for row, k in enumerate(order):
-        mat[row, : lens[row]] = codes[k]
-    out = np.empty((len(queries), len(codes)), dtype=np.float64)
+        mat[row, : lens[k]] = codes[k]
+    qlens = np.array([len(q.symbols) for q in queries], dtype=np.intp)
+    starts = np.zeros(len(qlens) + 1, dtype=np.intp)
+    np.cumsum(qlens, out=starts[1:])
+    flat = np.empty(starts[-1], dtype=np.intp)
+    for i, q in enumerate(queries):
+        flat[starts[i]:starts[i + 1]] = cm.encode(q)
+    flat, mat, sorted_lens, sub = _checked_batch(flat, mat, lens[order], cm.sub_cost)
+    out = np.empty((len(qlens), len(codes)), dtype=np.float64)
+    kernels = _dp.load()
 
-    def fill(i):
-        query = cm.encode(queries[i])
-        row = alignment_cost_rows(query, mat, lens, cm.sub_cost, cm.gap_cost)
+    def fill(lo, hi):
+        if kernels is None:
+            for i in range(lo, hi):
+                query = flat[starts[i]:starts[i + 1]]
+                out[i, order] = numpy_cost_rows(query, mat, sorted_lens, sub, cm.gap_cost)
+        else:
+            _kernel_table(
+                kernels, flat, starts[lo:hi + 1], mat, sorted_lens, sub, cm.gap_cost,
+                order, out[lo:hi],
+            )
         if cm.normalization == BY_MAX_LENGTH:
-            denom = np.maximum(len(query), lens).astype(np.float64)
+            denom = np.maximum(qlens[lo:hi, None], lens).astype(np.float64)
             with np.errstate(invalid="ignore"):
-                row = np.where(denom > 0.0, row / denom, 0.0)
-        out[i, order] = row
+                out[lo:hi] = np.where(denom > 0.0, out[lo:hi] / denom, 0.0)
 
-    if threads > 1:
+    # a multiple of `threads` chunks of nearly equal size, so the workers
+    # get equal shares
+    n = len(qlens)
+    n_chunks = max(1, min(n, threads * -(-n // (threads * CHUNK_ROWS))))
+    cuts = [n * c // n_chunks for c in range(n_chunks + 1)]
+    chunks = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+    if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(len(queries))))
+            list(pool.map(lambda chunk: fill(*chunk), chunks))
     else:
-        for i in range(len(queries)):
-            fill(i)
+        for chunk in chunks:
+            fill(*chunk)
     return out
 
 

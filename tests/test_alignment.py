@@ -396,6 +396,8 @@ def test_cost_model_validation_catches_bad_tables(toy_cm):
         bad = good.copy()
         bad[0, 1] = 0.3
         AlignmentCostModel(toy_cm.alphabet, bad, 0.5)
-    with pytest.raises(CostModelError, match="gap"):
-        AlignmentCostModel(toy_cm.alphabet, good, -0.1)
+    for gap in (-0.1, np.nextafter(GAP_WEIGHT_MAX, np.inf), 1e308, np.inf, np.nan):
+        with pytest.raises(CostModelError, match="gap"):
+            AlignmentCostModel(toy_cm.alphabet, good, gap)
+    assert AlignmentCostModel(toy_cm.alphabet, good, GAP_WEIGHT_MAX).gap_cost == GAP_WEIGHT_MAX
     assert math.isfinite(toy_cm.gap_cost)

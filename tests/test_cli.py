@@ -289,6 +289,14 @@ class TestMalformedModelFiles:
         assert len(err) == 1 and err[0].startswith("error:")
         return err[0]
 
+    @pytest.mark.parametrize("gap_cost", [1e308, 4.000001, -1.0])
+    def test_gap_cost_out_of_range(self, gap_cost, workdir, model_text, tmp_path, capsys):
+        # a gap cost of 1e308 once overflowed every dissimilarity to inf,
+        # labelled every query alike and exited 0
+        doc = json.loads(model_text)
+        doc["cost_model"]["gap_cost"] = gap_cost
+        assert "gap cost" in self.expect_one_error_line(workdir, json.dumps(doc), tmp_path, capsys)
+
     @pytest.fixture(scope="class")
     def svm_model_text(self, toy_sim):
         return model_to_json(built_model(toy_sim, SvmConfig(c=2.0)))

@@ -64,9 +64,9 @@ def random_batch(rng, n_alpha, max_len=120):
 
 @pytest.fixture(scope="module")
 def plain_library(tmp_path_factory):
-    """A second build of `_dp.c` with __ELF__ undefined: the
-    multiversioning guard is off, so only the plain lane loop is
-    compiled, as on platforms without ifunc clones."""
+    """A second build of `_dp.c` with __ELF__ undefined: the AVX2 guard
+    is off, so only the plain lane loop is compiled, as on platforms
+    other than x86-64 ELF."""
     path = tmp_path_factory.mktemp("plain") / "plain.so"
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_dp, "FLAGS", (*_dp.FLAGS, "-U__ELF__"))
@@ -82,7 +82,7 @@ def plain_kernels(plain_library):
 @pytest.fixture(scope="module")
 def plain_kernel(plain_kernels):
     """`alignment_cost_rows` over the plain build instead of the library
-    in use, which on x86-64 machines with AVX2 runs its AVX2 clone."""
+    in use, which on x86-64 machines with AVX2 runs its AVX2 loop."""
 
     def rows(*args):
         with pytest.MonkeyPatch.context() as mp:
@@ -96,6 +96,20 @@ def assert_kernels_agree(rows, query, mat, lens, cm):
     want = numpy_cost_rows(query, mat, lens, cm.sub_cost, cm.gap_cost)
     got = rows(query, mat, lens, cm.sub_cost, cm.gap_cost)
     assert np.array_equal(got, want)
+
+
+def assert_table_agrees(kernels, queries, mat, lens, cm, cols=None):
+    """One call of the table kernel over every query, each row against
+    numpy_cost_rows; with cols, target k's cost must land in column
+    cols[k]."""
+    codes = np.concatenate([np.asarray(q, dtype=np.intp) for q in queries] or [np.zeros(0)])
+    starts = np.cumsum([0] + [len(q) for q in queries]).astype(np.intp)
+    codes, mat, lens, sub = alignment._checked_batch(codes, mat, lens, cm.sub_cost)
+    out = np.full((len(queries), len(lens)), np.nan)
+    alignment._kernel_table(kernels, codes, starts, mat, lens, sub, cm.gap_cost, cols, out)
+    for q, row in zip(queries, out):
+        want = numpy_cost_rows(np.asarray(q, dtype=np.intp), mat, lens, sub, cm.gap_cost)
+        assert np.array_equal(row if cols is None else row[cols], want)
 
 
 @needs_kernel
@@ -124,12 +138,12 @@ class TestCompiledKernel:
 
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
-    def test_equals_numpy_reference_on_drawn_batches(self, data, pam120, plain_kernel):
-        rows = data.draw(st.sampled_from((alignment_cost_rows, plain_kernel)))
+    def test_equals_numpy_reference_on_drawn_batches(self, data, pam120, plain_kernels):
+        kernels = data.draw(st.sampled_from((_dp.load(), plain_kernels)))
         cm = build_cost_model(pam120, gap_weight=data.draw(st.floats(1e-3, GAP_WEIGHT_MAX)))
         codes = st.integers(0, len(cm.alphabet) - 1)
-        query = data.draw(st.lists(codes, max_size=50))
-        targets = data.draw(st.lists(st.lists(codes, max_size=50), max_size=9))
+        queries = data.draw(st.lists(st.lists(codes, max_size=50), max_size=5))
+        targets = data.draw(st.lists(st.lists(codes, max_size=50), max_size=17))
         lens = np.array([len(t) for t in targets], dtype=np.intp)
         # ragged targets padded past the longest with arbitrary codes
         width = int(lens.max(initial=0)) + data.draw(st.integers(0, 3))
@@ -138,18 +152,20 @@ class TestCompiledKernel:
              for t in targets],
             dtype=np.intp,
         ).reshape(len(targets), width)
-        assert_kernels_agree(rows, np.array(query, dtype=np.intp), mat, lens, cm)
+        cols = data.draw(st.none() | st.permutations(range(len(targets))))
+        cols = None if cols is None else np.array(cols, dtype=np.intp)
+        assert_table_agrees(kernels, queries, mat, lens, cm, cols)
 
     def test_plain_build_has_no_clones(self, plain_library):
-        # on x86-64 ELF the library in use holds an AVX2 and a default
-        # clone; the plain build must hold neither, or the test above
-        # would compare the same code twice
-        names = (b"odse_cost_rows.avx2", b"odse_cost_rows.default")
+        # on x86-64 ELF the library in use holds the AVX2 query loop
+        # beside the plain one; the plain build must not hold it, or the
+        # tests that call both builds would compare the same code twice
+        plain, avx2 = b"query_plain", b"query_avx2"
         if platform.machine() == "x86_64" and sys.platform.startswith("linux"):
             in_use = _dp.cache_dirs()[0] / _dp.library_name()
             if in_use.exists():
-                assert all(name in in_use.read_bytes() for name in names)
-        assert not any(name in plain_library.read_bytes() for name in names)
+                assert plain in in_use.read_bytes() and avx2 in in_use.read_bytes()
+        assert avx2 not in plain_library.read_bytes()
 
     def test_empty_query_and_empty_targets(self, toy_cm):
         sub, gap = toy_cm.sub_cost, toy_cm.gap_cost
@@ -173,20 +189,24 @@ class TestCompiledKernel:
         for q, got in zip(queries, compiled):
             assert np.array_equal(got, dissimilarities_to_targets(q, targets, cm))
 
-    @pytest.mark.parametrize("n_targets", range(1, 10))
-    def test_lane_edges(self, n_targets, pam120, plain_kernel):
-        # blocks of four lanes: 1-9 targets leave every count of idle
-        # lanes; lengths in no order, empty targets and queries, and
-        # widths padded past the longest target
+    @pytest.mark.parametrize("n_targets", [0, *range(1, 10), 15, 16, 17])
+    def test_lane_edges(self, n_targets, pam120, plain_kernel, plain_kernels):
+        # blocks of eight lanes: 0-9 and 15-17 targets leave every count
+        # of idle lanes in a first or a later block; lengths in no order,
+        # empty targets and queries, and widths padded past the longest
+        # target; the queries run one per call and all in one call
         rng = np.random.default_rng(n_targets)
         cm = build_cost_model(pam120, gap_weight=1.7)
         lens = rng.integers(0, 45, size=n_targets)
-        lens[rng.integers(n_targets)] = 0
+        if n_targets:
+            lens[rng.integers(n_targets)] = 0
         for lens in (lens, np.zeros_like(lens)):
             for pad in (0, 1, 10):
-                mat = rng.integers(0, len(cm.alphabet), size=(n_targets, int(lens.max()) + pad))
-                for n_query in (0, 1, 30):
-                    query = rng.integers(0, len(cm.alphabet), size=n_query)
+                mat = rng.integers(0, len(cm.alphabet), size=(n_targets, int(lens.max(initial=0)) + pad))
+                queries = [rng.integers(0, len(cm.alphabet), size=n) for n in (0, 1, 30, 0)]
+                for kernels in (_dp.load(), plain_kernels):
+                    assert_table_agrees(kernels, queries, mat, lens, cm)
+                for query in queries[:3]:
                     for rows in (alignment_cost_rows, plain_kernel):
                         assert_kernels_agree(rows, query, mat, lens, cm)
 
@@ -225,6 +245,32 @@ def test_bad_codes_and_lengths_rejected(path, toy_cm, monkeypatch):
         alignment_cost_rows([-1], [[0]], [1], sub, gap)
     with pytest.raises(ValueError, match="width"):
         alignment_cost_rows(np.array([0]), np.array([[0]]), np.array([2]), sub, gap)
+
+
+@pytest.mark.parametrize("normalization", [RAW, BY_MAX_LENGTH])
+def test_chunks_and_threads_leave_the_table_unchanged(normalization, pam120, monkeypatch):
+    # chunks of at most 3 cut 11 queries into calls of 3, 3, 3 and 2
+    # rows at 1 and 2 threads, and of 2, 2, 2, 2, 2 and 1 rows at 3
+    # threads; every cut gives the cells of one call per row
+    rng = np.random.default_rng(29)
+    queries = random_sequences(rng, 11, lo=0, hi=50, alphabet=RESIDUES, prefix="q")
+    targets = random_sequences(rng, 19, lo=0, hi=50, alphabet=RESIDUES, prefix="t")
+    cm = build_cost_model(pam120, gap_weight=0.9, normalization=normalization)
+    whole = alignment.dissimilarity_table(queries, targets, cm)
+    rows = np.array([dissimilarities_to_targets(q, targets, cm) for q in queries])
+    assert np.array_equal(whole, rows)
+    calls = []
+    kernels = _dp.load()
+    if kernels is not None:
+        counted = kernels._replace(
+            cost_table=lambda *args: calls.append(args[2]) or kernels.cost_table(*args)
+        )
+        monkeypatch.setattr(_dp, "load", lambda: counted)
+    monkeypatch.setattr(alignment, "CHUNK_ROWS", 3)
+    for threads, sizes in ((1, [3, 3, 3, 2]), (2, [3, 3, 3, 2]), (3, [2] * 5 + [1])):
+        calls.clear()
+        assert np.array_equal(alignment.dissimilarity_table(queries, targets, cm, threads), whole)
+        assert kernels is None or sorted(calls, reverse=True) == sizes
 
 
 def test_fallback_gives_unchanged_results(pam120, monkeypatch):
