@@ -59,6 +59,7 @@ from .entropy import (
     QRE,
     EntropyValue,
     EstimatorConfig,
+    column_scores,
     mst_entropy,
     normalized_column_entropy,
     normalized_vector_entropy,

@@ -1,6 +1,7 @@
-/* The two compiled kernels of odse, in one library: odse_cost_table, the
- * alignment dynamic program, and odse_smo_sweep, one sweep of the SVM
- * solver (at the end of this file).  Each does the floating-point
+/* The compiled kernels of odse, in one library: odse_cost_table, the
+ * alignment dynamic program, odse_smo_sweep, one sweep of the SVM solver,
+ * and odse_parzen_exponents, the Parzen kernel exponents of one column
+ * (both at the end of this file).  Each does the floating-point
  * operations of its numpy reference in the same order, so the results
  * are equal bit for bit.
  *
@@ -296,4 +297,36 @@ ptrdiff_t odse_smo_sweep(const double *k, const double *y, const double *eta,
     }
     *bias = b;
     return changed;
+}
+
+/* odse_parzen_exponents: the exponents of the Parzen kernel terms of one
+ * column x of n samples, stride doubles apart, as entropy.column_scores'
+ * numpy path computes them (np.subtract, np.multiply, np.divide):
+ *     out[i*n + k] = ((x_i - x_k) * (x_i - x_k)) / scale
+ * Two k at a time in a vector of two doubles; each lane does the same
+ * IEEE operations, so the values are equal bit for bit.
+ */
+typedef double pair_t __attribute__((vector_size(16)));
+
+void odse_parzen_exponents(const double *x, ptrdiff_t stride, ptrdiff_t n,
+                           double scale, double *out)
+{
+    const pair_t s = {scale, scale};
+    for (ptrdiff_t i = 0; i < n; i++) {
+        const double x_i = x[i * stride];
+        const pair_t v_i = {x_i, x_i};
+        double *row = out + i * n;
+        ptrdiff_t k = 0;
+        for (; k + 2 <= n; k += 2) {
+            const pair_t v_k = {x[k * stride], x[(k + 1) * stride]};
+            const pair_t d = v_i - v_k;
+            const pair_t q = (d * d) / s;
+            row[k] = q[0];
+            row[k + 1] = q[1];
+        }
+        if (k < n) {
+            const double d = x_i - x[k * stride];
+            row[k] = (d * d) / scale;
+        }
+    }
 }

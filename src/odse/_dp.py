@@ -1,16 +1,20 @@
 """Build, cache and load the compiled kernels in `_dp.c`.
 
-The one shared library holds two kernels: the alignment dynamic program
-behind `alignment.dissimilarity_table` and `alignment.alignment_cost_rows`,
-and one sweep of the SVM solver `classifiers.smo_solve`.  It is compiled
-with the system C compiler on the first kernel call, never at import.
-It is cached under a name keyed by a hash of the source and the
-compiler flags, first in the package's `__pycache__` directory and,
-when that is not writable, in `~/.cache/odse`.  Each build writes a
-temporary file and moves it into place with `os.replace`, so a
-concurrent process never loads a partial library.  When no compiler is
-found or no build succeeds, `load` returns None and each caller runs its
-numpy loop instead.
+The one shared library holds three kernels: the alignment dynamic
+program behind `alignment.dissimilarity_table` and
+`alignment.alignment_cost_rows`, one sweep of the SVM solver
+`classifiers.smo_solve`, and the Parzen kernel exponents of one column
+for `entropy.column_scores`.  It is compiled with the system C compiler
+on the first kernel call, never at import.  It is cached under a name
+keyed by a hash of the source and the compiler flags, first in the
+package's `__pycache__` directory and, when that is not writable, in
+`~/.cache/odse`.  Each build writes a temporary file and moves it into
+place with `os.replace`, so a concurrent process never loads a partial
+library.  A build in the package's own directory removes the libraries
+of earlier sources there; `~/.cache/odse` is left alone, since installs
+of other versions share it.  When no compiler is found or no build
+succeeds, `load` returns None and each caller runs its numpy loop
+instead.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import ctypes
 import hashlib
 import logging
 import os
+import re
 import shutil
 import subprocess
 import tempfile
@@ -56,6 +61,20 @@ def cache_dirs() -> tuple[Path, ...]:
     return (SOURCE.parent / "__pycache__", Path.home() / ".cache" / "odse")
 
 
+# a cached library, not a build's temporary file (which has a suffix
+# after the hash)
+_LIBRARY = re.compile(r"_dp-[0-9a-f]{16}\.so")
+
+
+def _remove_stale(directory: Path, keep: Path) -> None:
+    for path in directory.iterdir():
+        if path != keep and _LIBRARY.fullmatch(path.name):
+            try:
+                path.unlink()
+            except OSError:
+                pass
+
+
 def _build(cc: str, target: Path) -> None:
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=target.stem, suffix=".so", dir=target.parent)
@@ -76,6 +95,7 @@ class Kernels(NamedTuple):
 
     cost_table: Callable[..., int]
     smo_sweep: Callable[..., int]
+    parzen_exponents: Callable[..., None]
 
 
 def _open(path: Path) -> Kernels:
@@ -91,19 +111,25 @@ def _open(path: Path) -> Kernels:
         ptr, ptr, ptr, size, real, real, real, ptr, ptr, ctypes.POINTER(real),
     )
     smo_sweep.restype = size
-    return Kernels(cost_table, smo_sweep)
+    parzen_exponents = lib.odse_parzen_exponents
+    parzen_exponents.argtypes = (ptr, size, size, real, ptr)
+    parzen_exponents.restype = None
+    return Kernels(cost_table, smo_sweep, parzen_exponents)
 
 
 def _find_or_build():
     cc = compiler()
     failures = []
-    for directory in cache_dirs():
+    dirs = cache_dirs()
+    for directory in dirs:
         try:
             path = directory / library_name()
             if not path.exists():
                 if cc is None:
                     continue
                 _build(cc, path)
+                if directory == dirs[0]:
+                    _remove_stale(directory, path)
             return _open(path)
         except (OSError, subprocess.SubprocessError) as exc:
             stderr = getattr(exc, "stderr", None) or b""

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _dp
 from .embedding import euclidean_distances
 from .errors import OdseError
 
@@ -65,8 +66,12 @@ def qre_entropy(samples, sigma: float) -> float:
     if not sigma > 0.0:
         raise OdseError("sigma must be positive")
     sq = euclidean_distances(x, x, squared=True)
-    # kernel G_{sigma*sqrt(2)}: normalizer (4*pi*sigma^2)^(-d/2)
     kernel_sum = float(np.sum(np.exp(-sq / (4.0 * sigma * sigma))))
+    return _qre_value(kernel_sum, n, d, sigma)
+
+
+def _qre_value(kernel_sum: float, n: int, d: int, sigma: float) -> float:
+    # kernel G_{sigma*sqrt(2)}: normalizer (4*pi*sigma^2)^(-d/2)
     mean = kernel_sum / (n * n)
     return 0.5 * d * math.log(4.0 * math.pi * sigma * sigma) - math.log(mean)
 
@@ -111,14 +116,18 @@ def mst_entropy(samples, cfg: EstimatorConfig) -> float:
     n, d = x.shape
     if n < 2:
         raise OdseError("MST estimator needs at least two samples")
+    return _mst_value(_prim_mst_lengths(euclidean_distances(x, x)), n, d, cfg)
+
+
+def _mst_value(lengths: np.ndarray, n: int, d: int, cfg: EstimatorConfig) -> float:
     gamma = d * (1.0 - cfg.alpha)
-    lengths = _prim_mst_lengths(euclidean_distances(x, x))
     with np.errstate(over="ignore"):
         total = _power_sum(lengths, gamma)
     if total == 0.0:
         return float("-inf")
     if math.isinf(total):
-        # log-sum-exp over gamma * ln(length); zero edges add nothing
+        # log-sum-exp over gamma * ln(length), summed in the order the
+        # lengths come in; zero edges add nothing
         with np.errstate(divide="ignore"):
             logs = gamma * np.log(lengths)
         top = float(logs.max())
@@ -127,10 +136,24 @@ def mst_entropy(samples, cfg: EstimatorConfig) -> float:
     return math.log(total / n**cfg.alpha) / (1.0 - cfg.alpha)
 
 
-def normalized_column_entropy(column, cfg: EstimatorConfig) -> EntropyValue:
-    """Informativeness score of a 1-D dissimilarity column: the
-    one-dimensional case of `normalized_vector_entropy`."""
-    return _normalized_entropy(np.reshape(column, (-1, 1)), cfg)
+def _checked_table(samples) -> np.ndarray:
+    x = _as_matrix(samples)
+    if x.shape[0] < 2:
+        raise OdseError("entropy score needs at least two samples")
+    if not np.isfinite(x).all():
+        raise OdseError("entropy score needs finite samples")
+    return x
+
+
+def _score(raw: float, ref: float) -> EntropyValue:
+    """The estimate `raw` against the reference `ref`, clamped to [0, 1]."""
+    if ref > 0.0:
+        h = raw / ref
+    elif raw >= 0.0:
+        h = 1.0
+    else:
+        h = ref / raw
+    return EntropyValue(raw=raw, normalized=min(max(h, 0.0), 1.0))
 
 
 def normalized_vector_entropy(samples, cfg: EstimatorConfig) -> EntropyValue:
@@ -141,28 +164,66 @@ def normalized_vector_entropy(samples, cfg: EstimatorConfig) -> EntropyValue:
     dimensions.  When that reference is not positive (box volume <= 1)
     the ratio is formed the other way around so the score stays in [0,1]
     and still grows with spread.  A set whose samples all coincide
-    scores 0 without invoking the estimator.
+    scores 0 without invoking the estimator.  Non-finite samples are
+    refused.
     """
-    return _normalized_entropy(samples, cfg)
-
-
-# the one rule behind both public scores; the column score does not call
-# normalized_vector_entropy itself, so that timing or counting either
-# public name sees only its own callers
-def _normalized_entropy(samples, cfg: EstimatorConfig) -> EntropyValue:
-    x = _as_matrix(samples)
-    if x.shape[0] < 2:
-        raise OdseError("entropy score needs at least two samples")
+    x = _checked_table(samples)
     ranges = x.max(axis=0) - x.min(axis=0)
     positive = ranges[ranges > 0.0]
     if positive.size == 0:
         return EntropyValue(raw=float("-inf"), normalized=0.0)
     ref = float(np.sum(np.log(positive)))
     raw = qre_entropy(x, cfg.sigma) if cfg.kind == QRE else mst_entropy(x, cfg)
-    if ref > 0.0:
-        h = raw / ref
-    elif raw >= 0.0:
-        h = 1.0
-    else:
-        h = ref / raw
-    return EntropyValue(raw=raw, normalized=min(max(h, 0.0), 1.0))
+    return _score(raw, ref)
+
+
+def column_scores(table, cfg: EstimatorConfig) -> list[EntropyValue]:
+    """Informativeness score of each column of an (N, M) table.  Entry j
+    equals normalized_vector_entropy(table[:, j], cfg) bit for bit.
+
+    A column is one-dimensional, and so is its work.  QRE: each
+    column's Parzen terms are computed in one N x N buffer reused for
+    every column, their exponents by the compiled kernel when there is
+    one and by numpy otherwise; each term, and the shape of the array
+    summed, are those of `qre_entropy`, so numpy's exp and pairwise sum
+    give the same bits.  MST: the sorted column's adjacent gaps form a
+    minimum spanning tree, since rounded distances are monotone along a
+    sorted axis, and every minimum spanning tree has the edge lengths
+    Prim's finds.
+    """
+    # C order: the kernel reads column j from x[0, j] at a stride of m
+    x = np.ascontiguousarray(_checked_table(table))
+    n, m = x.shape
+    ranges = x.max(axis=0) - x.min(axis=0)
+    if cfg.kind == QRE:
+        terms = np.empty((n, n))
+        # (-s) / c == s / (-c) exactly, so this is qre_entropy's division
+        scale = -(4.0 * cfg.sigma * cfg.sigma)
+        kernels = _dp.load()
+    scores = []
+    for j in range(m):
+        if not ranges[j] > 0.0:
+            scores.append(EntropyValue(raw=float("-inf"), normalized=0.0))
+            continue
+        c = x[:, j]
+        if cfg.kind == QRE:
+            if kernels is not None:
+                kernels.parzen_exponents(c.ctypes.data, m, n, scale, terms.ctypes.data)
+            else:
+                np.subtract(c[:, None], c[None, :], out=terms)
+                np.multiply(terms, terms, out=terms)
+                np.divide(terms, scale, out=terms)
+            np.exp(terms, out=terms)
+            raw = _qre_value(float(terms.sum()), n, 1, cfg.sigma)
+        else:
+            gaps = np.diff(np.sort(c))
+            raw = _mst_value(np.sqrt(gaps * gaps), n, 1, cfg)
+        # the log of a one-element array, as for a one-column vector
+        scores.append(_score(raw, float(np.sum(np.log(ranges[j:j + 1])))))
+    return scores
+
+
+def normalized_column_entropy(column, cfg: EstimatorConfig) -> EntropyValue:
+    """Informativeness score of a 1-D dissimilarity column: the
+    one-column case of `column_scores`."""
+    return column_scores(np.reshape(column, (-1, 1)), cfg)[0]

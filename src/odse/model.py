@@ -46,7 +46,7 @@ from .embedding import (
 from .entropy import (
     MST,
     EstimatorConfig,
-    normalized_column_entropy,
+    column_scores,
     normalized_vector_entropy,
 )
 from .errors import OdseError, SynthesisError, TrainingError
@@ -293,8 +293,7 @@ def _train_table(train_seqs, sim: SimilarityMatrix, gap_weight: float, normaliza
 def _column_scores(d0: np.ndarray, est: EstimatorConfig, sigma: float) -> list[float]:
     """Normalized entropy of each column of d0 under Parzen width sigma;
     the MST estimator ignores sigma, so substituting it is harmless."""
-    est_g = dataclasses.replace(est, sigma=sigma)
-    return [normalized_column_entropy(d0[:, j], est_g).normalized for j in range(d0.shape[1])]
+    return [v.normalized for v in column_scores(d0, dataclasses.replace(est, sigma=sigma))]
 
 
 def _synthesize(
@@ -483,7 +482,7 @@ def ga_optimize(
     def score_key(g):
         return g.gap_weight, None if est.kind == MST else g.sigma
 
-    def column_scores(key):
+    def table_scores(key):
         w, sigma = key
         return _column_scores(tables[w][1], est, est.sigma if sigma is None else sigma)
 
@@ -499,7 +498,7 @@ def ga_optimize(
     def evaluate(pop, pool):
         new = [g for g in pop if g not in results]
         fill(tables, table, (g.gap_weight for g in new), pool)
-        fill(scores, column_scores, map(score_key, new), pool)
+        fill(scores, table_scores, map(score_key, new), pool)
         fill(results, synthesize, new, pool)
         _prune(tables, (g.gap_weight for g in pop))
         _prune(scores, map(score_key, pop))

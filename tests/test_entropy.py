@@ -1,13 +1,19 @@
 import math
 import warnings
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from odse import _dp
 from odse.entropy import (
     MST,
     QRE,
     EstimatorConfig,
+    column_scores,
     mst_entropy,
     normalized_column_entropy,
     normalized_vector_entropy,
@@ -313,3 +319,116 @@ class TestColumnIsOneDimensionalVector:
         assert normalized_column_entropy(col, cfg) == normalized_vector_entropy(
             col.reshape(-1, 1), cfg
         )
+
+
+def bits(v):
+    return v.raw.hex(), v.normalized.hex()
+
+
+@st.composite
+def scored_tables(draw):
+    """An (N, M) table and an estimator: real, integer-valued or tied
+    cells, some columns constant, spreads from 0.01 to 300."""
+    n, m = draw(st.integers(2, 40)), draw(st.integers(1, 4))
+    style = draw(st.sampled_from(["real", "integer", "ties"]))
+    cells = {
+        "real": st.floats(0.0, 1.0),
+        "integer": st.integers(0, 60).map(float),
+        "ties": st.sampled_from([0.0, 0.25, 1.0]),
+    }[style]
+    table = np.array(draw(st.lists(cells, min_size=n * m, max_size=n * m))).reshape(n, m)
+    table *= draw(st.sampled_from([0.01, 0.4, 1.0, 7.0, 300.0]))
+    if style == "integer":
+        table = np.round(table)
+    for j in draw(st.sets(st.integers(0, m - 1), max_size=m)):
+        table[:, j] = table[0, j]
+    if draw(st.booleans()):
+        cfg = EstimatorConfig(kind=QRE, sigma=draw(st.floats(0.01, 5.0)))
+    else:
+        cfg = EstimatorConfig(kind=MST, alpha=draw(st.floats(0.01, 0.99)))
+    return table, cfg
+
+
+def numpy_path():
+    """Score columns without the compiled kernels, as where no C
+    compiler exists."""
+    return mock.patch.object(_dp, "load", lambda: None)
+
+
+class TestColumnScores:
+    """`column_scores` scores each column of a table exactly as the
+    vector score scores that column alone, with the compiled Parzen
+    exponents and with the numpy ones."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scored_tables(), st.booleans())
+    def test_equals_vector_score_of_each_column(self, case, compiled):
+        table, cfg = case
+        with nullcontext() if compiled else numpy_path():
+            got = column_scores(table, cfg)
+        assert len(got) == table.shape[1]
+        for j, v in enumerate(got):
+            assert bits(v) == bits(normalized_vector_entropy(table[:, j], cfg))
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+    @pytest.mark.parametrize("kind", [QRE, MST])
+    @pytest.mark.parametrize(
+        "table",
+        [
+            np.array([[0.0], [3.5]]),
+            np.array([[2.0, 2.0], [2.0, 7.0]]),
+            np.array([[1.0, 4.0, 4.0], [1.0, 4.0, 9.0], [1.0, 0.0, 4.0], [1.0, 9.0, 0.0]]),
+            np.round(np.random.default_rng(71).uniform(0.0, 40.0, size=(98, 5))),
+        ],
+        ids=["two-samples", "constant-and-pair", "ties", "integer-98"],
+    )
+    def test_edge_tables(self, kind, table, compiled):
+        for sigma in (0.01, 0.5, 5.0):
+            cfg = EstimatorConfig(kind=kind, sigma=sigma)
+            with nullcontext() if compiled else numpy_path():
+                got = column_scores(table, cfg)
+            want = [normalized_vector_entropy(table[:, j], cfg) for j in range(table.shape[1])]
+            assert list(map(bits, got)) == list(map(bits, want))
+
+    def test_underflowing_terms(self):
+        # at sigma 0.01 every pair further apart than about 0.55 has a
+        # kernel term of exactly 0
+        table = np.random.default_rng(73).uniform(0.0, 300.0, size=(60, 3))
+        cfg = EstimatorConfig(kind=QRE, sigma=0.01)
+        assert np.exp(-(0.6**2) / (4.0 * cfg.sigma**2)) == 0.0
+        got = column_scores(table, cfg)
+        for j, v in enumerate(got):
+            assert bits(v) == bits(normalized_vector_entropy(table[:, j], cfg))
+            assert math.isfinite(v.raw)
+
+    def test_column_entropy_is_the_one_column_case(self):
+        col = np.array([0.5, 3.0, 3.0, 9.25, 1.0])
+        for kind in (QRE, MST):
+            cfg = EstimatorConfig(kind=kind)
+            assert normalized_column_entropy(col, cfg) == column_scores(col[:, None], cfg)[0]
+
+    def test_no_columns(self):
+        assert column_scores(np.empty((4, 0)), EstimatorConfig()) == []
+
+    def test_needs_two_samples(self):
+        with pytest.raises(OdseError, match="two samples"):
+            column_scores(np.ones((1, 3)), EstimatorConfig())
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("kind", [QRE, MST])
+class TestNonFiniteSamples:
+    """A non-finite cell is refused: an inf would score nan, which every
+    comparison with a threshold reads as false, and a nan would score 0."""
+
+    def test_column_scores_refuse(self, bad, kind):
+        table = np.arange(12.0).reshape(4, 3)
+        table[2, 1] = bad
+        with pytest.raises(OdseError, match="finite"):
+            column_scores(table, EstimatorConfig(kind=kind))
+
+    def test_vector_score_refuses(self, bad, kind):
+        samples = np.arange(12.0).reshape(6, 2)
+        samples[5, 0] = bad
+        with pytest.raises(OdseError, match="finite"):
+            normalized_vector_entropy(samples, EstimatorConfig(kind=kind))

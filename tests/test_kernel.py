@@ -1,6 +1,6 @@
-"""The compiled kernels (alignment DP and SMO sweep) against their numpy
-reference loops, the fallbacks when they cannot be built, and how and
-when they are built."""
+"""The compiled kernels (alignment DP, SMO sweep and Parzen exponents)
+against their numpy reference loops, the fallbacks when they cannot be
+built, and how and when they are built."""
 
 import platform
 import subprocess
@@ -29,6 +29,7 @@ from odse.alignment import (
 )
 from odse.classifiers import smo_solve
 from odse.embedding import RepresentationSet, compute_matrix
+from odse.entropy import QRE, EstimatorConfig, column_scores
 
 from conftest import RESIDUES, random_sequences
 from test_classifiers import random_gram
@@ -222,10 +223,53 @@ class TestCompiledKernel:
         assert all(k is loaded[0] for k in loaded)
         assert [p.name for p in (fresh_build / "a").iterdir()] == [_dp.library_name()]
 
+    # an earlier source's library, then files that only look like one
+    STALE = "_dp-0123456789abcdef.so"
+    UNRELATED = ("notes.txt", "_dp-0123456789abcdef.so.bak", "_dp-0123456789abcdefq1w2.so")
+
+    def stand_in_build(self, monkeypatch, *dirs):
+        """Fill dirs with a stale library and unrelated files, and make
+        a build write a stand-in library, so no compiler is needed."""
+        monkeypatch.setattr(_dp, "compiler", lambda: "cc")
+        monkeypatch.setattr(_dp, "_build", lambda cc, target: target.write_bytes(b"so"))
+        monkeypatch.setattr(_dp, "_open", lambda path: path)
+        for directory in dirs:
+            directory.mkdir()
+            for name in (self.STALE, *self.UNRELATED):
+                (directory / name).write_text("x", encoding="utf-8")
+
+    def test_build_in_package_dir_removes_stale_libraries(self, fresh_build, monkeypatch):
+        own = fresh_build / "a"
+        self.stand_in_build(monkeypatch, own)
+        assert _dp.load() == own / _dp.library_name()
+        assert {p.name for p in own.iterdir()} == {_dp.library_name(), *self.UNRELATED}
+
+    def test_build_in_shared_cache_keeps_every_library(self, fresh_build, monkeypatch):
+        shared = fresh_build / "b"
+        self.stand_in_build(monkeypatch, shared)
+        (fresh_build / "a").write_text("not a directory", encoding="utf-8")
+        assert _dp.load() == shared / _dp.library_name()
+        assert {p.name for p in shared.iterdir()} == {
+            _dp.library_name(), self.STALE, *self.UNRELATED
+        }
+
     def test_unwritable_cache_dir_falls_through_to_the_next(self, fresh_build):
         (fresh_build / "a").write_text("not a directory", encoding="utf-8")
         assert _dp.load() is not None
         assert (fresh_build / "b" / _dp.library_name()).exists()
+
+
+@needs_kernel
+def test_column_scores_use_the_compiled_parzen_exponents(monkeypatch):
+    kernels = _dp.load()
+    calls = []
+    counted = kernels._replace(
+        parzen_exponents=lambda *args: calls.append(args[2]) or kernels.parzen_exponents(*args)
+    )
+    monkeypatch.setattr(_dp, "load", lambda: counted)
+    table = np.random.default_rng(31).uniform(0.0, 9.0, size=(7, 3))
+    column_scores(table, EstimatorConfig(kind=QRE))
+    assert calls == [7, 7, 7]
 
 
 @pytest.mark.parametrize("path", [pytest.param("compiled", marks=needs_kernel), "numpy"])

@@ -432,13 +432,14 @@ class TestColumnSelection:
         import odse.model
 
         calls = []
-        scorer = odse.model.normalized_column_entropy
+        scorer = odse.model.column_scores
 
-        def counting(column, cfg):
-            calls.append(len(column))
-            return scorer(column, cfg)
+        def counting(table, cfg):
+            n, m = table.shape
+            calls.extend([n] * m)
+            return scorer(table, cfg)
 
-        monkeypatch.setattr(odse.model, "normalized_column_entropy", counting)
+        monkeypatch.setattr(odse.model, "column_scores", counting)
         train, val = self.corpus()
         genomes = self.genomes(8, seed=67)
         provenance = set()
@@ -839,19 +840,20 @@ class TestGaReuse:
         """Lists that collect the gap cost of each train x train table
         and the length of each scored column."""
         tables, columns = [], []
-        compute, scorer = odse.model.compute_matrix, odse.model.normalized_column_entropy
+        compute, scorer = odse.model.compute_matrix, odse.model.column_scores
 
         def counting_compute(data, r, cm, *args, **kwargs):
             if r.ids == tuple(s.id for s in data):
                 tables.append(cm.gap_cost)
             return compute(data, r, cm, *args, **kwargs)
 
-        def counting_scorer(column, cfg):
-            columns.append(len(column))
-            return scorer(column, cfg)
+        def counting_scorer(table, cfg):
+            n, m = table.shape
+            columns.extend([n] * m)
+            return scorer(table, cfg)
 
         monkeypatch.setattr(odse.model, "compute_matrix", counting_compute)
-        monkeypatch.setattr(odse.model, "normalized_column_entropy", counting_scorer)
+        monkeypatch.setattr(odse.model, "column_scores", counting_scorer)
         return tables, columns
 
     def test_one_table_per_gap_weight_and_one_score_per_column_and_sigma(
