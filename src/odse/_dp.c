@@ -39,10 +39,9 @@
  *
  * Inputs are validated by the caller (codes in range, lengths within the
  * padded width).  Query q is codes[starts[q] .. starts[q+1]-1]; its cost
- * to target k is written to out[q*n_cols + cols[k]], or out[q*n_cols + k]
- * when cols is NULL.  The scratch is allocated per call and sized by the
- * padded width, so concurrent callers share no state and a call's memory
- * does not grow with its query count.
+ * to target k is written to out[q*n_cols + cols[k]].  The scratch is
+ * allocated per call and sized by the padded width, so concurrent callers
+ * share no state and a call's memory does not grow with its query count.
  */
 
 #include <math.h>
@@ -206,7 +205,7 @@ int odse_cost_table(const ptrdiff_t *codes, const ptrdiff_t *starts,
             run(codes + starts[q], starts[q + 1] - starts[q], prof, len, jg, gap, state);
             double *row_q = out + q * n_cols;
             for (ptrdiff_t l = 0; l < nl; l++)
-                row_q[cols ? cols[k0 + l] : k0 + l] = state[lens[k0 + l] * LANES + l];
+                row_q[cols[k0 + l]] = state[lens[k0 + l] * LANES + l];
         }
     }
     free(buf);

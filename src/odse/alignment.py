@@ -37,6 +37,12 @@ def check_gap_weight(gap_weight: float) -> None:
         raise CostModelError(f"gap_weight must be in (0, {GAP_WEIGHT_MAX:g}], got {gap_weight}")
 
 
+def check_normalization(normalization: str) -> None:
+    """The one rule of every normalization name: one of NORMALIZATIONS."""
+    if normalization not in NORMALIZATIONS:
+        raise CostModelError(f"unknown normalization {normalization!r}; choose from {NORMALIZATIONS}")
+
+
 @dataclass(frozen=True)
 class SimilarityMatrix:
     """Square, symmetric integer similarity table over a symbol alphabet."""
@@ -140,6 +146,10 @@ class AlignmentCostModel:
 
     def __post_init__(self):
         n = len(self.alphabet)
+        # a repeated symbol would silently take the costs of its last place
+        for i, a in enumerate(self.alphabet):
+            if not (isinstance(a, str) and len(a) == 1) or a in self.alphabet[:i]:
+                raise CostModelError(f"alphabet symbols must be distinct characters, got {a!r}")
         c = self.sub_cost
         if c.shape != (n, n):
             raise CostModelError(f"cost table is {c.shape}, expected {(n, n)}")
@@ -158,10 +168,7 @@ class AlignmentCostModel:
             raise CostModelError(
                 f"gap cost must be in [0, {GAP_WEIGHT_MAX:g}], got {self.gap_cost}"
             )
-        if self.normalization not in NORMALIZATIONS:
-            raise CostModelError(
-                f"unknown normalization {self.normalization!r}"
-            )
+        check_normalization(self.normalization)
         object.__setattr__(
             self, "_index", {a: i for i, a in enumerate(self.alphabet)}
         )
@@ -241,16 +248,21 @@ def _checked_batch(codes, proto_mat, proto_lens, sub_cost):
     return codes, proto_mat, proto_lens, sub_cost
 
 
-def _kernel_table(kernels, codes, starts, proto_mat, proto_lens, sub_cost, gap, cols, out):
-    """One call of the compiled kernel: the raw costs of query q, the codes
-    codes[starts[q]:starts[q + 1]], to target k go to out[q, cols[k]]
-    (out[q, k] when cols is None; out may be one row)."""
+def _cost_table(kernels, codes, starts, proto_mat, proto_lens, sub_cost, gap, cols, out):
+    """The raw costs of query q, the codes codes[starts[q]:starts[q + 1]],
+    to target k, written to out[q, cols[k]] on checked, contiguous
+    arrays: one call of the compiled kernel, or one `numpy_cost_rows`
+    call per query when `kernels` is None.  The one place that chooses."""
+    if kernels is None:
+        for q, (lo, hi) in enumerate(zip(starts, starts[1:])):
+            out[q, cols] = numpy_cost_rows(codes[lo:hi], proto_mat, proto_lens, sub_cost, gap)
+        return
     n_targets, width = proto_mat.shape
     status = kernels.cost_table(
         codes.ctypes.data, starts.ctypes.data, len(starts) - 1,
         proto_mat.ctypes.data, proto_lens.ctypes.data, n_targets, width,
         sub_cost.ctypes.data, sub_cost.shape[0], float(gap),
-        None if cols is None else cols.ctypes.data, out.shape[-1], out.ctypes.data,
+        cols.ctypes.data, out.shape[1], out.ctypes.data,
     )
     if status != 0:
         raise MemoryError("alignment kernel could not allocate its scratch")
@@ -264,29 +276,19 @@ def alignment_cost_rows(
     gap: float,
 ) -> np.ndarray:
     """Global-alignment costs of one encoded query against a batch of
-    encoded, padded targets.
-
-    The one-query view of the table kernel behind `dissimilarity_table`:
-    it runs the compiled kernel in `_dp.c`, built on the first call, or
-    the numpy loop `numpy_cost_rows` when the kernel cannot be built.
-    The kernel aligns eight targets at a time, one per lane, and every
-    lane does the numpy loop's floating-point operations in the same
-    order, so the two agree bit for bit whatever the batch's order or
-    size.  Batches whose neighbouring targets have similar lengths run
-    fastest.  Both paths check the batch first: a symbol code outside the
-    cost table raises IndexError, and a target length outside the padded
-    width or a cost table that does not fit raises ValueError.
+    encoded, padded targets: the one-query case of the `_cost_table`
+    call behind `dissimilarity_table`, after the same checks (IndexError
+    for a symbol code outside the cost table, ValueError for a target
+    length outside the padded width or a cost table that does not fit).
+    The compiled kernel in `_dp.c` and the numpy loop `numpy_cost_rows`
+    agree bit for bit whatever the batch's order or size.
     """
-    query, proto_mat, proto_lens, sub_cost = _checked_batch(
-        query, proto_mat, proto_lens, sub_cost
-    )
-    kernels = _dp.load()
-    if kernels is None:
-        return numpy_cost_rows(query, proto_mat, proto_lens, sub_cost, gap)
-    out = np.empty(len(proto_lens), dtype=np.float64)
+    query, proto_mat, proto_lens, sub_cost = _checked_batch(query, proto_mat, proto_lens, sub_cost)
+    out = np.empty((1, len(proto_lens)), dtype=np.float64)
     starts = np.array([0, len(query)], dtype=np.intp)
-    _kernel_table(kernels, query, starts, proto_mat, proto_lens, sub_cost, gap, None, out)
-    return out
+    cols = np.arange(len(proto_lens), dtype=np.intp)
+    _cost_table(_dp.load(), query, starts, proto_mat, proto_lens, sub_cost, gap, cols, out)
+    return out[0]
 
 
 def numpy_cost_rows(
@@ -334,11 +336,10 @@ def dissimilarity_table(
     batch is checked once.  The queries are then cut into contiguous
     chunks of nearly equal size and at most CHUNK_ROWS queries, a
     multiple of `threads` of them (or one per query, if there are
-    fewer), and each chunk is one call of the compiled kernel, which
-    writes its rows straight into the caller's column order (without a
-    compiler, each row is one `numpy_cost_rows` call).
-    Each cost depends on one query and one target alone, so neither the
-    order, the chunks nor the number of worker threads changes a result.
+    fewer), and each chunk is one `_cost_table` call, which writes its
+    rows straight into the caller's column order.  Each cost depends on
+    one query and one target alone, so neither the order, the chunks nor
+    the number of worker threads changes a result.
     """
     codes = [cm.encode(t) for t in targets]
     lens = np.array([len(c) for c in codes], dtype=np.intp)
@@ -357,15 +358,8 @@ def dissimilarity_table(
     kernels = _dp.load()
 
     def fill(lo, hi):
-        if kernels is None:
-            for i in range(lo, hi):
-                query = flat[starts[i]:starts[i + 1]]
-                out[i, order] = numpy_cost_rows(query, mat, sorted_lens, sub, cm.gap_cost)
-        else:
-            _kernel_table(
-                kernels, flat, starts[lo:hi + 1], mat, sorted_lens, sub, cm.gap_cost,
-                order, out[lo:hi],
-            )
+        _cost_table(kernels, flat, starts[lo:hi + 1], mat, sorted_lens, sub, cm.gap_cost,
+                    order, out[lo:hi])
         if cm.normalization == BY_MAX_LENGTH:
             denom = np.maximum(qlens[lo:hi, None], lens).astype(np.float64)
             with np.errstate(invalid="ignore"):

@@ -33,12 +33,17 @@ _STEP_EPS = 1e-7
 _SUPPORT_EPS = 1e-10
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, not a bool (an archive may hold 3.0 or true)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class KnnConfig:
     k: int = 5
 
     def __post_init__(self):
-        if self.k < 1 or self.k % 2 == 0:
+        if not _is_integer(self.k) or self.k < 1 or self.k % 2 == 0:
             raise OdseError(f"k must be a positive odd integer, got {self.k}")
 
 
@@ -61,8 +66,8 @@ class SvmConfig:
             )
         if not self.kkt_tolerance > 0.0:
             raise OdseError("kkt_tolerance must be positive")
-        if self.max_passes < 1:
-            raise OdseError("max_passes must be at least 1")
+        if not _is_integer(self.max_passes) or self.max_passes < 1:
+            raise OdseError(f"max_passes must be an integer of at least 1, got {self.max_passes}")
 
 
 @dataclass(frozen=True)

@@ -186,17 +186,25 @@ def _cmd_matrix(args) -> int:
     return 0
 
 
+def _split(args):
+    """The settings, corpus, similarity matrix and split of splits and
+    synthesize: (config, inner, data, sim, train, test)."""
+    config, inner = _experiment_config(args)
+    spec = config.split
+    data = load_dataset(args.fasta, args.solubility)
+    sim = load_similarity_matrix(args.matrix)
+    cm = reference_cost_model(sim, config)
+    train, test = make_split(spec.name, data, spec.seed, cm=cm, threads=config.threads)
+    return config, inner, data, sim, train, test
+
+
 def _cmd_splits(args) -> int:
     import json
 
-    config, _ = _experiment_config(args)
-    spec = config.split
-    data = load_dataset(args.fasta, args.solubility)
-    cm = reference_cost_model(load_similarity_matrix(args.matrix), config)
-    train, test = make_split(spec.name, data, spec.seed, cm=cm, threads=config.threads)
+    config, _, data, _, train, test = _split(args)
     doc = {
-        "split": spec.name,
-        "seed": spec.seed,
+        "split": config.split.name,
+        "seed": config.split.seed,
         "train": [{"id": s.id, "label": lab} for s, lab in train],
         "test": [{"id": s.id, "label": lab} for s, lab in test],
     }
@@ -207,13 +215,8 @@ def _cmd_splits(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    config, inner = _experiment_config(args)
-    spec = config.split
-    data = load_dataset(args.fasta, args.solubility)
-    sim = load_similarity_matrix(args.matrix)
-    cm = reference_cost_model(sim, config)
-    train, _ = make_split(spec.name, data, spec.seed, cm=cm, threads=config.threads)
-    model = optimize_model(train, sim, config, inner, spec.seed)
+    config, inner, _, sim, train, _ = _split(args)
+    model = optimize_model(train, sim, config, inner, config.split.seed)
     out = args.out or "model.json"
     save_model(model, out)
     g = model.genome

@@ -19,12 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alignment import (
-    NORMALIZATIONS,
     RAW,
     AlignmentCostModel,
     SimilarityMatrix,
     build_cost_model,
     check_gap_weight,
+    check_normalization,
 )
 from .classifiers import (
     KnnConfig,
@@ -117,10 +117,7 @@ class ExperimentConfig:
         if len(set(self.systems)) != len(self.systems):
             raise OdseError(f"each system may be named once, got {list(self.systems)}")
         check_gap_weight(self.input_gap_weight)
-        if self.normalization not in NORMALIZATIONS:
-            raise OdseError(
-                f"unknown normalization {self.normalization!r}; choose from {NORMALIZATIONS}"
-            )
+        check_normalization(self.normalization)
         if self.threads < 1:
             raise OdseError(f"threads must be at least 1, got {self.threads}")
 

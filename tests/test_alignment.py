@@ -401,3 +401,21 @@ def test_cost_model_validation_catches_bad_tables(toy_cm):
             AlignmentCostModel(toy_cm.alphabet, good, gap)
     assert AlignmentCostModel(toy_cm.alphabet, good, GAP_WEIGHT_MAX).gap_cost == GAP_WEIGHT_MAX
     assert math.isfinite(toy_cm.gap_cost)
+
+
+@pytest.mark.parametrize(
+    "alphabet, message",
+    [
+        (("A", "R", "N", "A"), "got 'A'$"),
+        (("A", "RN", "N", "D"), "got 'RN'$"),
+        (("A", "", "N", "D"), "got ''$"),
+        (("A", 1, "N", "D"), "distinct characters, got 1$"),
+    ],
+    ids=["repeated", "two-characters", "empty", "not-text"],
+)
+def test_cost_model_alphabet_symbols_must_be_unique_characters(alphabet, message, toy_cm):
+    # a repeated symbol would silently align with its last place's costs
+    from odse.alignment import AlignmentCostModel
+
+    with pytest.raises(CostModelError, match=message):
+        AlignmentCostModel(alphabet, toy_cm.sub_cost, toy_cm.gap_cost)

@@ -63,6 +63,16 @@ class TestKnnConfig:
         with pytest.raises(OdseError, match=f"odd integer, got {k}$"):
             KnnConfig(k=k)
 
+    @pytest.mark.parametrize("k", [3.0, 2.5, True])
+    def test_k_must_be_an_integer(self, k):
+        # an archive's k of 3.0 once reached a slice and raised TypeError,
+        # and true ran as k = 1
+        with pytest.raises(OdseError, match=f"odd integer, got {k}$"):
+            KnnConfig(k=k)
+
+    def test_numpy_integer_k_accepted(self):
+        assert KnnConfig(k=np.int64(3)).k == 3
+
 
 class TestKnnTieRules:
     def test_distance_tie_at_rank_k_goes_to_lower_index(self):
@@ -213,6 +223,11 @@ class TestSvmConfig:
             SvmConfig(kkt_tolerance=0.0)
         with pytest.raises(OdseError, match="max_passes"):
             SvmConfig(max_passes=0)
+
+    @pytest.mark.parametrize("passes", [200.0, 2.5, True])
+    def test_max_passes_must_be_an_integer(self, passes):
+        with pytest.raises(OdseError, match=f"max_passes must be an integer of at least 1, got {passes}$"):
+            SvmConfig(max_passes=passes)
 
     @pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan])
     def test_gamma_must_be_finite(self, gamma):

@@ -297,6 +297,16 @@ class TestMalformedModelFiles:
         doc["cost_model"]["gap_cost"] = gap_cost
         assert "gap cost" in self.expect_one_error_line(workdir, json.dumps(doc), tmp_path, capsys)
 
+    def test_repeated_alphabet_symbol_rejected(self, workdir, model_text, tmp_path, capsys):
+        # with the last symbol replaced by A, every A once took the costs
+        # of that last place (as PAM120's unused X, replaced by A, would)
+        doc = json.loads(model_text)
+        alphabet = doc["cost_model"]["alphabet"]
+        assert alphabet.count("A") == 1 and alphabet[-1] != "A"
+        doc["cost_model"]["alphabet"] = alphabet[:-1] + "A"
+        err = self.expect_one_error_line(workdir, json.dumps(doc), tmp_path, capsys)
+        assert err.endswith("alphabet symbols must be distinct characters, got 'A'")
+
     @pytest.fixture(scope="class")
     def svm_model_text(self, toy_sim):
         return model_to_json(built_model(toy_sim, SvmConfig(c=2.0)))
@@ -325,6 +335,9 @@ class TestMalformedModelFiles:
         "knn-label-7": (_put_first("labels", 7), "labels must be"),
         "knn-label-negative": (_put_first("labels", -3), "labels must be"),
         "knn-label-fraction": (_put_first("labels", 0.9), "labels must be"),
+        # k of 3.0 once ended in a TypeError traceback, and true ran as k = 1
+        "knn-k-float": (lambda inner: inner["config"].update(k=3.0), "odd integer, got 3.0"),
+        "knn-k-true": (lambda inner: inner["config"].update(k=True), "odd integer, got True"),
     }
     SVM_CHANGES = {
         "svm-targets-cut": (lambda inner: inner.update(targets=inner["targets"][:1]), "targets"),

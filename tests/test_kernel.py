@@ -100,17 +100,20 @@ def assert_kernels_agree(rows, query, mat, lens, cm):
 
 
 def assert_table_agrees(kernels, queries, mat, lens, cm, cols=None):
-    """One call of the table kernel over every query, each row against
-    numpy_cost_rows; with cols, target k's cost must land in column
-    cols[k]."""
+    """One `_cost_table` call over every query (the compiled kernel, or
+    the numpy loop when kernels is None), each row against
+    numpy_cost_rows: target k's cost must land in column cols[k], the
+    identity columns when cols is None."""
     codes = np.concatenate([np.asarray(q, dtype=np.intp) for q in queries] or [np.zeros(0)])
     starts = np.cumsum([0] + [len(q) for q in queries]).astype(np.intp)
     codes, mat, lens, sub = alignment._checked_batch(codes, mat, lens, cm.sub_cost)
+    if cols is None:
+        cols = np.arange(len(lens), dtype=np.intp)
     out = np.full((len(queries), len(lens)), np.nan)
-    alignment._kernel_table(kernels, codes, starts, mat, lens, sub, cm.gap_cost, cols, out)
+    alignment._cost_table(kernels, codes, starts, mat, lens, sub, cm.gap_cost, cols, out)
     for q, row in zip(queries, out):
         want = numpy_cost_rows(np.asarray(q, dtype=np.intp), mat, lens, sub, cm.gap_cost)
-        assert np.array_equal(row if cols is None else row[cols], want)
+        assert np.array_equal(row[cols], want)
 
 
 @needs_kernel
@@ -140,7 +143,7 @@ class TestCompiledKernel:
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
     def test_equals_numpy_reference_on_drawn_batches(self, data, pam120, plain_kernels):
-        kernels = data.draw(st.sampled_from((_dp.load(), plain_kernels)))
+        kernels = data.draw(st.sampled_from((_dp.load(), plain_kernels, None)))
         cm = build_cost_model(pam120, gap_weight=data.draw(st.floats(1e-3, GAP_WEIGHT_MAX)))
         codes = st.integers(0, len(cm.alphabet) - 1)
         queries = data.draw(st.lists(st.lists(codes, max_size=50), max_size=5))
@@ -205,7 +208,7 @@ class TestCompiledKernel:
             for pad in (0, 1, 10):
                 mat = rng.integers(0, len(cm.alphabet), size=(n_targets, int(lens.max(initial=0)) + pad))
                 queries = [rng.integers(0, len(cm.alphabet), size=n) for n in (0, 1, 30, 0)]
-                for kernels in (_dp.load(), plain_kernels):
+                for kernels in (_dp.load(), plain_kernels, None):
                     assert_table_agrees(kernels, queries, mat, lens, cm)
                 for query in queries[:3]:
                     for rows in (alignment_cost_rows, plain_kernel):
@@ -270,6 +273,18 @@ def test_column_scores_use_the_compiled_parzen_exponents(monkeypatch):
     table = np.random.default_rng(31).uniform(0.0, 9.0, size=(7, 3))
     column_scores(table, EstimatorConfig(kind=QRE))
     assert calls == [7, 7, 7]
+
+
+def test_numpy_table_writes_each_row_into_its_columns(pam120):
+    # the path without a compiler: one numpy_cost_rows call per query,
+    # each row scattered to cols, on the identity and a permutation
+    rng = np.random.default_rng(37)
+    cm = build_cost_model(pam120, gap_weight=1.1)
+    lens = rng.integers(0, 40, size=11)
+    mat = rng.integers(0, len(cm.alphabet), size=(11, int(lens.max()) + 2))
+    queries = [rng.integers(0, len(cm.alphabet), size=n) for n in (0, 7, 33)]
+    for cols in (None, rng.permutation(11)):
+        assert_table_agrees(None, queries, mat, lens, cm, cols)
 
 
 @pytest.mark.parametrize("path", [pytest.param("compiled", marks=needs_kernel), "numpy"])
