@@ -15,7 +15,6 @@ from .alignment import (
     build_cost_model,
     dissimilarities_to_targets,
     dissimilarity_table,
-    levenshtein,
     load_similarity_matrix,
     pam120_path,
     parse_similarity_matrix,

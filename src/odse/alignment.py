@@ -385,13 +385,3 @@ def dissimilarities_to_targets(
 ) -> np.ndarray:
     """Vector of alignment dissimilarities from `s` to each target."""
     return dissimilarity_table([s], targets, cm)[0]
-
-
-def levenshtein(s: Sequence, t: Sequence, cm: AlignmentCostModel) -> float:
-    """Weighted global-alignment dissimilarity between two sequences.
-
-    Nonnegative and exactly 0 for identical sequences.  Symmetric only
-    to rounding: the DP's prefix-min form rounds through c - j*gap, so
-    d(s, t) and d(t, s) can differ by about 1e-13.
-    """
-    return float(dissimilarity_table([s], [t], cm)[0, 0])

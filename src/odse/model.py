@@ -284,18 +284,6 @@ def _checked_sets(train, validation) -> _Sets:
     return sets
 
 
-def _train_table(train_seqs, sim: SimilarityMatrix, gap_weight: float, normalization: str):
-    """The cost model of a gap weight and its train x train table d0."""
-    cm = build_cost_model(sim, gap_weight=gap_weight, normalization=normalization)
-    return cm, compute_matrix(train_seqs, RepresentationSet(tuple(train_seqs)), cm).values
-
-
-def _column_scores(d0: np.ndarray, est: EstimatorConfig, sigma: float) -> list[float]:
-    """Normalized entropy of each column of d0 under Parzen width sigma;
-    the MST estimator ignores sigma, so substituting it is harmless."""
-    return [v.normalized for v in column_scores(d0, dataclasses.replace(est, sigma=sigma))]
-
-
 def _synthesize(
     g: OdseGenome,
     sets: _Sets,
@@ -345,6 +333,54 @@ def _synthesize(
     )
 
 
+def _evaluator(sets: _Sets, sim: SimilarityMatrix, inner_cfg, fw, est, normalization):
+    """`evaluate(pop, pool) -> (models, fits)`: the model and fitness of
+    each genome of pop, through one work cache kept across calls.
+
+    The cache holds one train x train table per gap weight, one list of
+    column scores per (gap weight, sigma), or per gap weight under MST,
+    which never reads sigma, and one model per genome.  Each part is
+    refreshed in one step: every missing key is computed once, in order
+    of first use (on pool's threads when pool is given), then every key
+    no genome of pop uses is dropped.
+    """
+    tables: dict[float, tuple[AlignmentCostModel, np.ndarray]] = {}
+    scores: dict[tuple[float, float | None], list[float]] = {}
+    models: dict[OdseGenome, OdseModel] = {}
+
+    def table(w):
+        cm = build_cost_model(sim, gap_weight=w, normalization=normalization)
+        return cm, compute_matrix(sets.train, RepresentationSet(tuple(sets.train)), cm).values
+
+    def score_key(g):
+        return g.gap_weight, None if est.kind == MST else g.sigma
+
+    def table_scores(key):
+        w, sigma = key
+        cfg = est if sigma is None else dataclasses.replace(est, sigma=sigma)
+        return [v.normalized for v in column_scores(tables[w][1], cfg)]
+
+    def synthesize(g):
+        cm, d0 = tables[g.gap_weight]
+        return _synthesize(g, sets, cm, d0, scores[score_key(g)], inner_cfg, fw, est)
+
+    def refresh(cache, fn, keys, pool):
+        live = dict.fromkeys(keys)
+        missing = [k for k in live if k not in cache]
+        cache.update(zip(missing, pool.map(fn, missing) if pool else map(fn, missing)))
+        for key in cache.keys() - live.keys():
+            del cache[key]
+
+    def evaluate(pop, pool):
+        refresh(tables, table, (g.gap_weight for g in pop), pool)
+        refresh(scores, table_scores, map(score_key, pop), pool)
+        refresh(models, synthesize, pop, pool)
+        out = [models[g] for g in pop]
+        return out, np.array([m.fitness for m in out], dtype=np.float64)
+
+    return evaluate
+
+
 def synthesize_instance(
     g: OdseGenome,
     train,
@@ -360,11 +396,13 @@ def synthesize_instance(
     train and validation are lists of (Sequence, label) pairs with
     disjoint ids.  Fitness combines validation accuracy, prototype-set
     shrinkage and the normalized spread of the embedded training vectors.
+    The genome goes through the same evaluation path as each generation
+    of `ga_optimize`, as a population of one.
     """
-    sets = _checked_sets(train, validation)
-    cm, d0 = _train_table(sets.train, sim, g.gap_weight, normalization)
-    scores = _column_scores(d0, est, g.sigma)
-    model = _synthesize(g, sets, cm, d0, scores, inner_cfg, fw, est)
+    evaluate = _evaluator(
+        _checked_sets(train, validation), sim, inner_cfg, fw, est, normalization
+    )
+    (model,), _ = evaluate([g], None)
     return model, model.fitness
 
 
@@ -436,12 +474,6 @@ def _stratified_holdout(train, fraction: float, rng: np.random.Generator):
     return train_part, val_part
 
 
-def _prune(cache: dict, live) -> None:
-    """Drop the entries of cache whose keys are not in live."""
-    for key in cache.keys() - set(live):
-        del cache[key]
-
-
 def ga_optimize(
     train,
     validation,
@@ -460,59 +492,26 @@ def ga_optimize(
     function of the genome, so results are identical for any thread
     count, and the whole run replays exactly from rng_seed.
 
-    Work is shared across genomes: one train x train table per gap
-    weight, one list of column scores per (gap weight, sigma), or per
-    gap weight under the MST estimator, which ignores sigma, and one
-    model per genome, each kept while a genome of the current
-    population uses it.  Crossover hands gap weight and sigma down
-    together and the elite passes unchanged, so most of a generation's
-    tables, scores and models come from the one before.
+    Each generation is one call of an `_evaluator`, whose cache keeps a
+    table, a score list or a model while a genome of the population uses
+    it.  Crossover hands gap weight and sigma down together and the
+    elite passes unchanged, so most of a generation's work comes from
+    the one before.  The elite, a generation's first best genome, leads
+    the next population with its cached model, so no generation's best
+    falls, and the final population's first best model is the first to
+    reach the run's best fitness.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     if validation is None:
         train, validation = _stratified_holdout(train, 0.3, rng)
-    sets = _checked_sets(train, validation)
-    tables: dict[float, tuple[AlignmentCostModel, np.ndarray]] = {}
-    scores: dict[tuple[float, float | None], list[float]] = {}
-    results: dict[OdseGenome, OdseModel] = {}
-
-    def table(w):
-        return _train_table(sets.train, sim, w, normalization)
-
-    def score_key(g):
-        return g.gap_weight, None if est.kind == MST else g.sigma
-
-    def table_scores(key):
-        w, sigma = key
-        return _column_scores(tables[w][1], est, est.sigma if sigma is None else sigma)
-
-    def synthesize(g):
-        cm, d0 = tables[g.gap_weight]
-        return _synthesize(g, sets, cm, d0, scores[score_key(g)], inner_cfg, fw, est)
-
-    def fill(cache, fn, keys, pool):
-        # missing keys in order of first use, each computed once
-        missing = [k for k in dict.fromkeys(keys) if k not in cache]
-        cache.update(zip(missing, pool.map(fn, missing) if pool else map(fn, missing)))
-
-    def evaluate(pop, pool):
-        new = [g for g in pop if g not in results]
-        fill(tables, table, (g.gap_weight for g in new), pool)
-        fill(scores, table_scores, map(score_key, new), pool)
-        fill(results, synthesize, new, pool)
-        _prune(tables, (g.gap_weight for g in pop))
-        _prune(scores, map(score_key, pop))
-        _prune(results, pop)
-        models = [results[g] for g in pop]
-        fits = np.array([m.fitness for m in models], dtype=np.float64)
-        return models, fits
+    evaluate = _evaluator(
+        _checked_sets(train, validation), sim, inner_cfg, fw, est, normalization
+    )
 
     # one pool serves every generation of the run
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         pop = [_random_genome(rng) for _ in range(cfg.population_size)]
         models, fits = evaluate(pop, pool)
-        best_i = int(np.argmax(fits))
-        best_model, best_fit = models[best_i], float(fits[best_i])
         log = [GenerationStat(0, float(fits.max()), float(fits.mean()))]
 
         for gen in range(1, cfg.max_generations + 1):
@@ -521,12 +520,9 @@ def ga_optimize(
                 break
             pop = _next_population(pop, fits, rng, cfg)
             models, fits = evaluate(pop, pool)
-            gen_best = int(np.argmax(fits))
-            if float(fits[gen_best]) > best_fit:
-                best_model, best_fit = models[gen_best], float(fits[gen_best])
             log.append(GenerationStat(gen, float(fits.max()), float(fits.mean())))
 
-    return dataclasses.replace(best_model, synthesis_log=tuple(log))
+    return dataclasses.replace(models[int(np.argmax(fits))], synthesis_log=tuple(log))
 
 
 # --------------------------------------------------------------------------
@@ -653,7 +649,20 @@ def model_from_json(text: str) -> OdseModel:
     """Rebuild a model from `model_to_json` output; a malformed archive
     raises `OdseError`."""
     try:
-        return _model_from_doc(json.loads(text))
+        doc = json.loads(text)
+        model = _model_from_doc(doc)
+        # no field takes true or false, which float() would read as 1 and
+        # 0; checked last, so a field's own check names what is wrong
+        values = [doc]
+        while values:
+            v = values.pop()
+            if isinstance(v, dict):
+                values.extend(v.values())
+            elif isinstance(v, list):
+                values.extend(v)
+            elif isinstance(v, bool):
+                raise OdseError(f"model archive holds {json.dumps(v)}, which no field takes")
+        return model
     except json.JSONDecodeError as exc:
         raise OdseError(f"model archive is not JSON: {exc}") from None
     except RecursionError:

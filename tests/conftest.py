@@ -13,7 +13,7 @@ import io
 import numpy as np
 import pytest
 
-from odse.alignment import build_cost_model, parse_similarity_matrix
+from odse.alignment import build_cost_model, dissimilarity_table, parse_similarity_matrix
 from odse.datasets import LabeledSequence
 from odse.embedding import DissimilarityMatrix, euclidean_distances
 from odse.entropy import _power_sum, _prim_mst_lengths
@@ -92,6 +92,12 @@ def motif_dataset(rng, n_per_class, length=30, max_edits=3, alphabet=RESIDUES):
                     chars[int(pos)] = letters[int(rng.integers(len(letters)))]
             items.append((Sequence(f"c{label}_{j}", "".join(chars)), label))
     return items
+
+
+def pair_dissimilarity(s: Sequence, t: Sequence, cm) -> float:
+    """The alignment dissimilarity of s to t, the one cell of their
+    table; d(s, t) and d(t, s) can differ by rounding (about 1e-13)."""
+    return float(dissimilarity_table([s], [t], cm)[0, 0])
 
 
 def alignment_oracle(s: Sequence, t: Sequence, cm) -> float:

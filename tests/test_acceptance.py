@@ -14,7 +14,6 @@ from scipy.integrate import quad
 
 from odse.alignment import (
     build_cost_model,
-    levenshtein,
     load_similarity_matrix,
     pam120_path,
     parse_similarity_matrix,
@@ -61,6 +60,7 @@ from conftest import (
     alignment_oracle,
     motif_dataset,
     mst_power_sum,
+    pair_dissimilarity,
     random_sequences,
     spanning_tree_oracle,
     synthetic_proteins,
@@ -76,7 +76,7 @@ def test_criterion_01_alignment_matches_exhaustive_edit_minimum(toy_cm):
         la, lb = int(rng.integers(0, 5)), int(rng.integers(0, 5))
         s = Sequence("s", "".join(rng.choice(letters, size=la)))
         t = Sequence("t", "".join(rng.choice(letters, size=lb)))
-        got = levenshtein(s, t, toy_cm)
+        got = pair_dissimilarity(s, t, toy_cm)
         want = alignment_oracle(s, t, toy_cm)
         assert got == want, (trial, s.symbols, t.symbols, got, want)
     print("[acceptance 01] PASS: 200/200 random pairs (lengths <= 4) "
@@ -188,7 +188,7 @@ def test_criterion_05_prototype_compression_expansion_contracts(toy_cm):
     for label in (0, 1):
         group = [s for s, lab in train2 if lab == label]
         sums = [
-            (math.fsum(levenshtein(s, t, toy_cm) for t in group), i)
+            (math.fsum(pair_dissimilarity(s, t, toy_cm) for t in group), i)
             for i, s in enumerate(group)
         ]
         want = group[min(sums)[1]]

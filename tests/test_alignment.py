@@ -12,7 +12,6 @@ from odse.alignment import (
     build_cost_model,
     dissimilarities_to_targets,
     dissimilarity_table,
-    levenshtein,
     load_similarity_matrix,
     numpy_cost_rows,
     pam120_path,
@@ -22,7 +21,13 @@ from odse.embedding import RepresentationSet, compute_matrix, embed_one
 from odse.errors import CostModelError, MatrixFormatError, SymbolError
 from odse.sequences import Sequence
 
-from conftest import RESIDUES, TOY_MATRIX_TEXT, alignment_oracle, random_sequences
+from conftest import (
+    RESIDUES,
+    TOY_MATRIX_TEXT,
+    alignment_oracle,
+    pair_dissimilarity,
+    random_sequences,
+)
 
 
 def seq(symbols, sid="q"):
@@ -133,7 +138,7 @@ class TestCostModel:
 
     def test_foreign_symbol_reported_with_position(self, toy_cm):
         with pytest.raises(SymbolError) as exc:
-            levenshtein(seq("ARQ", "bad"), seq("A", "t"), toy_cm)
+            pair_dissimilarity(seq("ARQ", "bad"), seq("A", "t"), toy_cm)
         assert exc.value.sequence_id == "bad"
         assert exc.value.position == 2
         assert exc.value.symbol == "Q"
@@ -143,57 +148,57 @@ class TestLevenshtein:
     def test_identical_sequences_cost_zero(self, toy_cm):
         rng = np.random.default_rng(7)
         for s in random_sequences(rng, 10, lo=0, hi=9):
-            assert levenshtein(s, s, toy_cm) == 0.0
+            assert pair_dissimilarity(s, s, toy_cm) == 0.0
 
     def test_empty_versus_nonempty_is_gap_times_length(self, toy_cm):
-        assert levenshtein(seq(""), seq("ARND", "t"), toy_cm) == 4 * 0.5
-        assert levenshtein(seq("ARN"), seq("", "t"), toy_cm) == 3 * 0.5
-        assert levenshtein(seq(""), seq("", "t"), toy_cm) == 0.0
+        assert pair_dissimilarity(seq(""), seq("ARND", "t"), toy_cm) == 4 * 0.5
+        assert pair_dissimilarity(seq("ARN"), seq("", "t"), toy_cm) == 3 * 0.5
+        assert pair_dissimilarity(seq(""), seq("", "t"), toy_cm) == 0.0
 
     def test_single_substitution(self, toy_cm):
-        assert levenshtein(seq("AR"), seq("AN", "t"), toy_cm) == 0.25
+        assert pair_dissimilarity(seq("AR"), seq("AN", "t"), toy_cm) == 0.25
 
     def test_substitution_beats_double_gap_when_cheaper(self, toy_cm):
         # c(A,R)=1.0 equals two gaps; DP takes the minimum either way
-        assert levenshtein(seq("A"), seq("R", "t"), toy_cm) == 1.0
+        assert pair_dissimilarity(seq("A"), seq("R", "t"), toy_cm) == 1.0
         # c(A,D)=0.5 < 1.0, must substitute
-        assert levenshtein(seq("A"), seq("D", "t"), toy_cm) == 0.5
+        assert pair_dissimilarity(seq("A"), seq("D", "t"), toy_cm) == 0.5
 
     def test_matches_edit_script_oracle_exactly(self, toy_cm):
         rng = np.random.default_rng(11)
         for _ in range(60):
             a, b = random_sequences(rng, 2, lo=0, hi=4)
-            assert levenshtein(a, b, toy_cm) == alignment_oracle(a, b, toy_cm)
+            assert pair_dissimilarity(a, b, toy_cm) == alignment_oracle(a, b, toy_cm)
 
     def test_symmetry_exact_on_dyadic_costs(self, toy_cm):
         rng = np.random.default_rng(13)
         for _ in range(30):
             a, b = random_sequences(rng, 2, lo=0, hi=8)
-            assert levenshtein(a, b, toy_cm) == levenshtein(b, a, toy_cm)
+            assert pair_dissimilarity(a, b, toy_cm) == pair_dissimilarity(b, a, toy_cm)
 
     def test_symmetry_close_on_pam120(self):
         cm = build_cost_model(load_similarity_matrix(pam120_path()))
         rng = np.random.default_rng(17)
         for _ in range(20):
             a, b = random_sequences(rng, 2, lo=0, hi=12, alphabet="ARNDCQEGHILK")
-            assert levenshtein(a, b, cm) == pytest.approx(
-                levenshtein(b, a, cm), abs=1e-12
+            assert pair_dissimilarity(a, b, cm) == pytest.approx(
+                pair_dissimilarity(b, a, cm), abs=1e-12
             )
 
     def test_triangle_inequality_on_toy_metric(self, toy_cm):
         rng = np.random.default_rng(19)
         for _ in range(60):
             a, b, c = random_sequences(rng, 3, lo=0, hi=6)
-            dab = levenshtein(a, b, toy_cm)
-            dbc = levenshtein(b, c, toy_cm)
-            dac = levenshtein(a, c, toy_cm)
+            dab = pair_dissimilarity(a, b, toy_cm)
+            dbc = pair_dissimilarity(b, c, toy_cm)
+            dac = pair_dissimilarity(a, c, toy_cm)
             assert dac <= dab + dbc + 1e-12
 
     def test_nonnegative_random(self, toy_cm):
         rng = np.random.default_rng(23)
         for _ in range(30):
             a, b = random_sequences(rng, 2, lo=0, hi=8)
-            assert levenshtein(a, b, toy_cm) >= 0.0
+            assert pair_dissimilarity(a, b, toy_cm) >= 0.0
 
 
 SIMILARITY_TABLES = (
@@ -221,7 +226,7 @@ class TestDpProperties:
     @given(dp_pairs())
     def test_zero_on_identity(self, case):
         cm, a, _ = case
-        assert levenshtein(a, a, cm) == 0.0
+        assert pair_dissimilarity(a, a, cm) == 0.0
 
     @settings(max_examples=200, deadline=None)
     @given(dp_pairs())
@@ -232,7 +237,7 @@ class TestDpProperties:
         scale = max(len(a), len(b), 1) if cm.normalization == BY_MAX_LENGTH else 1
         lo = cm.gap_cost * abs(len(a) - len(b)) / scale
         hi = cm.gap_cost * (len(a) + len(b)) / scale
-        d = levenshtein(a, b, cm)
+        d = pair_dissimilarity(a, b, cm)
         assert lo - 1e-12 * max(1.0, lo) <= d <= hi + 1e-12 * max(1.0, hi)
 
     @settings(max_examples=200, deadline=None)
@@ -241,8 +246,8 @@ class TestDpProperties:
         # the prefix-min recurrence rounds through c - j*gap, so the
         # transposed alignment can differ in the last bits
         cm, a, b = case
-        d = levenshtein(a, b, cm)
-        assert abs(d - levenshtein(b, a, cm)) <= 1e-12 * max(1.0, d)
+        d = pair_dissimilarity(a, b, cm)
+        assert abs(d - pair_dissimilarity(b, a, cm)) <= 1e-12 * max(1.0, d)
 
 
 class TestBatch:
@@ -252,7 +257,7 @@ class TestBatch:
         query = random_sequences(rng, 1, lo=3, hi=7, prefix="q")[0]
         batch = dissimilarities_to_targets(query, targets, toy_cm)
         for j, t in enumerate(targets):
-            assert batch[j] == levenshtein(query, t, toy_cm)
+            assert batch[j] == pair_dissimilarity(query, t, toy_cm)
 
     def test_batch_equals_scalar_calls_pam120(self):
         cm = build_cost_model(load_similarity_matrix(pam120_path()))
@@ -261,7 +266,7 @@ class TestBatch:
         query = Sequence("q", "ACDKLH")
         batch = dissimilarities_to_targets(query, targets, cm)
         for j, t in enumerate(targets):
-            assert batch[j] == levenshtein(query, t, cm)
+            assert batch[j] == pair_dissimilarity(query, t, cm)
 
     def test_padding_never_leaks_between_targets(self, toy_cm):
         # mixing very long and very short targets in one batch must give
@@ -273,7 +278,7 @@ class TestBatch:
         ]
         query = seq("RNA")
         batch = dissimilarities_to_targets(query, targets, toy_cm)
-        singles = [levenshtein(query, t, toy_cm) for t in targets]
+        singles = [pair_dissimilarity(query, t, toy_cm) for t in targets]
         assert list(batch) == singles
 
 
@@ -329,7 +334,7 @@ class TestDissimilarityTable:
         ]
         queries = random_sequences(rng, 5, lo=0, hi=30, alphabet=RESIDUES, prefix="q")
         table = dissimilarity_table(queries, targets, cm, threads)
-        pairs = np.array([[levenshtein(q, t, cm) for t in targets] for q in queries])
+        pairs = np.array([[pair_dissimilarity(q, t, cm) for t in targets] for q in queries])
         assert np.array_equal(table, pairs)
         perm = rng.permutation(len(targets))
         permuted = dissimilarity_table(queries, [targets[k] for k in perm], cm, threads)
@@ -352,7 +357,7 @@ class TestDissimilarityTable:
         for s, row in zip(seqs, table):
             assert np.array_equal(dissimilarities_to_targets(s, protos, cm), row)
             assert np.array_equal(embed_one(s, r, cm), row)
-            assert [levenshtein(s, t, cm) for t in protos] == row.tolist()
+            assert [pair_dissimilarity(s, t, cm) for t in protos] == row.tolist()
 
 
 class TestNormalization:
@@ -362,9 +367,9 @@ class TestNormalization:
         rng = np.random.default_rng(37)
         for _ in range(30):
             a, b = random_sequences(rng, 2, lo=0, hi=8)
-            raw = levenshtein(a, b, raw_cm)
+            raw = pair_dissimilarity(a, b, raw_cm)
             expected = raw / max(len(a), len(b)) if max(len(a), len(b)) else 0.0
-            assert levenshtein(a, b, norm_cm) == expected
+            assert pair_dissimilarity(a, b, norm_cm) == expected
 
     def test_by_max_length_bounded_when_costs_allow(self, toy_sim):
         # max substitution cost 1 and gap 0.5 bound the per-column cost by 1
@@ -372,11 +377,11 @@ class TestNormalization:
         rng = np.random.default_rng(41)
         for _ in range(30):
             a, b = random_sequences(rng, 2, lo=1, hi=8)
-            assert levenshtein(a, b, norm_cm) <= 1.0 + 1e-12
+            assert pair_dissimilarity(a, b, norm_cm) <= 1.0 + 1e-12
 
     def test_both_empty_normalized_zero(self, toy_sim):
         norm_cm = build_cost_model(toy_sim, normalization=BY_MAX_LENGTH)
-        assert levenshtein(seq(""), seq("", "t"), norm_cm) == 0.0
+        assert pair_dissimilarity(seq(""), seq("", "t"), norm_cm) == 0.0
 
 
 def test_cost_model_validation_catches_bad_tables(toy_cm):

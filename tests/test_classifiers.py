@@ -16,14 +16,13 @@ from odse.classifiers import (
 )
 import odse.classifiers
 from odse import _dp
-from odse.alignment import levenshtein
 from odse.embedding import RepresentationSet, compute_matrix, euclidean_distances
 from odse.entropy import EstimatorConfig
 from odse.errors import OdseError, TrainingError
 from odse.model import FitnessWeights, GaConfig, ga_optimize, train_inner
 from odse.sequences import Sequence
 
-from conftest import random_sequences
+from conftest import pair_dissimilarity, random_sequences
 
 
 def blobs(rng, n_per_class=20, sep=6.0, dim=2):
@@ -194,7 +193,7 @@ class TestKernels:
 
     def test_levenshtein_kernel_matches_distance(self, toy_cm):
         s, t = Sequence("a", "ARND"), Sequence("b", "ARD")
-        d = levenshtein(s, t, toy_cm)
+        d = pair_dissimilarity(s, t, toy_cm)
         row = compute_matrix([s], RepresentationSet((t,)), toy_cm).values[0]
         assert svm_decision(single_support(2.0), row) == pytest.approx(
             math.exp(-2.0 * d * d), abs=1e-15

@@ -377,6 +377,24 @@ class TestMalformedModelFiles:
         err = self.expect_one_error_line(workdir, json.dumps(doc), tmp_path, capsys)
         assert named in err
 
+    # float() and float64 arrays read true as 1.0, so each of these
+    # archives once loaded and labelled queries
+    BOOLEAN_CHANGES = {
+        "svm-c-true": lambda doc: doc["inner"]["config"].update(c=True),
+        "genome-sigma-true": lambda doc: doc["genome"].update(sigma=True),
+        "svm-bias-true": lambda doc: doc["inner"].update(bias=True),
+        "fitness-true": lambda doc: doc.update(fitness=True),
+        "gap-cost-true": lambda doc: doc["cost_model"].update(gap_cost=True),
+        "svm-alpha-true": lambda doc: _put_first("alphas", True)(doc["inner"]),
+    }
+
+    @pytest.mark.parametrize("change", BOOLEAN_CHANGES)
+    def test_boolean_rejected(self, change, workdir, svm_model_text, tmp_path, capsys):
+        doc = json.loads(svm_model_text)
+        self.BOOLEAN_CHANGES[change](doc)
+        err = self.expect_one_error_line(workdir, json.dumps(doc), tmp_path, capsys)
+        assert "holds true" in err
+
 
 class TestEvaluateCommand:
     def test_reports_written(self, workdir, capsys):

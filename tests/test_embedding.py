@@ -13,11 +13,10 @@ from odse.embedding import (
     euclidean_distances,
     matrix_to_csv,
 )
-from odse.alignment import levenshtein
 from odse.errors import OdseError
 from odse.sequences import Sequence
 
-from conftest import parse_matrix_csv, random_sequences
+from conftest import pair_dissimilarity, parse_matrix_csv, random_sequences
 
 
 @pytest.fixture
@@ -63,7 +62,7 @@ class TestEmbedding:
         vec = embed_one(data[0], protos, toy_cm)
         assert vec.shape == (len(protos),)
         for j, p in enumerate(protos.prototypes):
-            assert vec[j] == levenshtein(data[0], p, toy_cm)
+            assert vec[j] == pair_dissimilarity(data[0], p, toy_cm)
 
     def test_matrix_rows_and_ids(self, toy_cm, sample_sets):
         data, protos = sample_sets

@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 import odse
-from odse.alignment import build_cost_model, levenshtein
+from odse.alignment import build_cost_model
 from odse.classifiers import (
     KnnConfig,
     SvmConfig,
@@ -35,7 +35,7 @@ from odse.experiment import (
 )
 from odse.model import GaConfig
 
-from conftest import synthetic_proteins
+from conftest import pair_dissimilarity, synthetic_proteins
 
 
 @pytest.fixture(scope="module")
@@ -325,8 +325,12 @@ class TestInputSpaceReferences:
         outcomes = {(o.system_id, o.resample): o for o in resampled_report.outcomes}
         for r in range(2):
             train, test = make_split(DS1811_2, corpus, outcomes[INPUT_KNN, r].seed)
-            d_train = np.array([[levenshtein(s, t, cm) for t, _ in train] for s, _ in train])
-            d_test = np.array([[levenshtein(s, t, cm) for t, _ in train] for s, _ in test])
+            d_train = np.array(
+                [[pair_dissimilarity(s, t, cm) for t, _ in train] for s, _ in train]
+            )
+            d_test = np.array(
+                [[pair_dissimilarity(s, t, cm) for t, _ in train] for s, _ in test]
+            )
             labels = np.array([lab for _, lab in train])
             svm = svm_train(d_train, labels, cfg.svm)
             preds = {

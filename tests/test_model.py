@@ -23,7 +23,7 @@ from odse.embedding import (
 )
 from odse.entropy import MST, QRE, EstimatorConfig, normalized_column_entropy
 from odse.errors import OdseError, SynthesisError, TrainingError
-from odse.alignment import BY_MAX_LENGTH, build_cost_model, levenshtein
+from odse.alignment import BY_MAX_LENGTH, build_cost_model
 from odse.model import (
     FitnessWeights,
     GaConfig,
@@ -49,7 +49,7 @@ from odse.model import (
 import odse.model
 from odse.sequences import Sequence
 
-from conftest import random_sequences
+from conftest import pair_dissimilarity, random_sequences
 
 MST_EST = EstimatorConfig(kind=MST, alpha=0.5)
 
@@ -247,7 +247,7 @@ class TestExpand:
         """Training-set index of the class medoid, from direct alignments."""
         members = [i for i, (_, lab) in enumerate(train) if lab == label]
         sums = [
-            sum(levenshtein(train[i][0], train[j][0], toy_cm) for j in members)
+            sum(pair_dissimilarity(train[i][0], train[j][0], toy_cm) for j in members)
             for i in members
         ]
         best = min(range(len(members)), key=lambda k: (sums[k], k))
@@ -873,6 +873,51 @@ class TestGaReuse:
         # some gap weight is used with more than one sigma
         assert len(gaps) < len({(g.gap_weight, g.sigma) for g, _ in made})
         assert columns == [len(train)] * (len(train) * len(tables))
+
+
+class TestBestModel:
+    """ga_optimize reads its model off the final population, which is
+    the first model the run synthesized with the run's best fitness."""
+
+    @pytest.mark.parametrize(
+        "inner", [KnnConfig(k=1), SvmConfig(max_passes=25)], ids=["knn", "svm"]
+    )
+    def test_first_model_to_reach_the_best_fitness(self, toy_sim, inner, monkeypatch):
+        train, val = TestColumnSelection().corpus()
+        synthesize = odse.model._synthesize
+        made = []
+
+        def recording(g, *args):
+            made.append(synthesize(g, *args))
+            return made[-1]
+
+        def run(seed, threads):
+            cfg = dataclasses.replace(TestGaReuse.CFG, rng_seed=seed)
+            return ga_optimize(
+                train, val, toy_sim, inner, FitnessWeights(), EstimatorConfig(), cfg,
+                threads=threads,
+            )
+
+        improved = tied = 0
+        for seed in range(4):
+            made.clear()
+            monkeypatch.setattr(odse.model, "_synthesize", recording)
+            model = run(seed, threads=1)
+            monkeypatch.undo()
+            bests = [stat.best for stat in model.synthesis_log]
+            assert bests == sorted(bests), seed
+            top = max(m.fitness for m in made)
+            first = next(m for m in made if m.fitness == top)
+            assert model.genome == first.genome, seed
+            assert model_to_json(model) == model_to_json(
+                dataclasses.replace(first, synthesis_log=model.synthesis_log)
+            ), seed
+            assert model_to_json(run(seed, threads=2)) == model_to_json(model), seed
+            improved += bests[-1] > bests[0]
+            tied += sum(m.fitness == top for m in made) > 1
+        # the seeds reach their best after the first generation, and
+        # reach it with more than one model
+        assert improved and tied
 
 
 class TestSelection:
