@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _dp
-from .errors import OdseError, TrainingError
+from .errors import OdseError, TrainingError, is_integer
 
 MEDIAN_HEURISTIC = "median-heuristic"
 
@@ -33,17 +33,12 @@ _STEP_EPS = 1e-7
 _SUPPORT_EPS = 1e-10
 
 
-def _is_integer(value) -> bool:
-    """A Python or numpy integer, not a bool (an archive may hold 3.0 or true)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class KnnConfig:
     k: int = 5
 
     def __post_init__(self):
-        if not _is_integer(self.k) or self.k < 1 or self.k % 2 == 0:
+        if not is_integer(self.k) or self.k < 1 or self.k % 2 == 0:
             raise OdseError(f"k must be a positive odd integer, got {self.k}")
 
 
@@ -64,9 +59,9 @@ class SvmConfig:
             raise OdseError(
                 f"kernel_gamma must be finite and positive or {MEDIAN_HEURISTIC!r}, got {gamma!r}"
             )
-        if not self.kkt_tolerance > 0.0:
-            raise OdseError("kkt_tolerance must be positive")
-        if not _is_integer(self.max_passes) or self.max_passes < 1:
+        if not (math.isfinite(self.kkt_tolerance) and self.kkt_tolerance > 0.0):
+            raise OdseError(f"kkt_tolerance must be finite and positive, got {self.kkt_tolerance}")
+        if not is_integer(self.max_passes) or self.max_passes < 1:
             raise OdseError(f"max_passes must be an integer of at least 1, got {self.max_passes}")
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .alignment import AlignmentCostModel
 from .embedding import RepresentationSet, compute_matrix
-from .errors import DatasetError
+from .errors import DatasetError, is_integer
 from .sequences import Sequence, numbered_lines, read_fasta, read_text
 
 INSOLUBLE_MAX = 0.3
@@ -66,6 +66,9 @@ class SplitSpec:
     def __post_init__(self):
         if self.name not in SPLIT_NAMES:
             raise DatasetError(f"unknown split {self.name!r}")
+        for name in ("seed", "resamples"):
+            if not is_integer(getattr(self, name)):
+                raise DatasetError(f"split {name} must be an integer, got {getattr(self, name)!r}")
         if self.seed < 0:
             raise DatasetError(f"split seed must be non-negative, got {self.seed}")
         if self.resamples < 1:

@@ -30,8 +30,8 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.kind not in (QRE, MST):
             raise OdseError(f"unknown estimator kind {self.kind!r}")
-        if not self.sigma > 0.0:
-            raise OdseError("sigma must be positive")
+        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
+            raise OdseError(f"sigma must be finite and positive, got {self.sigma}")
         if not 0.0 < self.alpha < 1.0:
             raise OdseError("alpha must lie in (0, 1)")
 

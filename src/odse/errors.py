@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer rule of
+every config type."""
+
+import numbers
+
+
+def is_integer(value) -> bool:
+    """A Python or numpy integer, not a bool (an INI or archive may hold
+    3.0 or true, which int() and float() would read as numbers)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class OdseError(Exception):

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -49,7 +51,7 @@ from .entropy import (
     column_scores,
     normalized_vector_entropy,
 )
-from .errors import OdseError, SynthesisError, TrainingError
+from .errors import OdseError, SynthesisError, TrainingError, is_integer
 from .sequences import Sequence, read_text
 
 SIGMA_BOUNDS = (0.01, 5.0)
@@ -123,18 +125,25 @@ class GaConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.population_size < 4 or self.population_size % 2 != 0:
-            raise OdseError("population_size must be an even integer >= 4")
+        size = self.population_size
+        if not is_integer(size) or size < 4 or size % 2 != 0:
+            raise OdseError(f"population_size must be an even integer >= 4, got {size}")
         if not 0.0 <= self.crossover_prob <= 1.0:
             raise OdseError("crossover_prob must lie in [0, 1]")
         if not 0.0 <= self.mutation_prob <= 1.0:
             raise OdseError("mutation_prob must lie in [0, 1]")
-        if self.max_generations < 1:
-            raise OdseError("max_generations must be at least 1")
-        if not self.stall_epsilon > 0.0:
-            raise OdseError("stall_epsilon must be positive")
-        if self.rng_seed < 0:
-            raise OdseError(f"rng_seed must be non-negative, got {self.rng_seed}")
+        if not is_integer(self.max_generations) or self.max_generations < 1:
+            raise OdseError(f"max_generations must be an integer >= 1, got {self.max_generations}")
+        if not (math.isfinite(self.stall_epsilon) and self.stall_epsilon > 0.0):
+            raise OdseError(f"stall_epsilon must be finite and positive, got {self.stall_epsilon}")
+        if not is_integer(self.rng_seed) or self.rng_seed < 0:
+            raise OdseError(f"rng_seed must be a non-negative integer, got {self.rng_seed}")
+
+
+def _check_fitness(value, what: str) -> None:
+    """Every fitness lies in [0, 1], up to the rounding of its weighted sum."""
+    if not -1e-9 <= value <= 1.0 + 1e-9:
+        raise OdseError(f"{what} {value} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -142,6 +151,12 @@ class GenerationStat:
     generation: int
     best: float
     mean: float
+
+    def __post_init__(self):
+        if not is_integer(self.generation) or self.generation < 0:
+            raise OdseError(f"generation must be a non-negative integer, got {self.generation!r}")
+        _check_fitness(self.best, "best fitness")
+        _check_fitness(self.mean, "mean fitness")
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,8 +214,7 @@ class OdseModel:
     synthesis_log: tuple[GenerationStat, ...] = ()
 
     def __post_init__(self):
-        if not -1e-9 <= self.fitness <= 1.0 + 1e-9:
-            raise OdseError(f"fitness {self.fitness} outside [0, 1]")
+        _check_fitness(self.fitness, "fitness")
 
 
 # --------------------------------------------------------------------------
@@ -271,14 +285,21 @@ def _split_labeled(pairs):
 
 
 def _checked_sets(train, validation) -> _Sets:
-    """Split (Sequence, label) pairs, rejecting empty sets, shared ids
-    and validation classes absent from training."""
-    if not train or not validation:
-        raise SynthesisError("train and validation sets must be non-empty")
+    """Split (Sequence, label) pairs once every rule of a labelled split
+    holds: at least two training items and a non-empty validation set,
+    no id repeated anywhere across the two, labels that are the integers
+    0 and 1, and no validation class absent from training."""
+    if len(train) < 2 or not validation:
+        raise SynthesisError("train needs two items or more and validation must be non-empty")
+    pairs = [*train, *validation]
+    repeated = sorted(i for i, n in Counter(s.id for s, _ in pairs).items() if n > 1)
+    if repeated:
+        raise SynthesisError(f"train/validation ids overlap or repeat: {repeated[:5]}")
+    # checked on the values given: int() would turn 0.9 into 0
+    bad = [lab for _, lab in pairs if not (is_integer(lab) and lab in (0, 1))]
+    if bad:
+        raise SynthesisError(f"labels must be the integers 0 and 1, got {bad[0]!r}")
     sets = _Sets(*_split_labeled(train), *_split_labeled(validation))
-    overlap = {s.id for s in sets.train} & {s.id for s in sets.val}
-    if overlap:
-        raise SynthesisError(f"train/validation ids overlap: {sorted(overlap)[:5]}")
     if not set(sets.val_labels) <= set(sets.train_labels):
         raise SynthesisError("validation contains a class absent from training")
     return sets
@@ -306,24 +327,13 @@ def _synthesize(
     # training matrix is a column selection of d0 (bit-identical to a
     # fresh computation; lanes of the batch kernel are independent)
     d1 = d0[:, list(columns)]
-
-    try:
-        inner = train_inner(d1, sets.train_labels, inner_cfg)
-    except TrainingError as exc:
-        err = SynthesisError(f"inner classifier training failed: {exc}")
-        err.genome = g
-        raise err from exc
-
+    inner = train_inner(d1, sets.train_labels, inner_cfg)
     d_val = compute_matrix(sets.val, r1, cm)
     hits = int(np.count_nonzero(inner.predict(d_val.values) == sets.val_labels))
     pi = hits / len(sets.val)
-    # expansion can push |R'| past |train|; the shrinkage reward bottoms
-    # out at 0 so fitness stays in [0, 1]
-    card = max(0.0, 1.0 - len(r1) / len(sets.train))
-    if len(sets.train) >= 2:
-        h_norm = normalized_vector_entropy(d1, dataclasses.replace(est, kind=MST)).normalized
-    else:
-        h_norm = 0.0
+    # the columns are distinct training items, so |R'| <= |train|
+    card = 1.0 - len(r1) / len(sets.train)
+    h_norm = normalized_vector_entropy(d1, dataclasses.replace(est, kind=MST)).normalized
     return OdseModel(
         genome=g,
         representation=r1,
@@ -393,11 +403,17 @@ def synthesize_instance(
 ) -> tuple[OdseModel, float]:
     """Build and score one model for a fixed genome.
 
-    train and validation are lists of (Sequence, label) pairs with
-    disjoint ids.  Fitness combines validation accuracy, prototype-set
-    shrinkage and the normalized spread of the embedded training vectors.
-    The genome goes through the same evaluation path as each generation
-    of `ga_optimize`, as a population of one.
+    train and validation are lists of (Sequence, label) pairs forming a
+    labelled split: at least two training items, a non-empty validation
+    set, no id repeated anywhere, labels the integers 0 and 1 and no
+    validation class absent from training; otherwise `SynthesisError`
+    is raised before any alignment.  An inner classifier that cannot
+    train on the sets raises its `TrainingError`.  Fitness combines
+    validation accuracy, prototype-set shrinkage and the normalized
+    spread of the embedded training vectors, always under the MST
+    estimator of order est.alpha; est.sigma is not read, as g.sigma
+    scores the columns.  The genome goes through the same evaluation
+    path as each generation of `ga_optimize`, as a population of one.
     """
     evaluate = _evaluator(
         _checked_sets(train, validation), sim, inner_cfg, fw, est, normalization
@@ -488,9 +504,13 @@ def ga_optimize(
     """Genetic search over genomes; returns the best model ever evaluated.
 
     validation may be None, in which case a stratified 30% of train is
-    held out (drawn from the run's seed).  Fitness evaluation is a pure
-    function of the genome, so results are identical for any thread
-    count, and the whole run replays exactly from rng_seed.
+    held out (drawn from the run's seed).  The sets must form a labelled
+    split, and each genome is scored, as in `synthesize_instance`:
+    est.alpha is the order of the fitness's MST entropy term under
+    either estimator kind, and est.sigma is not read.  Fitness
+    evaluation is a pure function of the genome, so results are
+    identical for any thread count, and the whole run replays exactly
+    from rng_seed.
 
     Each generation is one call of an `_evaluator`, whose cache keeps a
     table, a score list or a model while a genome of the population uses
@@ -542,6 +562,12 @@ _FORMAT = "odse-model/1"
 # ever works on embedded vectors, so these are the only values accepted
 _KNN_SPACE = "embedded-euclidean"
 _SVM_SPACE = "embedded-gaussian"
+# the keys whose values are numbers or arrays of them, wherever they are
+# (kernel_gamma is not one: it may be the text median-heuristic)
+_NUMERIC = frozenset(
+    "sigma tau_c tau_e gap_weight fitness sub_cost gap_cost k c kkt_tolerance max_passes"
+    " vectors labels support alphas targets bias gamma generation best mean".split()
+)
 
 
 def _inner_to_dict(inner) -> dict:
@@ -651,17 +677,20 @@ def model_from_json(text: str) -> OdseModel:
     try:
         doc = json.loads(text)
         model = _model_from_doc(doc)
-        # no field takes true or false, which float() would read as 1 and
-        # 0; checked last, so a field's own check names what is wrong
-        values = [doc]
+        # no field takes true or false, and a numeric one takes only numbers:
+        # float() and float64 arrays read true as 1 and "0.5" as 0.5.
+        # Checked last, so a field's own check names what is wrong
+        values = [(None, doc)]
         while values:
-            v = values.pop()
+            key, v = values.pop()
             if isinstance(v, dict):
-                values.extend(v.values())
+                values.extend(v.items())
             elif isinstance(v, list):
-                values.extend(v)
+                values.extend((key, item) for item in v)
             elif isinstance(v, bool):
                 raise OdseError(f"model archive holds {json.dumps(v)}, which no field takes")
+            elif key in _NUMERIC and not isinstance(v, (int, float)):
+                raise OdseError(f"model archive holds {json.dumps(v)} in {key!r}, not a number")
         return model
     except json.JSONDecodeError as exc:
         raise OdseError(f"model archive is not JSON: {exc}") from None

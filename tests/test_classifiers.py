@@ -220,6 +220,9 @@ class TestSvmConfig:
             SvmConfig(kernel_gamma="auto")
         with pytest.raises(OdseError, match="kkt_tolerance"):
             SvmConfig(kkt_tolerance=0.0)
+        # an infinite tolerance once trained an SVM with no support vector
+        with pytest.raises(OdseError, match="kkt_tolerance must be finite"):
+            SvmConfig(kkt_tolerance=float("inf"))
         with pytest.raises(OdseError, match="max_passes"):
             SvmConfig(max_passes=0)
 

@@ -395,6 +395,50 @@ class TestMalformedModelFiles:
         err = self.expect_one_error_line(workdir, json.dumps(doc), tmp_path, capsys)
         assert "holds true" in err
 
+    # float() and float64 arrays parse numeric text, and nothing read the
+    # synthesis log's values, so each of these archives once loaded and
+    # labelled queries; the error line names what is wrong
+    NUMBER_CHANGES = {
+        "fitness-text": (lambda doc: doc.update(fitness="0.5"), "'fitness', not a number"),
+        "svm-bias-text": (lambda doc: doc["inner"].update(bias="0.1"), "'bias', not a number"),
+        "svm-alphas-text": (
+            lambda doc: doc["inner"].update(alphas=[str(a) for a in doc["inner"]["alphas"]]),
+            "'alphas', not a number",
+        ),
+        "gap-cost-text": (
+            lambda doc: doc["cost_model"].update(gap_cost="0.5"), "'gap_cost', not a number"
+        ),
+        "log-generation-text": (
+            lambda doc: doc.update(synthesis_log=[{"generation": "x", "best": 0, "mean": 0}]),
+            "generation must be a non-negative integer, got 'x'",
+        ),
+        "log-generation-negative": (
+            lambda doc: doc.update(synthesis_log=[{"generation": -1, "best": 0, "mean": 0}]),
+            "generation must be a non-negative integer, got -1",
+        ),
+        "log-generation-fraction": (
+            lambda doc: doc.update(synthesis_log=[{"generation": 1.5, "best": 0, "mean": 0}]),
+            "generation must be a non-negative integer, got 1.5",
+        ),
+        "log-best-above-one": (
+            lambda doc: doc.update(synthesis_log=[{"generation": 0, "best": 1.5, "mean": 0}]),
+            "best fitness 1.5 outside [0, 1]",
+        ),
+        "log-mean-nan": (
+            lambda doc: doc.update(
+                synthesis_log=[{"generation": 0, "best": 0.5, "mean": float("nan")}]
+            ),
+            "mean fitness nan outside [0, 1]",
+        ),
+    }
+
+    @pytest.mark.parametrize("change", NUMBER_CHANGES)
+    def test_numbers_must_be_numbers(self, change, workdir, svm_model_text, tmp_path, capsys):
+        doc = json.loads(svm_model_text)
+        edit, named = self.NUMBER_CHANGES[change]
+        edit(doc)
+        assert named in self.expect_one_error_line(workdir, json.dumps(doc), tmp_path, capsys)
+
 
 class TestEvaluateCommand:
     def test_reports_written(self, workdir, capsys):
@@ -655,9 +699,12 @@ class TestConfigRangesBeforeData:
             ("[experiment]\nw_ent = nan\n", "fitness weights must be nonnegative"),
             ("[experiment]\nsystems = svm\n", "unknown systems ['svm']"),
             ("[experiment]\ninput_gap_weight = 0\n", "gap_weight must be in (0, 4], got 0.0"),
+            ("[svm]\nkkt_tolerance = inf\n", "kkt_tolerance must be finite and positive"),
+            ("[ga]\nstall_epsilon = inf\n", "stall_epsilon must be finite and positive"),
         ],
         ids=["resamples", "population", "gamma-inf", "c", "k", "input-k-0", "input-k-neg",
-             "input-k-even", "alpha", "weights-sum", "weights-nan", "systems", "gap-weight"],
+             "input-k-even", "alpha", "weights-sum", "weights-nan", "systems", "gap-weight",
+             "kkt-inf", "stall-inf"],
     )
     def test_one_error_line_before_reading(
         self, command, text, message, workdir, tmp_path, capsys

@@ -73,6 +73,12 @@ class TestSplitSpec:
         with pytest.raises(DatasetError, match="resamples"):
             SplitSpec(DS200, seed=0, resamples=0)
 
+    @pytest.mark.parametrize("field, value", [("seed", 1.5), ("resamples", 2.5), ("resamples", True)])
+    def test_seed_and_resamples_are_integers(self, field, value):
+        # each once ended in a TypeError inside run_experiment
+        with pytest.raises(DatasetError, match=f"^split {field} must be an integer, got {value}$"):
+            SplitSpec(DS200, **{field: value})
+
     def test_defaults(self):
         assert SplitSpec() == SplitSpec(DS200, 0, 10)
 

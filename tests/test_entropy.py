@@ -40,6 +40,9 @@ class TestConfig:
             EstimatorConfig(sigma=0.0)
         with pytest.raises(OdseError, match="sigma"):
             EstimatorConfig(sigma=-1.0)
+        # an infinite width once scored any spread as 1.0
+        with pytest.raises(OdseError, match="sigma must be finite"):
+            EstimatorConfig(sigma=float("inf"))
 
     def test_invalid_alpha(self):
         with pytest.raises(OdseError, match="alpha"):

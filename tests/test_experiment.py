@@ -161,8 +161,11 @@ class TestExperimentConfig:
             ("normalization", "bogus", "unknown normalization 'bogus'"),
             ("threads", 0, "threads must be at least 1, got 0$"),
             ("threads", -2, "threads must be at least 1, got -2$"),
+            ("threads", 1.5, "threads must be an integer, got 1.5$"),
+            ("threads", True, "threads must be an integer, got True$"),
         ],
-        ids=["gap-0", "gap-nan", "gap-above", "normalization", "threads-0", "threads-neg"],
+        ids=["gap-0", "gap-nan", "gap-above", "normalization", "threads-0", "threads-neg",
+             "threads-float", "threads-bool"],
     )
     def test_out_of_range_rejected(self, field, value, message):
         with pytest.raises(OdseError, match=message):

@@ -168,6 +168,25 @@ class TestGaConfig:
         with pytest.raises(OdseError, match="stall_epsilon"):
             GaConfig(stall_epsilon=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("population_size", 4.0),
+            ("population_size", True),
+            ("max_generations", 2.5),
+            ("max_generations", True),
+            ("rng_seed", 1.5),
+            ("stall_epsilon", float("inf")),
+            ("stall_epsilon", float("nan")),
+        ],
+    )
+    def test_counts_are_integers_and_tolerance_finite(self, field, value):
+        # each of these once failed inside ga_optimize with a TypeError,
+        # ran max_generations=True as one generation, or let the stall
+        # rule fire at every check
+        with pytest.raises(OdseError, match=f"^{field} must be"):
+            GaConfig(**{field: value})
+
     def test_negative_seed_rejected(self):
         with pytest.raises(OdseError, match="rng_seed"):
             GaConfig(rng_seed=-3)
@@ -677,17 +696,71 @@ class TestSynthesize:
                 FitnessWeights(), EstimatorConfig(),
             )
 
-    def test_inner_training_failure_carries_genome(self, toy_sim):
+    def test_inner_training_failure_is_a_training_error(self, toy_sim):
+        # a one-class training set passes the split rules, but no SVM
+        # trains on it, whatever the genome; the error is the trainer's own
         train, val = separable_data()
         train0 = [(s, lab) for s, lab in train if lab == 0]
         val0 = [(s, lab) for s, lab in val if lab == 0]
-        g = genome()
-        with pytest.raises(SynthesisError, match="inner classifier") as exc:
-            synthesize_instance(
-                g, train0, val0, toy_sim, SvmConfig(), FitnessWeights(),
+        runs = (
+            lambda: synthesize_instance(
+                genome(), train0, val0, toy_sim, SvmConfig(), FitnessWeights(),
                 EstimatorConfig(),
-            )
-        assert exc.value.genome is g
+            ),
+            lambda: ga_optimize(
+                train0, val0, toy_sim, SvmConfig(), FitnessWeights(), EstimatorConfig(),
+                GaConfig(population_size=4, max_generations=1),
+            ),
+        )
+        for run in runs:
+            with pytest.raises(TrainingError, match="both classes") as exc:
+                run()
+            assert not isinstance(exc.value, SynthesisError)
+            assert not hasattr(exc.value, "genome")
+
+
+def _relabel(pairs, change):
+    return [(s, change(i, lab)) for i, (s, lab) in enumerate(pairs)]
+
+
+class TestSplitRules:
+    """Every rule of a labelled split is checked before any table is
+    built, for either inner classifier and either entry point."""
+
+    CASES = {
+        "one-training-item": (lambda t, v: (t[:1], v), "two items"),
+        "repeated-training-id": (lambda t, v: (t + t[:1], v), "overlap or repeat"),
+        "repeated-validation-id": (lambda t, v: (t, v + v[-1:]), "overlap or repeat"),
+        "labels-1-2": (
+            lambda t, v: (_relabel(t, lambda i, lab: lab + 1), _relabel(v, lambda i, lab: lab + 1)),
+            "integers 0 and 1, got 2",
+        ),
+        "label-0.9": (
+            lambda t, v: (_relabel(t, lambda i, lab: 0.9 if i == 0 else lab), v),
+            "integers 0 and 1, got 0.9",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("inner", [KnnConfig(k=1), SvmConfig()], ids=["knn", "svm"])
+    @pytest.mark.parametrize("entry", ["synthesize_instance", "ga_optimize"])
+    def test_refused_before_any_table(self, case, inner, entry, toy_sim, monkeypatch):
+        def no_table(*args, **kwargs):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(odse.model, "compute_matrix", no_table)
+        split, message = self.CASES[case]
+        train, val = split(*separable_data())
+        with pytest.raises(SynthesisError, match=message):
+            if entry == "synthesize_instance":
+                synthesize_instance(
+                    genome(), train, val, toy_sim, inner, FitnessWeights(), EstimatorConfig()
+                )
+            else:
+                ga_optimize(
+                    train, val, toy_sim, inner, FitnessWeights(), EstimatorConfig(),
+                    GaConfig(population_size=4, max_generations=1),
+                )
 
 
 class TestGaOptimize:
@@ -1039,6 +1112,24 @@ class TestPersistence:
     def test_unknown_format_rejected(self):
         with pytest.raises(OdseError, match="format"):
             model_from_json(json.dumps({"format": "odse-model/99"}))
+
+
+class TestGenerationStat:
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((-1, 0.5, 0.5), "generation"),
+            ((1.0, 0.5, 0.5), "generation"),
+            ((True, 0.5, 0.5), "generation"),
+            ((1, 1.5, 0.5), "best fitness"),
+            ((1, 0.5, -0.1), "mean fitness"),
+            ((1, float("nan"), 0.5), "best fitness"),
+            ((1, 0.5, float("inf")), "mean fitness"),
+        ],
+    )
+    def test_fields_checked(self, fields, message):
+        with pytest.raises(OdseError, match=message):
+            GenerationStat(*fields)
 
 
 class TestOdseModelValidation:
