@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _dp
-from .errors import CostModelError, MatrixFormatError, SymbolError
+from .errors import CostModelError, MatrixFormatError, SymbolError, check_threads
 from .sequences import Sequence, numbered_lines, read_text
 
 RAW = "raw"
@@ -339,8 +339,10 @@ def dissimilarity_table(
     fewer), and each chunk is one `_cost_table` call, which writes its
     rows straight into the caller's column order.  Each cost depends on
     one query and one target alone, so neither the order, the chunks nor
-    the number of worker threads changes a result.
+    the number of worker threads changes a result.  threads must be an
+    integer of at least 1.
     """
+    check_threads(threads)
     codes = [cm.encode(t) for t in targets]
     lens = np.array([len(c) for c in codes], dtype=np.intp)
     order = np.argsort(lens, kind="stable")

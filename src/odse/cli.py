@@ -32,7 +32,7 @@ from .datasets import (
     solubility_histogram_csv,
 )
 from .embedding import RepresentationSet, compute_matrix, matrix_to_csv
-from .entropy import MST, QRE
+from .entropy import MST, QRE, EstimatorConfig
 from .errors import OdseError
 from .experiment import (
     ExperimentConfig,
@@ -43,14 +43,7 @@ from .experiment import (
     report_to_text,
     run_experiment,
 )
-from .model import (
-    EstimatorConfig,
-    FitnessWeights,
-    GaConfig,
-    classify_all,
-    load_model,
-    save_model,
-)
+from .model import FitnessWeights, GaConfig, classify_all, load_model, save_model
 from .sequences import read_fasta, read_text
 
 _INT = ("an integer", int)

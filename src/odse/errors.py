@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer rule of
-every config type."""
+"""Exception types shared across the package, the integer rule of every
+config type and the rule of every worker count."""
 
 import numbers
 
@@ -8,6 +8,14 @@ def is_integer(value) -> bool:
     """A Python or numpy integer, not a bool (an INI or archive may hold
     3.0 or true, which int() and float() would read as numbers)."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_threads(threads) -> None:
+    """Refuse a worker count that is not an integer of at least 1."""
+    if not is_integer(threads):
+        raise OdseError(f"threads must be an integer, got {threads!r}")
+    if threads < 1:
+        raise OdseError(f"threads must be at least 1, got {threads}")
 
 
 class OdseError(Exception):

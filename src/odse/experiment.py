@@ -35,14 +35,9 @@ from .classifiers import (
 )
 from .datasets import DS200, SplitSpec, make_split
 from .embedding import RepresentationSet, compute_matrix
-from .errors import OdseError, is_integer
-from .model import (
-    EstimatorConfig,
-    FitnessWeights,
-    GaConfig,
-    classify_all,
-    ga_optimize,
-)
+from .entropy import EstimatorConfig
+from .errors import OdseError, check_threads
+from .model import FitnessWeights, GaConfig, classify_all, ga_optimize
 
 ODSE_KNN = "odse-knn"
 ODSE_SVM = "odse-svm"
@@ -118,10 +113,7 @@ class ExperimentConfig:
             raise OdseError(f"each system may be named once, got {list(self.systems)}")
         check_gap_weight(self.input_gap_weight)
         check_normalization(self.normalization)
-        if not is_integer(self.threads):
-            raise OdseError(f"threads must be an integer, got {self.threads!r}")
-        if self.threads < 1:
-            raise OdseError(f"threads must be at least 1, got {self.threads}")
+        check_threads(self.threads)
 
 
 def reference_cost_model(sim: SimilarityMatrix, cfg: ExperimentConfig) -> AlignmentCostModel:

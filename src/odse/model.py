@@ -51,7 +51,7 @@ from .entropy import (
     column_scores,
     normalized_vector_entropy,
 )
-from .errors import OdseError, SynthesisError, TrainingError, is_integer
+from .errors import OdseError, SynthesisError, TrainingError, check_threads, is_integer
 from .sequences import Sequence, read_text
 
 SIGMA_BOUNDS = (0.01, 5.0)
@@ -509,8 +509,8 @@ def ga_optimize(
     est.alpha is the order of the fitness's MST entropy term under
     either estimator kind, and est.sigma is not read.  Fitness
     evaluation is a pure function of the genome, so results are
-    identical for any thread count, and the whole run replays exactly
-    from rng_seed.
+    identical for any thread count (an integer of at least 1), and the
+    whole run replays exactly from rng_seed.
 
     Each generation is one call of an `_evaluator`, whose cache keeps a
     table, a score list or a model while a genome of the population uses
@@ -521,6 +521,7 @@ def ga_optimize(
     falls, and the final population's first best model is the first to
     reach the run's best fitness.
     """
+    check_threads(threads)
     rng = np.random.default_rng(cfg.rng_seed)
     if validation is None:
         train, validation = _stratified_holdout(train, 0.3, rng)

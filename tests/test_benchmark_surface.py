@@ -6,15 +6,19 @@ build the per-layer metrics, and perfbench/worker.py replaces
 `compute_matrix` where odse.model, odse.datasets and odse.experiment look
 it up to sample the tables the program builds.  A renamed or deleted
 function would silently drop a metric or the table check.  worker.py
-also calls the program as `odse.<module>.<name>(...)`; a changed
-signature would fail the benchmark run, so each call site is bound to
-its callee's signature here.  Everything is read from the benchmark's
-source; none of its code runs here.
+also calls the program as `odse.<module>.<name>(...)` after a bare
+`import odse`; a changed signature, or a module that `import odse` no
+longer loads, would fail the benchmark run, so each call site is bound
+to its callee's signature here and each callee is reached from a fresh
+`import odse`.  Everything is read from the benchmark's source; none of
+its code runs here.
 """
 
 import ast
 import importlib
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -121,3 +125,14 @@ def test_worker_call_binds_to_signature(line, name, positional, keywords):
         signature.bind(*[None] * positional, **dict.fromkeys(keywords))
     except TypeError as exc:
         pytest.fail(f"worker.py:{line} calls odse.{name}{signature}: {exc}")
+
+
+def test_import_odse_alone_reaches_every_benchmark_callee():
+    # the worker runs `import odse` only, and spans.py finds the modules
+    # in sys.modules, so each must load with the package
+    names = sorted({f"{m}.{a}" for m, a in TARGETS} | {name for _, name, _, _ in CALLS})
+    src = str(Path(odse.embedding.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import odse; " + "; ".join(
+        f"odse.{name}" for name in names
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)

@@ -129,7 +129,7 @@ class TestWelch:
         code = (
             f"import sys; sys.path.insert(0, {src!r}); import odse; "
             "assert 'scipy.stats' not in sys.modules; "
-            "odse.welch_t_test([0.9, 0.8, 0.95], [0.7, 0.75, 0.6]); "
+            "odse.experiment.welch_t_test([0.9, 0.8, 0.95], [0.7, 0.75, 0.6]); "
             "assert 'scipy.stats' not in sys.modules"
         )
         subprocess.run([sys.executable, "-c", code], check=True, timeout=60)

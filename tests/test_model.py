@@ -23,7 +23,7 @@ from odse.embedding import (
 )
 from odse.entropy import MST, QRE, EstimatorConfig, normalized_column_entropy
 from odse.errors import OdseError, SynthesisError, TrainingError
-from odse.alignment import BY_MAX_LENGTH, build_cost_model
+from odse.alignment import BY_MAX_LENGTH, build_cost_model, dissimilarity_table
 from odse.model import (
     FitnessWeights,
     GaConfig,
@@ -859,6 +859,32 @@ class TestGaOptimize:
         model = self.run(self.micro(seed=9), threads=threads)
         assert len(model.synthesis_log) == 4
         assert len(made) == pools
+
+
+@pytest.mark.parametrize("threads", [0, -1, 1.5, True])
+@pytest.mark.parametrize(
+    "entry", ["dissimilarity_table", "compute_matrix", "classify_all", "ga_optimize"]
+)
+def test_thread_count_checked(entry, threads, toy_sim, toy_cm):
+    # a count below 1, a float or a bool is refused, not run on one
+    # thread or failed with a ZeroDivisionError or TypeError
+    train, val = separable_data()
+    seqs = [s for s, _ in train]
+    calls = {
+        "dissimilarity_table": lambda: dissimilarity_table(seqs, seqs, toy_cm, threads),
+        "compute_matrix": lambda: compute_matrix(
+            seqs, RepresentationSet(tuple(seqs)), toy_cm, threads
+        ),
+        "classify_all": lambda: classify_all(
+            built_model(toy_sim, KnnConfig(k=1)), seqs, threads=threads
+        ),
+        "ga_optimize": lambda: ga_optimize(
+            train, val, toy_sim, KnnConfig(k=1), FitnessWeights(), EstimatorConfig(),
+            GaConfig(population_size=4, max_generations=1), threads=threads,
+        ),
+    }
+    with pytest.raises(OdseError, match="^threads must be"):
+        calls[entry]()
 
 
 class TestGaReuse:
