@@ -50,8 +50,8 @@ class SvmConfig:
     max_passes: int = 200
 
     def __post_init__(self):
-        if not self.c > 0.0:
-            raise OdseError("c must be positive")
+        if not (math.isfinite(self.c) and self.c > 0.0):
+            raise OdseError(f"c must be positive and finite, got {self.c}")
         gamma = self.kernel_gamma
         if gamma != MEDIAN_HEURISTIC and not (
             isinstance(gamma, (int, float)) and math.isfinite(gamma) and gamma > 0

@@ -123,11 +123,11 @@ def _mst_value(lengths: np.ndarray, n: int, d: int, cfg: EstimatorConfig) -> flo
     gamma = d * (1.0 - cfg.alpha)
     with np.errstate(over="ignore"):
         total = _power_sum(lengths, gamma)
-    if total == 0.0:
+    if total == 0.0 and not lengths.any():
         return float("-inf")
-    if math.isinf(total):
-        # log-sum-exp over gamma * ln(length), summed in the order the
-        # lengths come in; zero edges add nothing
+    if total == 0.0 or math.isinf(total):
+        # an under- or overflowing sum: log-sum-exp over gamma * ln(length),
+        # summed in the order the lengths come in; zero edges add nothing
         with np.errstate(divide="ignore"):
             logs = gamma * np.log(lengths)
         top = float(logs.max())

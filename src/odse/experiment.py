@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import itertools
 import csv
 import json
 import math
@@ -186,24 +187,33 @@ def _system_params(system: str, cfg: ExperimentConfig) -> str:
     return f"C={cfg.svm.c:g}"
 
 
-def _run_system(system, train, test, sim, cfg, d_train, d_test, seed):
+def _run_system(system, train, test, sim, cfg, d_train, d_test, seed) -> np.ndarray:
     """Predicted labels for the test set under one system.
 
     The input-space references read their distances from d_train and
-    d_test, the alignment tables of the split under the reference cost
-    model.
+    d_test, the training and test rows of the split's alignment table
+    under the reference cost model.
     """
     train_labels = np.array([lab for _, lab in train])
     if system in (ODSE_KNN, ODSE_SVM):
         inner = cfg.knn if system == ODSE_KNN else cfg.svm
         model = optimize_model(train, sim, cfg, inner, seed)
-        return classify_all(model, [s for s, _ in test], threads=cfg.threads)
-    if system == INPUT_KNN:
-        return [
-            knn_label_from_distances(row, train_labels, cfg.input_knn.k) for row in d_test
-        ]
-    svm = svm_train(d_train, train_labels, cfg.svm)
-    return [svm_predict(svm, row[svm.support]) for row in d_test]
+        preds = classify_all(model, [s for s, _ in test], threads=cfg.threads)
+    elif system == INPUT_KNN:
+        preds = [knn_label_from_distances(row, train_labels, cfg.input_knn.k) for row in d_test]
+    else:
+        svm = svm_train(d_train, train_labels, cfg.svm)
+        preds = [svm_predict(svm, row[svm.support]) for row in d_test]
+    return np.array(preds)
+
+
+def _summarize(system: str, params: str, runs) -> SystemSummary:
+    """Mean and sample spread of one system's outcomes (none for one run)."""
+    stats = []
+    for field in ("errors0", "errors1", "accuracy"):
+        arr = np.array([getattr(o, field) for o in runs], dtype=np.float64)
+        stats += [float(arr.mean()), float(arr.std(ddof=1)) if len(arr) >= 2 else 0.0]
+    return SystemSummary(system, params, *stats)
 
 
 def run_experiment(data, sim: SimilarityMatrix, cfg: ExperimentConfig) -> EvaluationReport:
@@ -211,7 +221,8 @@ def run_experiment(data, sim: SimilarityMatrix, cfg: ExperimentConfig) -> Evalua
 
     The DS-200 split runs once whatever the resample count says; the
     other splits run cfg.split.resamples times with seeds derived from
-    the master seed.  A failing resample aborts the experiment and names
+    the master seed.  A split with no test protein is refused before any
+    table is built.  A failing resample aborts the experiment and names
     the derived seed so the case can be replayed alone.
     """
     n_resamples = 1 if cfg.split.name == DS200 else cfg.split.resamples
@@ -230,25 +241,24 @@ def run_experiment(data, sim: SimilarityMatrix, cfg: ExperimentConfig) -> Evalua
             train, test = make_split(
                 cfg.split.name, data, seed, cm=cm_ref, threads=cfg.threads
             )
-            train_seqs = [s for s, _ in train]
-            test_seqs = [s for s, _ in test]
+            if not test:
+                raise OdseError("the split leaves no test protein")
+            seqs = [s for s, _ in train + test]
             d_train = d_test = None
             if need_input:
-                proto = RepresentationSet(tuple(train_seqs))
-                d_train = compute_matrix(train_seqs, proto, cm_ref, cfg.threads).values
-                d_test = compute_matrix(test_seqs, proto, cm_ref, cfg.threads).values
+                proto = RepresentationSet(tuple(seqs[: len(train)]))
+                table = compute_matrix(seqs, proto, cm_ref, cfg.threads).values
+                d_train, d_test = table[: len(train)], table[len(train) :]
+            truth = np.array([lab for _, lab in test])
+            n0 = int(np.sum(truth == 0))
+            n1 = len(test) - n0
             for system in cfg.systems:
                 preds = _run_system(
                     system, train, test, sim, cfg, d_train, d_test, seed
                 )
-                err0 = sum(
-                    1 for (_, lab), p in zip(test, preds) if lab == 0 and p != 0
-                )
-                err1 = sum(
-                    1 for (_, lab), p in zip(test, preds) if lab == 1 and p != 1
-                )
-                n0 = sum(1 for _, lab in test if lab == 0)
-                n1 = len(test) - n0
+                wrong = preds != truth
+                err0 = int(np.sum(wrong & (truth == 0)))
+                err1 = int(np.sum(wrong & (truth == 1)))
                 outcomes.append(
                     ResampleOutcome(system, r, seed, err0, err1, n0, n1)
                 )
@@ -257,34 +267,18 @@ def run_experiment(data, sim: SimilarityMatrix, cfg: ExperimentConfig) -> Evalua
                 f"resample {r} (derived seed {seed}) failed: {exc}"
             ) from exc
 
-    def summarize(system: str) -> SystemSummary:
-        runs = [o for o in outcomes if o.system_id == system]
-
-        def agg(values):
-            arr = np.array(values, dtype=np.float64)
-            std = float(arr.std(ddof=1)) if len(arr) >= 2 else 0.0
-            return float(arr.mean()), std
-
-        m0, s0 = agg([o.errors0 for o in runs])
-        m1, s1 = agg([o.errors1 for o in runs])
-        ma, sa = agg([o.accuracy for o in runs])
-        return SystemSummary(system, _system_params(system, cfg), m0, s0, m1, s1, ma, sa)
-
-    rows = tuple(summarize(s) for s in cfg.systems)
-
+    runs = {s: [o for o in outcomes if o.system_id == s] for s in cfg.systems}
+    accuracy = {s: [o.accuracy for o in runs[s]] for s in cfg.systems}
     pairwise = []
     if n_resamples >= 2:
-        for i, sa in enumerate(cfg.systems):
-            acc_a = [o.accuracy for o in outcomes if o.system_id == sa]
-            for sb in cfg.systems[i + 1 :]:
-                acc_b = [o.accuracy for o in outcomes if o.system_id == sb]
-                pairwise.append(PairwiseTest(sa, sb, welch_t_test(acc_a, acc_b)))
+        for sa, sb in itertools.combinations(cfg.systems, 2):
+            pairwise.append(PairwiseTest(sa, sb, welch_t_test(accuracy[sa], accuracy[sb])))
 
     return EvaluationReport(
         split_name=cfg.split.name,
         master_seed=cfg.split.seed,
         resamples=n_resamples,
-        rows=rows,
+        rows=tuple(_summarize(s, _system_params(s, cfg), runs[s]) for s in cfg.systems),
         outcomes=tuple(outcomes),
         pairwise=tuple(pairwise),
     )

@@ -284,6 +284,13 @@ def _split_labeled(pairs):
     return seqs, labels
 
 
+def _check_labels(pairs) -> None:
+    # checked on the values given: int() would turn 0.9 into 0
+    bad = [lab for _, lab in pairs if not (is_integer(lab) and lab in (0, 1))]
+    if bad:
+        raise SynthesisError(f"labels must be the integers 0 and 1, got {bad[0]!r}")
+
+
 def _checked_sets(train, validation) -> _Sets:
     """Split (Sequence, label) pairs once every rule of a labelled split
     holds: at least two training items and a non-empty validation set,
@@ -295,10 +302,7 @@ def _checked_sets(train, validation) -> _Sets:
     repeated = sorted(i for i, n in Counter(s.id for s, _ in pairs).items() if n > 1)
     if repeated:
         raise SynthesisError(f"train/validation ids overlap or repeat: {repeated[:5]}")
-    # checked on the values given: int() would turn 0.9 into 0
-    bad = [lab for _, lab in pairs if not (is_integer(lab) and lab in (0, 1))]
-    if bad:
-        raise SynthesisError(f"labels must be the integers 0 and 1, got {bad[0]!r}")
+    _check_labels(pairs)
     sets = _Sets(*_split_labeled(train), *_split_labeled(validation))
     if not set(sets.val_labels) <= set(sets.train_labels):
         raise SynthesisError("validation contains a class absent from training")
@@ -471,6 +475,7 @@ def _next_population(pop, fits: np.ndarray, rng: np.random.Generator, cfg: GaCon
 def _stratified_holdout(train, fraction: float, rng: np.random.Generator):
     """Split labeled pairs into (train, validation), keeping at least one
     member of every class on the training side."""
+    _check_labels(train)
     by_class: dict[int, list[int]] = {}
     for i, (_, label) in enumerate(train):
         by_class.setdefault(int(label), []).append(i)

@@ -226,6 +226,12 @@ class TestSvmConfig:
         with pytest.raises(OdseError, match="max_passes"):
             SvmConfig(max_passes=0)
 
+    @pytest.mark.parametrize("c", [math.inf, math.nan])
+    def test_c_must_be_finite(self, c):
+        # an infinite C trained and was saved as the non-JSON token Infinity
+        with pytest.raises(OdseError, match="c must be positive"):
+            SvmConfig(c=c)
+
     @pytest.mark.parametrize("passes", [200.0, 2.5, True])
     def test_max_passes_must_be_an_integer(self, passes):
         with pytest.raises(OdseError, match=f"max_passes must be an integer of at least 1, got {passes}$"):

@@ -176,6 +176,23 @@ class TestMstEntropy:
         assert scaled == pytest.approx(base + 400 * math.log(s), rel=1e-9)
         assert raw == scaled
 
+    def test_underflowing_tree_length_taken_in_log_space(self):
+        # two points 1e-3 apart in each of 400 coordinates: the one edge
+        # is 0.02, and 0.02**200 is below the smallest float
+        cfg = EstimatorConfig(kind=MST, alpha=0.5)
+        pts = np.zeros((2, 400))
+        pts[1] = 1e-3
+        edge = float(np.linalg.norm(pts[1]))
+        assert edge**200 == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = normalized_vector_entropy(pts, cfg)
+        want = (200 * math.log(edge) - 0.5 * math.log(2)) / 0.5
+        assert value.raw == pytest.approx(want, rel=1e-12)
+        assert value.raw == pytest.approx(-1565.50, abs=0.01)
+        assert value.normalized == 1.0
+        assert mst_entropy(pts, cfg) == value.raw
+
     def test_identical_points_give_minus_infinity(self):
         cfg = EstimatorConfig(kind=MST, alpha=0.5)
         pts = np.zeros((4, 2))

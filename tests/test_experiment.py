@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -349,3 +350,47 @@ class TestInputSpaceReferences:
                 ]
                 o = outcomes[system, r]
                 assert [o.errors0, o.errors1] == errors, (system, r)
+
+
+class TestOneInputTablePerResample:
+    """Both input-space references read one alignment table per resample:
+    the training rows, then the test rows, against the training columns."""
+
+    @pytest.mark.parametrize(
+        "systems, per_resample",
+        [((INPUT_KNN,), 1), ((INPUT_SVM,), 1), ((INPUT_KNN, INPUT_SVM), 1), ((ODSE_KNN,), 0)],
+    )
+    def test_table_calls(self, systems, per_resample, corpus, toy_sim, monkeypatch):
+        calls = []
+        compute_matrix = odse.experiment.compute_matrix
+
+        def counting(data, r, cm, *args, **kwargs):
+            calls.append(([s.id for s in data], list(r.ids)))
+            return compute_matrix(data, r, cm, *args, **kwargs)
+
+        monkeypatch.setattr(odse.experiment, "compute_matrix", counting)
+        cfg = dataclasses.replace(
+            fast_input_cfg(SplitSpec(DS1811_2, seed=3, resamples=2), systems),
+            ga=GaConfig(population_size=4, max_generations=1),
+        )
+        report = run_experiment(corpus, toy_sim, cfg)
+        assert len(calls) == 2 * per_resample
+        seeds = sorted({(o.resample, o.seed) for o in report.outcomes})
+        for (rows, cols), (_, seed) in zip(calls, seeds):
+            train, test = make_split(DS1811_2, corpus, seed)
+            assert cols == [s.id for s, _ in train]
+            assert rows == cols + [s.id for s, _ in test]
+
+    @pytest.mark.parametrize("system", [INPUT_KNN, INPUT_SVM, ODSE_KNN])
+    def test_empty_test_set_refused(self, system, toy_sim):
+        # exactly 100 + 100 labelled proteins: DS-1811-2 trains on all of them
+        data = synthetic_proteins(np.random.default_rng(8), n_insoluble=100, n_soluble=100)
+        cfg = ExperimentConfig(
+            split=SplitSpec(DS1811_2, seed=4, resamples=1),
+            systems=(system,),
+            ga=GaConfig(population_size=4, max_generations=1),
+        )
+        seed0 = int(np.random.SeedSequence(4).generate_state(1, dtype=np.uint64)[0])
+        with pytest.raises(OdseError) as err:
+            run_experiment(data, toy_sim, cfg)
+        assert str(err.value).startswith(f"resample 0 (derived seed {seed0}) failed: ")

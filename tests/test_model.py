@@ -762,6 +762,22 @@ class TestSplitRules:
                     GaConfig(population_size=4, max_generations=1),
                 )
 
+    @pytest.mark.parametrize("bad", ["a", None, 0.5, True])
+    def test_labels_checked_before_the_holdout(self, bad, toy_sim):
+        # the holdout groups by label, so with validation=None the label
+        # rule runs first and raises what an explicit validation set does
+        train, val = separable_data()
+        train = _relabel(train, lambda i, lab: bad)
+        messages = []
+        for validation in (None, val):
+            with pytest.raises(SynthesisError, match="integers 0 and 1") as err:
+                ga_optimize(
+                    train, validation, toy_sim, KnnConfig(k=1), FitnessWeights(),
+                    EstimatorConfig(), GaConfig(population_size=4, max_generations=1),
+                )
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == f"labels must be the integers 0 and 1, got {bad!r}"
+
 
 class TestGaOptimize:
     def micro(self, seed=0, **overrides):
