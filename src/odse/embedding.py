@@ -41,6 +41,9 @@ class RepresentationSet:
             )
         if len(self.provenance) != len(self.prototypes):
             raise OdseError("provenance tags must match prototype count")
+        for tag in self.provenance:
+            if tag not in (INITIAL, EXPANSION_MEDOID):
+                raise OdseError(f"unknown provenance tag {tag!r}")
         ids = [p.id for p in self.prototypes]
         if len(set(ids)) != len(ids):
             raise OdseError("duplicate prototype ids in representation set")

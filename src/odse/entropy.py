@@ -2,8 +2,8 @@
 
 Two estimators are provided: a Parzen-window plug-in estimator of the
 quadratic (order-2) Renyi entropy, and a power-weighted minimum spanning
-tree estimator for orders in (0, 1).  Both are used to score how
-informative a prototype's dissimilarity column is.
+tree estimator for orders in (0, 1).  Either scores how informative a
+prototype's dissimilarity column is; a vector set is scored by MST.
 """
 
 from __future__ import annotations
@@ -21,19 +21,23 @@ QRE = "QRE"
 MST = "MST"
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise OdseError("alpha must lie in (0, 1)")
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
+    """The column estimator and the order of every MST estimate; the
+    Parzen width is a genome's gene, passed to `column_scores`."""
+
     kind: str = QRE
-    sigma: float = 0.5
     alpha: float = 0.5
 
     def __post_init__(self):
         if self.kind not in (QRE, MST):
             raise OdseError(f"unknown estimator kind {self.kind!r}")
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise OdseError(f"sigma must be finite and positive, got {self.sigma}")
-        if not 0.0 < self.alpha < 1.0:
-            raise OdseError("alpha must lie in (0, 1)")
+        _check_alpha(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -51,23 +55,6 @@ def _as_matrix(samples) -> np.ndarray:
     if x.ndim != 2:
         raise OdseError("samples must have shape (N,) or (N, d)")
     return x
-
-
-def qre_entropy(samples, sigma: float) -> float:
-    """Quadratic Renyi entropy via a Parzen window.
-
-    Returns -ln of the mean pairwise Gaussian kernel value, the kernel
-    width being sigma times sqrt(2).
-    """
-    x = _as_matrix(samples)
-    n, d = x.shape
-    if n < 1:
-        raise OdseError("QRE estimator needs at least one sample")
-    if not sigma > 0.0:
-        raise OdseError("sigma must be positive")
-    sq = euclidean_distances(x, x, squared=True)
-    kernel_sum = float(np.sum(np.exp(-sq / (4.0 * sigma * sigma))))
-    return _qre_value(kernel_sum, n, d, sigma)
 
 
 def _qre_value(kernel_sum: float, n: int, d: int, sigma: float) -> float:
@@ -102,7 +89,7 @@ def _power_sum(lengths: np.ndarray, gamma: float) -> float:
     return float(np.sum(np.sort(lengths**gamma)))
 
 
-def mst_entropy(samples, cfg: EstimatorConfig) -> float:
+def mst_entropy(samples, alpha: float) -> float:
     """Renyi entropy of order alpha from the power-weighted spanning tree.
 
     With gamma = d * (1 - alpha):
@@ -112,15 +99,16 @@ def mst_entropy(samples, cfg: EstimatorConfig) -> float:
     Returns -inf when every sample coincides (zero tree length).  When
     L_gamma exceeds the float range, ln L_gamma is taken in log space.
     """
+    _check_alpha(alpha)
     x = _as_matrix(samples)
     n, d = x.shape
     if n < 2:
         raise OdseError("MST estimator needs at least two samples")
-    return _mst_value(_prim_mst_lengths(euclidean_distances(x, x)), n, d, cfg)
+    return _mst_value(_prim_mst_lengths(euclidean_distances(x, x)), n, d, alpha)
 
 
-def _mst_value(lengths: np.ndarray, n: int, d: int, cfg: EstimatorConfig) -> float:
-    gamma = d * (1.0 - cfg.alpha)
+def _mst_value(lengths: np.ndarray, n: int, d: int, alpha: float) -> float:
+    gamma = d * (1.0 - alpha)
     with np.errstate(over="ignore"):
         total = _power_sum(lengths, gamma)
     if total == 0.0 and not lengths.any():
@@ -132,8 +120,8 @@ def _mst_value(lengths: np.ndarray, n: int, d: int, cfg: EstimatorConfig) -> flo
             logs = gamma * np.log(lengths)
         top = float(logs.max())
         log_total = top + math.log(float(np.sum(np.exp(logs - top))))
-        return (log_total - cfg.alpha * math.log(n)) / (1.0 - cfg.alpha)
-    return math.log(total / n**cfg.alpha) / (1.0 - cfg.alpha)
+        return (log_total - alpha * math.log(n)) / (1.0 - alpha)
+    return math.log(total / n**alpha) / (1.0 - alpha)
 
 
 def _checked_table(samples) -> np.ndarray:
@@ -156,8 +144,9 @@ def _score(raw: float, ref: float) -> EntropyValue:
     return EntropyValue(raw=raw, normalized=min(max(h, 0.0), 1.0))
 
 
-def normalized_vector_entropy(samples, cfg: EstimatorConfig) -> EntropyValue:
-    """Informativeness score of a sample set of shape (N,) or (N, d).
+def normalized_vector_entropy(samples, alpha: float) -> EntropyValue:
+    """Informativeness score of a sample set of shape (N,) or (N, d),
+    from its MST entropy of order alpha.
 
     The raw estimate is divided by a reference value, the entropy of the
     uniform density over the bounding box of the non-degenerate
@@ -167,38 +156,40 @@ def normalized_vector_entropy(samples, cfg: EstimatorConfig) -> EntropyValue:
     scores 0 without invoking the estimator.  Non-finite samples are
     refused.
     """
+    _check_alpha(alpha)
     x = _checked_table(samples)
     ranges = x.max(axis=0) - x.min(axis=0)
     positive = ranges[ranges > 0.0]
     if positive.size == 0:
         return EntropyValue(raw=float("-inf"), normalized=0.0)
     ref = float(np.sum(np.log(positive)))
-    raw = qre_entropy(x, cfg.sigma) if cfg.kind == QRE else mst_entropy(x, cfg)
-    return _score(raw, ref)
+    return _score(mst_entropy(x, alpha), ref)
 
 
-def column_scores(table, cfg: EstimatorConfig) -> list[EntropyValue]:
-    """Informativeness score of each column of an (N, M) table.  Entry j
-    equals normalized_vector_entropy(table[:, j], cfg) bit for bit.
+def column_scores(table, cfg: EstimatorConfig, sigma=None) -> list[EntropyValue]:
+    """Informativeness score of each column of an (N, M) table under
+    cfg.kind.  sigma, the Parzen width, must be finite and positive
+    under QRE; MST does not read it, and entry j then equals
+    normalized_vector_entropy(table[:, j], cfg.alpha) bit for bit.
 
     A column is one-dimensional, and so is its work.  QRE: each
     column's Parzen terms are computed in one N x N buffer reused for
-    every column, their exponents by the compiled kernel when there is
-    one and by numpy otherwise; each term, and the shape of the array
-    summed, are those of `qre_entropy`, so numpy's exp and pairwise sum
-    give the same bits.  MST: the sorted column's adjacent gaps form a
-    minimum spanning tree, since rounded distances are monotone along a
-    sorted axis, and every minimum spanning tree has the edge lengths
-    Prim's finds.
+    every column, their exponents -(a - b)**2 / (4 sigma**2) by the
+    compiled kernel when there is one and by numpy otherwise.  MST: the
+    sorted column's adjacent gaps form a minimum spanning tree, since
+    rounded distances are monotone along a sorted axis, and every
+    minimum spanning tree has the edge lengths Prim's finds.
     """
+    if cfg.kind == QRE and (sigma is None or not (math.isfinite(sigma) and sigma > 0.0)):
+        raise OdseError(f"sigma must be finite and positive, got {sigma}")
     # C order: the kernel reads column j from x[0, j] at a stride of m
     x = np.ascontiguousarray(_checked_table(table))
     n, m = x.shape
     ranges = x.max(axis=0) - x.min(axis=0)
     if cfg.kind == QRE:
         terms = np.empty((n, n))
-        # (-s) / c == s / (-c) exactly, so this is qre_entropy's division
-        scale = -(4.0 * cfg.sigma * cfg.sigma)
+        # (-s) / c == s / (-c) exactly
+        scale = -(4.0 * sigma * sigma)
         kernels = _dp.load()
     scores = []
     for j in range(m):
@@ -214,16 +205,16 @@ def column_scores(table, cfg: EstimatorConfig) -> list[EntropyValue]:
                 np.multiply(terms, terms, out=terms)
                 np.divide(terms, scale, out=terms)
             np.exp(terms, out=terms)
-            raw = _qre_value(float(terms.sum()), n, 1, cfg.sigma)
+            raw = _qre_value(float(terms.sum()), n, 1, sigma)
         else:
             gaps = np.diff(np.sort(c))
-            raw = _mst_value(np.sqrt(gaps * gaps), n, 1, cfg)
+            raw = _mst_value(np.sqrt(gaps * gaps), n, 1, cfg.alpha)
         # the log of a one-element array, as for a one-column vector
         scores.append(_score(raw, float(np.sum(np.log(ranges[j:j + 1])))))
     return scores
 
 
-def normalized_column_entropy(column, cfg: EstimatorConfig) -> EntropyValue:
+def normalized_column_entropy(column, cfg: EstimatorConfig, sigma=None) -> EntropyValue:
     """Informativeness score of a 1-D dissimilarity column: the
     one-column case of `column_scores`."""
-    return column_scores(np.reshape(column, (-1, 1)), cfg)[0]
+    return column_scores(np.reshape(column, (-1, 1)), cfg, sigma)[0]

@@ -337,7 +337,7 @@ def _synthesize(
     pi = hits / len(sets.val)
     # the columns are distinct training items, so |R'| <= |train|
     card = 1.0 - len(r1) / len(sets.train)
-    h_norm = normalized_vector_entropy(d1, dataclasses.replace(est, kind=MST)).normalized
+    h_norm = normalized_vector_entropy(d1, est.alpha).normalized
     return OdseModel(
         genome=g,
         representation=r1,
@@ -371,8 +371,7 @@ def _evaluator(sets: _Sets, sim: SimilarityMatrix, inner_cfg, fw, est, normaliza
 
     def table_scores(key):
         w, sigma = key
-        cfg = est if sigma is None else dataclasses.replace(est, sigma=sigma)
-        return [v.normalized for v in column_scores(tables[w][1], cfg)]
+        return [v.normalized for v in column_scores(tables[w][1], est, sigma)]
 
     def synthesize(g):
         cm, d0 = tables[g.gap_weight]
@@ -415,9 +414,9 @@ def synthesize_instance(
     train on the sets raises its `TrainingError`.  Fitness combines
     validation accuracy, prototype-set shrinkage and the normalized
     spread of the embedded training vectors, always under the MST
-    estimator of order est.alpha; est.sigma is not read, as g.sigma
-    scores the columns.  The genome goes through the same evaluation
-    path as each generation of `ga_optimize`, as a population of one.
+    estimator of order est.alpha.  The genome goes through the same
+    evaluation path as each generation of `ga_optimize`, as a population
+    of one.
     """
     evaluate = _evaluator(
         _checked_sets(train, validation), sim, inner_cfg, fw, est, normalization
@@ -512,10 +511,9 @@ def ga_optimize(
     held out (drawn from the run's seed).  The sets must form a labelled
     split, and each genome is scored, as in `synthesize_instance`:
     est.alpha is the order of the fitness's MST entropy term under
-    either estimator kind, and est.sigma is not read.  Fitness
-    evaluation is a pure function of the genome, so results are
-    identical for any thread count (an integer of at least 1), and the
-    whole run replays exactly from rng_seed.
+    either estimator kind.  Fitness evaluation is a pure function of the
+    genome, so results are identical for any thread count (an integer of
+    at least 1), and the whole run replays exactly from rng_seed.
 
     Each generation is one call of an `_evaluator`, whose cache keeps a
     table, a score list or a model while a genome of the population uses
@@ -726,6 +724,8 @@ def _model_from_doc(doc) -> OdseModel:
         normalization=cmrec["normalization"],
     )
     for p in rep.prototypes:
+        if not (isinstance(p.id, str) and p.id):
+            raise OdseError(f"prototype id {p.id!r} must be non-empty text")
         if not (isinstance(p.symbols, str) and set(p.symbols) <= set(cm.alphabet)):
             raise OdseError(f"prototype {p.id!r}: symbols must be text over the alphabet")
     log = tuple(GenerationStat(**s) for s in doc["synthesis_log"])

@@ -64,9 +64,9 @@ def parse_fasta(text: str) -> list[Sequence]:
 
 
 def read_text(path) -> str:
-    """Contents of a UTF-8 text file; bytes that do not decode raise an
-    `OdseError` naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Contents of a UTF-8 text file, a leading byte-order mark dropped;
+    bytes that do not decode raise an `OdseError` naming the file."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:

@@ -16,7 +16,16 @@ import pytest
 from odse.alignment import build_cost_model, dissimilarity_table, parse_similarity_matrix
 from odse.datasets import LabeledSequence
 from odse.embedding import DissimilarityMatrix, euclidean_distances
-from odse.entropy import _power_sum, _prim_mst_lengths
+from odse.entropy import (
+    EntropyValue,
+    _as_matrix,
+    _checked_table,
+    _power_sum,
+    _prim_mst_lengths,
+    _qre_value,
+    _score,
+)
+from odse.errors import OdseError
 from odse.sequences import Sequence
 
 TOY_MATRIX_TEXT = """\
@@ -126,6 +135,38 @@ def mst_power_sum(points: np.ndarray, gamma: float) -> float:
     points: its Prim step and its sorted power sum, on the Euclidean
     distance table it builds."""
     return _power_sum(_prim_mst_lengths(euclidean_distances(points, points)), gamma)
+
+
+def qre_entropy(samples, sigma: float) -> float:
+    """Quadratic Renyi entropy via a Parzen window.
+
+    Returns -ln of the mean pairwise Gaussian kernel value, the kernel
+    width being sigma times sqrt(2).
+    """
+    x = _as_matrix(samples)
+    n, d = x.shape
+    if n < 1:
+        raise OdseError("QRE estimator needs at least one sample")
+    if not sigma > 0.0:
+        raise OdseError("sigma must be positive")
+    sq = euclidean_distances(x, x, squared=True)
+    kernel_sum = float(np.sum(np.exp(-sq / (4.0 * sigma * sigma))))
+    return _qre_value(kernel_sum, n, d, sigma)
+
+
+def qre_vector_score(samples, sigma: float) -> EntropyValue:
+    """The QRE score of a sample set of shape (N,) or (N, d): its
+    Parzen estimate of width sigma against the log-volume of the
+    bounding box of its non-degenerate dimensions, by the library's one
+    score rule.  The reference arithmetic of `column_scores` under QRE,
+    which scores each column bit for bit as this scores it alone."""
+    x = _checked_table(samples)
+    ranges = x.max(axis=0) - x.min(axis=0)
+    positive = ranges[ranges > 0.0]
+    if positive.size == 0:
+        return EntropyValue(raw=float("-inf"), normalized=0.0)
+    ref = float(np.sum(np.log(positive)))
+    return _score(qre_entropy(x, sigma), ref)
 
 
 def spanning_tree_oracle(points: np.ndarray, gamma: float) -> float:

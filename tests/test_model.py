@@ -367,13 +367,12 @@ def oracle_synthesis(g, train, sim, est):
     from odse.alignment import build_cost_model
 
     cm = build_cost_model(sim, gap_weight=g.gap_weight)
-    est_g = dataclasses.replace(est, sigma=g.sigma)
     train_seqs = [s for s, _ in train]
     r0 = RepresentationSet(tuple(train_seqs))
     d0 = compute_matrix(train_seqs, r0, cm)
 
     def score(d, j):
-        return normalized_column_entropy(d.values[:, j], est_g).normalized
+        return normalized_column_entropy(d.values[:, j], est, g.sigma).normalized
 
     # compress
     scores = np.array([score(d0, j) for j in range(len(r0))])
@@ -453,10 +452,10 @@ class TestColumnSelection:
         calls = []
         scorer = odse.model.column_scores
 
-        def counting(table, cfg):
+        def counting(table, cfg, sigma):
             n, m = table.shape
             calls.extend([n] * m)
-            return scorer(table, cfg)
+            return scorer(table, cfg, sigma)
 
         monkeypatch.setattr(odse.model, "column_scores", counting)
         train, val = self.corpus()
@@ -588,9 +587,9 @@ def interior_score_data(toy_sim):
     cm = build_cost_model(toy_sim, gap_weight=1.0)
     train_seqs = [s for s, _ in train]
     d = compute_matrix(train_seqs, RepresentationSet(tuple(train_seqs)), cm)
-    est = EstimatorConfig(sigma=0.5)
+    est = EstimatorConfig()
     scores = [
-        normalized_column_entropy(d.values[:, j], est).normalized
+        normalized_column_entropy(d.values[:, j], est, 0.5).normalized
         for j in range(len(train_seqs))
     ]
     assert all(0.0 < s < 1.0 for s in scores), "dataset must stay interior"
@@ -962,10 +961,10 @@ class TestGaReuse:
                 tables.append(cm.gap_cost)
             return compute(data, r, cm, *args, **kwargs)
 
-        def counting_scorer(table, cfg):
+        def counting_scorer(table, cfg, sigma):
             n, m = table.shape
             columns.extend([n] * m)
-            return scorer(table, cfg)
+            return scorer(table, cfg, sigma)
 
         monkeypatch.setattr(odse.model, "compute_matrix", counting_compute)
         monkeypatch.setattr(odse.model, "column_scores", counting_scorer)

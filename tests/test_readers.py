@@ -9,12 +9,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from odse.alignment import parse_similarity_matrix
+from odse.alignment import load_similarity_matrix, pam120_path, parse_similarity_matrix
 from odse.cli import _load_config
-from odse.datasets import read_solubility_table
+from odse.datasets import load_dataset, read_solubility_table
 from odse.errors import OdseError
 from odse.classifiers import KnnConfig, SvmConfig
-from odse.model import classify_all, model_from_json, model_to_json
+from odse.model import classify_all, load_model, model_from_json, model_to_json
 from odse.sequences import Sequence, parse_fasta, read_fasta
 
 from conftest import TOY_MATRIX_TEXT
@@ -211,3 +211,36 @@ def test_matrix_lines_numbered_as_an_editor_shows_them(char, end):
 def test_solubility_lines_numbered_as_an_editor_shows_them(char, end):
     text = end.join(["id,solubility", f"p1,0.5{char}", "p2,2", ""])
     assert_error_on_line_3(read_solubility_table, text)
+
+
+FASTA_TEXT = ">p1 first\nACDE\n>p2\nARND\n"
+
+
+def read_dataset(path):
+    return load_dataset(path.with_name("data.fasta"), path)
+
+
+def read_matrix(path):
+    sim = load_similarity_matrix(path)
+    return sim.alphabet, sim.scores.tobytes()
+
+
+def read_model(path):
+    return model_to_json(load_model(path))
+
+
+@pytest.mark.parametrize("name", ["fasta", "solubility", "PAM120", "ini", "model"])
+def test_byte_order_mark_accepted(name, model_docs, tmp_path):
+    # Windows editors write a UTF-8 file with a leading U+FEFF
+    read, text = {
+        "fasta": (read_fasta, FASTA_TEXT),
+        "solubility": (read_dataset, "p1,0.5\np2,0.25\n"),
+        "PAM120": (read_matrix, pam120_path().read_text(encoding="utf-8")),
+        "ini": (lambda path: _load_config(str(path)), "[split]\nseed = 3\n[estimator]\nkind = MST\n"),
+        "model": (read_model, json.dumps(model_docs[1])),
+    }[name]
+    (tmp_path / "data.fasta").write_text(FASTA_TEXT, encoding="utf-8")
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes("\ufeff".encode() + text.encode())
+    assert read(marked) == read(plain)
