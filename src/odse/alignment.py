@@ -52,6 +52,8 @@ class SimilarityMatrix:
 
     def __post_init__(self):
         n = len(self.alphabet)
+        if n == 0:
+            raise MatrixFormatError("similarity matrix has an empty alphabet")
         if self.scores.shape != (n, n):
             raise MatrixFormatError(
                 f"score table is {self.scores.shape}, expected {(n, n)}"
@@ -146,6 +148,8 @@ class AlignmentCostModel:
 
     def __post_init__(self):
         n = len(self.alphabet)
+        if n == 0:
+            raise CostModelError("cost model has an empty alphabet")
         # a repeated symbol would silently take the costs of its last place
         for i, a in enumerate(self.alphabet):
             if not (isinstance(a, str) and len(a) == 1) or a in self.alphabet[:i]:

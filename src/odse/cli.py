@@ -44,7 +44,7 @@ from .experiment import (
     run_experiment,
 )
 from .model import FitnessWeights, GaConfig, classify_all, load_model, save_model
-from .sequences import read_fasta, read_text
+from .sequences import csv_text, read_fasta, read_text
 
 _INT = ("an integer", int)
 _FLOAT = ("a number", float)
@@ -226,8 +226,8 @@ def _cmd_classify(args) -> int:
     model = load_model(args.model)
     seqs = read_fasta(args.fasta)
     labels = classify_all(model, seqs, threads=args.threads)
-    lines = ["id,label"] + [f"{s.id},{lab}" for s, lab in zip(seqs, labels)]
-    _write_output("\n".join(lines) + "\n", args.out)
+    rows = ([s.id, lab] for s, lab in zip(seqs, labels))
+    _write_output(csv_text(["id", "label"], rows), args.out)
     return 0
 
 

@@ -8,8 +8,6 @@ class-based splits.  Splits are reproducible from (name, seed) alone.
 
 from __future__ import annotations
 
-import io
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +15,7 @@ import numpy as np
 from .alignment import AlignmentCostModel
 from .embedding import RepresentationSet, compute_matrix
 from .errors import DatasetError, is_integer
-from .sequences import Sequence, numbered_lines, read_fasta, read_text
+from .sequences import Sequence, csv_text, numbered_lines, read_fasta, read_text
 
 INSOLUBLE_MAX = 0.3
 SOLUBLE_MIN = 0.7
@@ -229,9 +227,22 @@ def make_ds200(data, seed: int):
     return train, test
 
 
-def _with_rest_as_test(data, train):
-    """(train, test) with every class-assigned protein not in train as
-    the test set, in data order."""
+def _per_class_split(data, seed: int, counts, pick):
+    """(train, test) of a per-class split: counts[label] training proteins
+    of each class, class 0 first, chosen by pick(members, count, rng) as
+    member indices under one generator seeded with seed; every other
+    class-assigned protein goes to the test set, in data order."""
+    groups = [(label, class_members(data, label), count) for label, count in enumerate(counts)]
+    for label, members, count in groups:
+        if len(members) < count:
+            raise DatasetError(
+                f"class {label} holds {len(members)} proteins, need {count}"
+            )
+    rng = np.random.default_rng(seed)
+    train = []
+    for label, members, count in groups:
+        picked = pick(members, count, rng)
+        train.extend((members[int(i)].sequence, label) for i in sorted(picked))
     chosen_ids = {s.id for s, _ in train}
     test = [
         (d.sequence, d.label)
@@ -250,44 +261,26 @@ def make_ds1811(
     """Training prototypes picked per class by k-medoids under the
     input-space alignment distance; every other class-assigned protein
     goes to the test set."""
-    groups = (
-        (0, class_members(data, 0), DS1811_INSOLUBLE),
-        (1, class_members(data, 1), DS1811_SOLUBLE),
-    )
-    for label, members, count in groups:
-        if len(members) < count:
-            raise DatasetError(
-                f"class {label} holds {len(members)} proteins, need {count}"
-            )
-    rng = np.random.default_rng(seed)
-    train = []
-    for label, members, count in groups:
+
+    def medoids(members, count, rng):
         if count == len(members):
-            picked = list(range(len(members)))
-        else:
-            seqs = [m.sequence for m in members]
-            dmat = compute_matrix(
-                seqs, RepresentationSet(tuple(seqs)), cm, threads
-            ).values
-            picked = k_medoids(dmat, count, rng)
-        train.extend((members[i].sequence, label) for i in sorted(picked))
-    return _with_rest_as_test(data, train)
+            return range(count)
+        seqs = [m.sequence for m in members]
+        dmat = compute_matrix(seqs, RepresentationSet(tuple(seqs)), cm, threads).values
+        return k_medoids(dmat, count, rng)
+
+    return _per_class_split(data, seed, (DS1811_INSOLUBLE, DS1811_SOLUBLE), medoids)
 
 
 def make_ds1811_2(data, seed: int):
     """Seeded uniform draw of DS1811_2_PER_CLASS training proteins per class;
     the remaining class-assigned proteins form the test set."""
-    rng = np.random.default_rng(seed)
-    train = []
-    for label in (0, 1):
-        members = class_members(data, label)
-        if len(members) < DS1811_2_PER_CLASS:
-            raise DatasetError(
-                f"class {label} holds {len(members)} proteins, need {DS1811_2_PER_CLASS}"
-            )
-        pick = rng.choice(len(members), size=DS1811_2_PER_CLASS, replace=False)
-        train.extend((members[int(i)].sequence, label) for i in sorted(pick))
-    return _with_rest_as_test(data, train)
+    return _per_class_split(
+        data,
+        seed,
+        (DS1811_2_PER_CLASS, DS1811_2_PER_CLASS),
+        lambda members, count, rng: rng.choice(len(members), size=count, replace=False),
+    )
 
 
 def make_split(
@@ -308,15 +301,10 @@ def make_split(
     raise DatasetError(f"unknown split {name!r}")
 
 
-def solubility_histogram_csv(data, bins: int = 20) -> str:
-    """Histogram of solubility degrees over [0,1] as CSV rows of
-    bin_low, bin_high, count."""
-    counts, edges = np.histogram(
-        [d.solubility for d in data], bins=bins, range=(0.0, 1.0)
-    )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["bin_low", "bin_high", "count"])
-    for i, c in enumerate(counts):
-        writer.writerow([repr(float(edges[i])), repr(float(edges[i + 1])), int(c)])
-    return buf.getvalue()
+def solubility_histogram_csv(data) -> str:
+    """Histogram of solubility degrees over [0,1] in 20 equal bins, as CSV
+    rows of bin_low, bin_high, count."""
+    counts, edges = np.histogram([d.solubility for d in data], bins=20, range=(0.0, 1.0))
+    rows = ([repr(float(lo)), repr(float(hi)), int(c)]
+            for lo, hi, c in zip(edges, edges[1:], counts))
+    return csv_text(["bin_low", "bin_high", "count"], rows)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,7 +12,7 @@ from .alignment import (
     dissimilarity_table,
 )
 from .errors import OdseError
-from .sequences import Sequence
+from .sequences import Sequence, csv_text
 
 INITIAL = "initial"
 EXPANSION_MEDOID = "expansion-medoid"
@@ -91,14 +89,14 @@ def compute_matrix(
     )
 
 
-def euclidean_distances(x, y, squared: bool = False) -> np.ndarray:
+def euclidean_distances(x, y) -> np.ndarray:
     """Euclidean distances between the rows of x and the rows of y, as an
-    x-rows by y-rows array; squared=True returns the squared distances.
+    x-rows by y-rows array.
 
     This is the one place the package measures distances between
-    embedded vectors: the inner kNN and SVM and both entropy estimators
-    use it.  Each block of rows of x goes through the same einsum as the
-    whole table would.
+    embedded vectors: the inner kNN and SVM and the MST vector score of
+    the fitness use it.  Each block of rows of x goes through the same
+    einsum as the whole table would.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -111,16 +109,11 @@ def euclidean_distances(x, y, squared: bool = False) -> np.ndarray:
     for i in range(0, x.shape[0], step):
         diff = x[i:i + step, None, :] - y[None, :, :]
         np.einsum("ijk,ijk->ij", diff, diff, out=sq[i:i + step])
-    return sq if squared else np.sqrt(sq, out=sq)
+    return np.sqrt(sq, out=sq)
 
 
 def matrix_to_csv(d: DissimilarityMatrix) -> str:
     """CSV dump with a header row of prototype ids; floats use repr so a
     round trip is exact."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", *d.col_ids])
-    for rid, row in zip(d.row_ids, d.values):
-        writer.writerow([rid, *(repr(float(v)) for v in row)])
-    return buf.getvalue()
-
+    rows = ([rid, *(repr(float(v)) for v in row)] for rid, row in zip(d.row_ids, d.values))
+    return csv_text(["id", *d.col_ids], rows)

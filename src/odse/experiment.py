@@ -10,9 +10,7 @@ resample can be reproduced in isolation.
 from __future__ import annotations
 
 import dataclasses
-import io
 import itertools
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -39,6 +37,7 @@ from .embedding import RepresentationSet, compute_matrix
 from .entropy import EstimatorConfig
 from .errors import OdseError, check_threads
 from .model import FitnessWeights, GaConfig, classify_all, ga_optimize
+from .sequences import csv_text
 
 ODSE_KNN = "odse-knn"
 ODSE_SVM = "odse-svm"
@@ -289,26 +288,14 @@ def run_experiment(data, sim: SimilarityMatrix, cfg: ExperimentConfig) -> Evalua
 
 
 def report_to_csv(report: EvaluationReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "system", "params", "resamples",
-            "mean_errors0", "std_errors0",
-            "mean_errors1", "std_errors1",
-            "mean_accuracy", "std_accuracy",
-        ]
+    """One row per system: its id, params, the resample count and the
+    stat fields of its SystemSummary, each float by repr."""
+    stats = [f.name for f in dataclasses.fields(SystemSummary)][2:]
+    rows = (
+        [row.system_id, row.params, report.resamples, *(repr(getattr(row, f)) for f in stats)]
+        for row in report.rows
     )
-    for row in report.rows:
-        writer.writerow(
-            [
-                row.system_id, row.params, report.resamples,
-                repr(row.mean_errors0), repr(row.std_errors0),
-                repr(row.mean_errors1), repr(row.std_errors1),
-                repr(row.mean_accuracy), repr(row.std_accuracy),
-            ]
-        )
-    return buf.getvalue()
+    return csv_text(["system", "params", "resamples", *stats], rows)
 
 
 def report_to_json(report: EvaluationReport) -> str:

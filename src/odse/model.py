@@ -402,7 +402,6 @@ def synthesize_instance(
     inner_cfg,
     fw: FitnessWeights,
     est: EstimatorConfig,
-    normalization: str = RAW,
 ) -> tuple[OdseModel, float]:
     """Build and score one model for a fixed genome.
 
@@ -414,13 +413,12 @@ def synthesize_instance(
     train on the sets raises its `TrainingError`.  Fitness combines
     validation accuracy, prototype-set shrinkage and the normalized
     spread of the embedded training vectors, always under the MST
-    estimator of order est.alpha.  The genome goes through the same
+    estimator of order est.alpha.  Alignment costs are raw, as
+    `ga_optimize`'s are by default.  The genome goes through the same
     evaluation path as each generation of `ga_optimize`, as a population
     of one.
     """
-    evaluate = _evaluator(
-        _checked_sets(train, validation), sim, inner_cfg, fw, est, normalization
-    )
+    evaluate = _evaluator(_checked_sets(train, validation), sim, inner_cfg, fw, est, RAW)
     (model,), _ = evaluate([g], None)
     return model, model.fitness
 

@@ -1,7 +1,10 @@
-"""Symbol sequences and FASTA ingestion."""
+"""Symbol sequences, FASTA ingestion and the text files of the package:
+`read_text` reads every input file and `csv_text` writes every CSV."""
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass, field
 
 from .errors import DatasetError, OdseError
@@ -71,6 +74,18 @@ def read_text(path) -> str:
             return fh.read()
         except UnicodeDecodeError as exc:
             raise OdseError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def csv_text(header, rows) -> str:
+    """CSV text of a header row and then rows, in one dialect: comma
+    separated, a field quoted when it holds a comma, a quote or a line
+    break, and '\\n' line ends.  rows may be a generator, so that a
+    caller holds the text and never a list of every row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def read_fasta(path) -> list[Sequence]:

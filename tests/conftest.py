@@ -149,7 +149,8 @@ def qre_entropy(samples, sigma: float) -> float:
         raise OdseError("QRE estimator needs at least one sample")
     if not sigma > 0.0:
         raise OdseError("sigma must be positive")
-    sq = euclidean_distances(x, x, squared=True)
+    diff = x[:, None, :] - x[None, :, :]
+    sq = np.einsum("ijk,ijk->ij", diff, diff)
     kernel_sum = float(np.sum(np.exp(-sq / (4.0 * sigma * sigma))))
     return _qre_value(kernel_sum, n, d, sigma)
 

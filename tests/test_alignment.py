@@ -9,6 +9,8 @@ from odse.alignment import (
     BY_MAX_LENGTH,
     GAP_WEIGHT_MAX,
     RAW,
+    AlignmentCostModel,
+    SimilarityMatrix,
     build_cost_model,
     dissimilarities_to_targets,
     dissimilarity_table,
@@ -85,6 +87,12 @@ class TestMatrixParsing:
         with pytest.raises(MatrixFormatError, match="asymmetric"):
             parse_similarity_matrix(" A R\nA 2 1\nR 0 2\n")
 
+    def test_empty_alphabet_rejected(self):
+        # the parser refuses a file without a header row first; a matrix
+        # built in Python meets the same rule
+        with pytest.raises(MatrixFormatError, match="empty alphabet"):
+            SimilarityMatrix((), np.zeros((0, 0), dtype=np.int64))
+
 
 class TestCostModel:
     def test_toy_costs_are_exact(self, toy_cm):
@@ -120,6 +128,10 @@ class TestCostModel:
         m = parse_similarity_matrix(" A R\nA 1 3\nR 3 1\n")
         with pytest.raises(CostModelError, match="not diagonally dominant"):
             build_cost_model(m)
+
+    def test_empty_alphabet_rejected(self):
+        with pytest.raises(CostModelError, match="empty alphabet"):
+            AlignmentCostModel(alphabet=(), sub_cost=np.zeros((0, 0)), gap_cost=1.0)
 
     def test_constant_matrix_rejected(self):
         m = parse_similarity_matrix(" A R\nA 2 2\nR 2 2\n")
@@ -385,8 +397,6 @@ class TestNormalization:
 
 
 def test_cost_model_validation_catches_bad_tables(toy_cm):
-    from odse.alignment import AlignmentCostModel
-
     good = toy_cm.sub_cost.copy()
     with pytest.raises(CostModelError, match="diagonal"):
         bad = good.copy()
@@ -420,7 +430,5 @@ def test_cost_model_validation_catches_bad_tables(toy_cm):
 )
 def test_cost_model_alphabet_symbols_must_be_unique_characters(alphabet, message, toy_cm):
     # a repeated symbol would silently align with its last place's costs
-    from odse.alignment import AlignmentCostModel
-
     with pytest.raises(CostModelError, match=message):
         AlignmentCostModel(alphabet, toy_cm.sub_cost, toy_cm.gap_cost)

@@ -179,7 +179,7 @@ class TestKernels:
     def test_gaussian_gram_is_positive_semidefinite(self):
         rng = np.random.default_rng(73)
         x = rng.normal(size=(15, 3))
-        gram = np.exp(-0.7 * euclidean_distances(x, x, squared=True))
+        gram = np.exp(-0.7 * euclidean_distances(x, x) ** 2)
         eig = np.linalg.eigvalsh(gram)
         assert eig.min() >= -1e-10
 

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import json
 from pathlib import Path
@@ -240,6 +241,44 @@ class TestSynthesizeAndClassify:
         got = [line.split(",") for line in lines[1:]]
         assert [g[0] for g in got] == [s.id for s in seqs]
         assert [int(g[1]) for g in got] == list(want)
+
+
+class TestCsvQuoting:
+    """Every CSV a command writes quotes an id that holds a comma or a
+    quote, so csv.reader reads back the ids of the FASTA file."""
+
+    IDS = ["q,1", '"q2', "plain"]
+
+    @pytest.fixture
+    def fasta(self, tmp_path):
+        path = tmp_path / "quoted.fasta"
+        path.write_text("".join(f">{i}\nARND\n" for i in self.IDS), encoding="utf-8")
+        return path
+
+    def rows(self, path):
+        with open(path, newline="", encoding="utf-8") as fh:
+            return list(csv.reader(fh))
+
+    def test_classify(self, workdir, fasta, tmp_path):
+        model_path = workdir / "model.json"
+        if not model_path.exists():
+            assert TestSynthesizeAndClassify().synth(workdir, model_path) == 0
+        out = tmp_path / "labels.csv"
+        argv = ["classify", "--model", str(model_path), "--fasta", str(fasta)]
+        assert main(argv + ["--out", str(out)]) == 0
+        header, *rows = self.rows(out)
+        assert header == ["id", "label"]
+        assert [r[0] for r in rows] == self.IDS
+        assert all(len(r) == 2 and r[1] in ("0", "1") for r in rows)
+
+    def test_matrix(self, workdir, fasta, tmp_path):
+        out = tmp_path / "pairwise.csv"
+        argv = ["matrix", "--fasta", str(fasta), "--matrix", str(workdir / "toy_matrix.txt")]
+        assert main(argv + ["--out", str(out)]) == 0
+        header, *rows = self.rows(out)
+        assert header == ["id", *self.IDS]
+        assert [r[0] for r in rows] == self.IDS
+        assert all(len(r) == 1 + len(self.IDS) for r in rows)
 
 
 def _put_first(key, value):

@@ -349,16 +349,16 @@ class TestMakeSplit:
 
 class TestHistogram:
     def test_counts_sum_to_dataset_size(self, corpus):
-        text = solubility_histogram_csv(corpus, bins=10)
+        text = solubility_histogram_csv(corpus)
         lines = text.strip().splitlines()
         assert lines[0] == "bin_low,bin_high,count"
-        assert len(lines) == 11
+        assert len(lines) == 21
         total = sum(int(line.split(",")[2]) for line in lines[1:])
         assert total == len(corpus)
 
     def test_gap_between_bands_is_empty(self, corpus):
         # the synthetic corpus draws no solubility inside [0.3, 0.35)
-        text = solubility_histogram_csv(corpus, bins=20)
+        text = solubility_histogram_csv(corpus)
         rows = [line.split(",") for line in text.strip().splitlines()[1:]]
         gap = [
             int(count)

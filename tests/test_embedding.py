@@ -122,7 +122,7 @@ class TestCsv:
 class TestEuclideanDistances:
     """The one Euclidean helper equals, bit for bit, both einsum forms it
     replaced: the per-query row form of the inner kNN and SVM and the
-    pairwise form of SVM training and the entropy estimators."""
+    pairwise form of SVM training and the MST vector score."""
 
     @staticmethod
     def row_form(x, q):
@@ -143,15 +143,12 @@ class TestEuclideanDistances:
             x = rng.normal(size=(n, d)) * rng.choice([1e-3, 1.0, 300.0])
             q = rng.normal(size=d) * rng.choice([1e-3, 1.0, 300.0])
             row = self.row_form(x, q)
-            assert np.array_equal(euclidean_distances([q], x, squared=True)[0], row)
-            assert np.array_equal(euclidean_distances(x, [q], squared=True)[:, 0], row)
             assert np.array_equal(euclidean_distances([q], x)[0], np.sqrt(row))
+            assert np.array_equal(euclidean_distances(x, [q])[:, 0], np.sqrt(row))
             pair = self.pairwise_form(x)
-            assert np.array_equal(euclidean_distances(x, x, squared=True), pair)
             assert np.array_equal(euclidean_distances(x, x), np.sqrt(np.maximum(pair, 0.0)))
 
-    @pytest.mark.parametrize("squared", [False, True])
-    def test_blocks_equal_the_whole_table(self, squared):
+    def test_blocks_equal_the_whole_table(self):
         # (x rows, y rows, width): one block, two blocks, many blocks, one
         # row per block (a row of differences wider than a block), empty
         # x, empty y and zero width
@@ -163,9 +160,9 @@ class TestEuclideanDistances:
             y = rng.normal(size=(m, d))
             diff = x[:, None, :] - y[None, :, :]
             whole = np.einsum("ijk,ijk->ij", diff, diff)
-            got = euclidean_distances(x, y, squared=squared)
+            got = euclidean_distances(x, y)
             assert got.shape == (n, m)
-            assert np.array_equal(got, whole if squared else np.sqrt(whole))
+            assert np.array_equal(got, np.sqrt(whole))
 
     def test_memory_bounded_by_the_block(self):
         # the whole difference table of these inputs is 600 x 33 x 50

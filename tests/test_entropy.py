@@ -283,12 +283,6 @@ class TestNormalizedVector:
             v = normalized_vector_entropy(samples, alpha)
             assert 0.0 <= v.normalized <= 1.0
 
-    def test_qre_kind_supported(self):
-        rng = np.random.default_rng(43)
-        samples = rng.uniform(0.0, 4.0, size=(20, 2))
-        v = qre_vector_score(samples, 0.4)
-        assert 0.0 <= v.normalized <= 1.0
-
     def test_reference_ratio_when_box_is_large(self):
         # with ln(box volume) > 0 the score is raw / sum(ln range_j)
         rng = np.random.default_rng(47)
@@ -302,12 +296,13 @@ class TestNormalizedVector:
         assert v.normalized == min(max(raw / ref, 0.0), 1.0)
 
     def test_small_box_with_nonnegative_raw_scores_one(self):
-        # box volume below 1 gives a non-positive reference; a large
-        # kernel width keeps the QRE estimate positive, so the score
-        # saturates at 1
+        # a range below 1 gives a negative reference; a large kernel
+        # width keeps the QRE estimate non-negative, so the score
+        # saturates at 1.  Only a column has a QRE score, and a column is
+        # a one-dimensional sample set
         rng = np.random.default_rng(53)
-        samples = rng.uniform(0.0, 0.5, size=(12, 2))
-        v = qre_vector_score(samples, 1.0)
+        column = rng.uniform(0.0, 0.5, size=(12, 1))
+        (v,) = column_scores(column, EstimatorConfig(kind=QRE), 1.0)
         assert v.raw >= 0.0
         assert v.normalized == 1.0
 
@@ -456,19 +451,19 @@ class TestColumnScores:
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
-@pytest.mark.parametrize("kind", [QRE, MST])
 class TestNonFiniteSamples:
     """A non-finite cell is refused: an inf would score nan, which every
     comparison with a threshold reads as false, and a nan would score 0."""
 
+    @pytest.mark.parametrize("kind", [QRE, MST])
     def test_column_scores_refuse(self, bad, kind):
         table = np.arange(12.0).reshape(4, 3)
         table[2, 1] = bad
         with pytest.raises(OdseError, match="finite"):
             column_scores(table, EstimatorConfig(kind=kind), 0.5)
 
-    def test_vector_score_refuses(self, bad, kind):
+    def test_vector_score_refuses(self, bad):
         samples = np.arange(12.0).reshape(6, 2)
         samples[5, 0] = bad
         with pytest.raises(OdseError, match="finite"):
-            normalized_vector_entropy(samples, EstimatorConfig(kind=kind).alpha)
+            normalized_vector_entropy(samples, EstimatorConfig().alpha)
