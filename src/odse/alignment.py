@@ -177,10 +177,6 @@ class AlignmentCostModel:
             self, "_index", {a: i for i, a in enumerate(self.alphabet)}
         )
 
-    def cost(self, a: str, b: str) -> float:
-        idx = self._index
-        return float(self.sub_cost[idx[a], idx[b]])
-
     def encode(self, seq: Sequence) -> np.ndarray:
         """Map symbols to alphabet indices, rejecting foreign symbols."""
         idx = self._index

@@ -31,7 +31,7 @@ from .datasets import (
     make_split,
     solubility_histogram_csv,
 )
-from .embedding import RepresentationSet, compute_matrix, matrix_to_csv
+from .embedding import compute_matrix, matrix_to_csv
 from .entropy import MST, QRE, EstimatorConfig
 from .errors import OdseError
 from .experiment import (
@@ -174,7 +174,7 @@ def _cmd_matrix(args) -> int:
         check_gap_weight(args.gap_weight)
     seqs = read_fasta(args.fasta)
     cm = build_cost_model(load_similarity_matrix(args.matrix), **given)
-    d = compute_matrix(seqs, RepresentationSet(tuple(seqs)), cm, args.threads)
+    d = compute_matrix(seqs, seqs, cm, args.threads)
     _write_output(matrix_to_csv(d), args.out)
     return 0
 

@@ -8,12 +8,13 @@ class-based splits.  Splits are reproducible from (name, seed) alone.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .alignment import AlignmentCostModel
-from .embedding import RepresentationSet, compute_matrix
+from .embedding import compute_matrix
 from .errors import DatasetError, is_integer
 from .sequences import Sequence, csv_text, numbered_lines, read_fasta, read_text
 
@@ -77,9 +78,10 @@ def read_solubility_table(text: str) -> dict[str, float]:
     """Parse a two-column id/solubility table.
 
     Fields are separated by a tab when one is present, otherwise by a
-    comma; a row must hold exactly two fields and a non-empty id.  Blank
-    lines and '#' comments are skipped; the first other line may be a
-    header, whose second field is not a number.
+    comma, and quoted as `csv_text` writes them; a row must hold exactly
+    two fields and a non-empty id.  Blank lines and '#' comments are
+    skipped; the first other line may be a header, whose second field
+    is not a number.
     """
     table: dict[str, float] = {}
     first = True
@@ -89,7 +91,10 @@ def read_solubility_table(text: str) -> dict[str, float]:
             continue
         header_allowed, first = first, False
         sep = "\t" if "\t" in line else ","
-        parts = [p.strip() for p in line.split(sep)]
+        try:
+            parts = [p.strip() for p in next(csv.reader([line], delimiter=sep, strict=True))]
+        except csv.Error as exc:
+            raise DatasetError(f"line {lineno}: {exc}") from None
         if len(parts) != 2:
             raise DatasetError(
                 f"line {lineno}: expected 2 fields 'id{sep}solubility', got {len(parts)}"
@@ -266,7 +271,7 @@ def make_ds1811(
         if count == len(members):
             return range(count)
         seqs = [m.sequence for m in members]
-        dmat = compute_matrix(seqs, RepresentationSet(tuple(seqs)), cm, threads).values
+        dmat = compute_matrix(seqs, seqs, cm, threads).values
         return k_medoids(dmat, count, rng)
 
     return _per_class_split(data, seed, (DS1811_INSOLUBLE, DS1811_SOLUBLE), medoids)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,18 +25,14 @@ _BLOCK = 1 << 14
 
 @dataclass(frozen=True)
 class RepresentationSet:
-    """Ordered prototypes the embedding is computed against."""
+    """A model's prototype set: ordered prototypes and their provenance tags."""
 
     prototypes: tuple[Sequence, ...]
-    provenance: tuple[str, ...] = field(default=())
+    provenance: tuple[str, ...]
 
     def __post_init__(self):
         if len(self.prototypes) < 1:
             raise OdseError("representation set must hold at least one prototype")
-        if not self.provenance:
-            object.__setattr__(
-                self, "provenance", tuple(INITIAL for _ in self.prototypes)
-            )
         if len(self.provenance) != len(self.prototypes):
             raise OdseError("provenance tags must match prototype count")
         for tag in self.provenance:
@@ -56,7 +52,7 @@ class RepresentationSet:
 
 @dataclass(frozen=True)
 class DissimilarityMatrix:
-    """n x m table of sequence-to-prototype dissimilarities."""
+    """n x m table of row-to-column dissimilarities, with the row and column ids."""
 
     values: np.ndarray
     row_ids: tuple[str, ...]
@@ -74,18 +70,20 @@ def embed_one(s: Sequence, r: RepresentationSet, cm: AlignmentCostModel) -> np.n
 
 
 def compute_matrix(
-    data: list[Sequence],
-    r: RepresentationSet,
+    rows: list[Sequence],
+    columns: list[Sequence],
     cm: AlignmentCostModel,
     threads: int = 1,
 ) -> DissimilarityMatrix:
-    """Dissimilarity matrix of `data` (rows) against `r` (columns)."""
-    if not data:
+    """Dissimilarity matrix of the sequences `rows` against `columns`."""
+    if not rows:
         raise OdseError("cannot embed an empty dataset")
+    if not columns:
+        raise OdseError("cannot embed against an empty column set")
     return DissimilarityMatrix(
-        values=dissimilarity_table(data, r.prototypes, cm, threads),
-        row_ids=tuple(s.id for s in data),
-        col_ids=r.ids,
+        values=dissimilarity_table(rows, columns, cm, threads),
+        row_ids=tuple(s.id for s in rows),
+        col_ids=tuple(s.id for s in columns),
     )
 
 
@@ -113,7 +111,7 @@ def euclidean_distances(x, y) -> np.ndarray:
 
 
 def matrix_to_csv(d: DissimilarityMatrix) -> str:
-    """CSV dump with a header row of prototype ids; floats use repr so a
+    """CSV dump with a header row of column ids; floats use repr so a
     round trip is exact."""
     rows = ([rid, *(repr(float(v)) for v in row)] for rid, row in zip(d.row_ids, d.values))
     return csv_text(["id", *d.col_ids], rows)

@@ -33,7 +33,7 @@ from .classifiers import (
     svm_train,
 )
 from .datasets import DS200, SplitSpec, make_split
-from .embedding import RepresentationSet, compute_matrix
+from .embedding import compute_matrix
 from .entropy import EstimatorConfig
 from .errors import OdseError, check_threads
 from .model import FitnessWeights, GaConfig, classify_all, ga_optimize
@@ -245,8 +245,7 @@ def run_experiment(data, sim: SimilarityMatrix, cfg: ExperimentConfig) -> Evalua
             seqs = [s for s, _ in train + test]
             d_train = d_test = None
             if need_input:
-                proto = RepresentationSet(tuple(seqs[: len(train)]))
-                table = compute_matrix(seqs, proto, cm_ref, cfg.threads).values
+                table = compute_matrix(seqs, seqs[: len(train)], cm_ref, cfg.threads).values
                 d_train, d_test = table[: len(train)], table[len(train) :]
             truth = np.array([lab for _, lab in test])
             n0 = int(np.sum(truth == 0))

@@ -332,7 +332,7 @@ def _synthesize(
     # fresh computation; lanes of the batch kernel are independent)
     d1 = d0[:, list(columns)]
     inner = train_inner(d1, sets.train_labels, inner_cfg)
-    d_val = compute_matrix(sets.val, r1, cm)
+    d_val = compute_matrix(sets.val, r1.prototypes, cm)
     hits = int(np.count_nonzero(inner.predict(d_val.values) == sets.val_labels))
     pi = hits / len(sets.val)
     # the columns are distinct training items, so |R'| <= |train|
@@ -364,7 +364,7 @@ def _evaluator(sets: _Sets, sim: SimilarityMatrix, inner_cfg, fw, est, normaliza
 
     def table(w):
         cm = build_cost_model(sim, gap_weight=w, normalization=normalization)
-        return cm, compute_matrix(sets.train, RepresentationSet(tuple(sets.train)), cm).values
+        return cm, compute_matrix(sets.train, sets.train, cm).values
 
     def score_key(g):
         return g.gap_weight, None if est.kind == MST else g.sigma
@@ -552,7 +552,7 @@ def ga_optimize(
 
 
 def classify_all(model: OdseModel, seqs, threads: int = 1) -> list[int]:
-    d = compute_matrix(list(seqs), model.representation, model.cost_model, threads)
+    d = compute_matrix(list(seqs), model.representation.prototypes, model.cost_model, threads)
     return model.inner.predict(d.values).tolist()
 
 

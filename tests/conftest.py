@@ -109,6 +109,11 @@ def pair_dissimilarity(s: Sequence, t: Sequence, cm) -> float:
     return float(dissimilarity_table([s], [t], cm)[0, 0])
 
 
+def sub_cost(cm, a: str, b: str) -> float:
+    """The substitution cost of symbol a for symbol b under cm."""
+    return float(cm.sub_cost[cm.alphabet.index(a), cm.alphabet.index(b)])
+
+
 def alignment_oracle(s: Sequence, t: Sequence, cm) -> float:
     """Minimum alignment cost by explicit enumeration of every monotone
     edit script.  Exponential; only for short sequences."""
@@ -120,7 +125,7 @@ def alignment_oracle(s: Sequence, t: Sequence, cm) -> float:
                 best[0] = acc
             return
         if i < len(s) and j < len(t):
-            walk(i + 1, j + 1, acc + cm.cost(s.symbols[i], t.symbols[j]))
+            walk(i + 1, j + 1, acc + sub_cost(cm, s.symbols[i], t.symbols[j]))
         if i < len(s):
             walk(i + 1, j, acc + cm.gap_cost)
         if j < len(t):

@@ -29,7 +29,6 @@ from odse.datasets import make_ds200, make_ds1811
 from odse.embedding import (
     EXPANSION_MEDOID,
     INITIAL,
-    RepresentationSet,
     compute_matrix,
     euclidean_distances,
 )
@@ -157,8 +156,7 @@ def test_criterion_05_prototype_compression_expansion_contracts(toy_cm):
     val = [(s, i % 2) for i, s in enumerate(seqs[12:])]
     sim = parse_similarity_matrix(TOY_MATRIX_TEXT)
     cm = build_cost_model(sim, gap_weight=1.0)
-    d0 = compute_matrix([s for s, _ in train],
-                        RepresentationSet(tuple(s for s, _ in train)), cm)
+    d0 = compute_matrix([s for s, _ in train], [s for s, _ in train], cm)
     scores = [
         normalized_column_entropy(d0.values[:, j], est, 0.5).normalized
         for j in range(12)
@@ -176,7 +174,7 @@ def test_criterion_05_prototype_compression_expansion_contracts(toy_cm):
     members = random_sequences(rng, 20, lo=3, hi=8, prefix="m")
     train2 = [(s, i % 2) for i, s in enumerate(members)]
     train_seqs = [s for s, _ in train2]
-    d2 = compute_matrix(train_seqs, RepresentationSet(tuple(train_seqs)), toy_cm)
+    d2 = compute_matrix(train_seqs, train_seqs, toy_cm)
     scores = [
         normalized_column_entropy(d2.values[:, j], est, 0.5).normalized for j in range(20)
     ]
@@ -278,7 +276,7 @@ def test_criterion_07_svm_dual_constraints_and_oracle(toy_cm):
     seqs = random_sequences(rng, 50, lo=3, hi=10)
     labels = np.array([i % 2 for i in range(50)])
     t0 = time.perf_counter()
-    table = compute_matrix(seqs, RepresentationSet(tuple(seqs)), toy_cm).values
+    table = compute_matrix(seqs, seqs, toy_cm).values
     model = svm_train(table, labels, SvmConfig(max_passes=50))
     elapsed = time.perf_counter() - t0
     assert np.all(np.isfinite(model.alphas)) and math.isfinite(model.bias)

@@ -19,7 +19,7 @@ from odse.alignment import (
     pam120_path,
     parse_similarity_matrix,
 )
-from odse.embedding import RepresentationSet, compute_matrix, embed_one
+from odse.embedding import INITIAL, RepresentationSet, compute_matrix, embed_one
 from odse.errors import CostModelError, MatrixFormatError, SymbolError
 from odse.sequences import Sequence
 
@@ -29,6 +29,7 @@ from conftest import (
     alignment_oracle,
     pair_dissimilarity,
     random_sequences,
+    sub_cost,
 )
 
 
@@ -97,14 +98,14 @@ class TestMatrixParsing:
 class TestCostModel:
     def test_toy_costs_are_exact(self, toy_cm):
         # numerators over max 4: AR 4, AN 3, AD 2, RN/RD/ND 1
-        assert toy_cm.cost("A", "R") == 1.0
-        assert toy_cm.cost("A", "N") == 0.75
-        assert toy_cm.cost("A", "D") == 0.5
-        assert toy_cm.cost("R", "N") == 0.25
-        assert toy_cm.cost("R", "D") == 0.25
-        assert toy_cm.cost("N", "D") == 0.25
+        assert sub_cost(toy_cm, "A", "R") == 1.0
+        assert sub_cost(toy_cm, "A", "N") == 0.75
+        assert sub_cost(toy_cm, "A", "D") == 0.5
+        assert sub_cost(toy_cm, "R", "N") == 0.25
+        assert sub_cost(toy_cm, "R", "D") == 0.25
+        assert sub_cost(toy_cm, "N", "D") == 0.25
         for a in toy_cm.alphabet:
-            assert toy_cm.cost(a, a) == 0.0
+            assert sub_cost(toy_cm, a, a) == 0.0
 
     def test_toy_gap_cost(self, toy_sim, toy_cm):
         # mean off-diagonal cost = 2*(1+0.75+0.5+0.25*3)/12 = 0.5
@@ -364,8 +365,8 @@ class TestDissimilarityTable:
         seqs = random_sequences(np.random.default_rng(53), 8, lo=0, hi=9)
         protos = seqs[3:]
         table = dissimilarity_table(seqs, protos, cm)
-        r = RepresentationSet(tuple(protos))
-        assert np.array_equal(compute_matrix(seqs, r, cm).values, table)
+        r = RepresentationSet(tuple(protos), (INITIAL,) * len(protos))
+        assert np.array_equal(compute_matrix(seqs, protos, cm).values, table)
         for s, row in zip(seqs, table):
             assert np.array_equal(dissimilarities_to_targets(s, protos, cm), row)
             assert np.array_equal(embed_one(s, r, cm), row)

@@ -16,7 +16,7 @@ from odse.classifiers import (
 )
 import odse.classifiers
 from odse import _dp
-from odse.embedding import RepresentationSet, compute_matrix, euclidean_distances
+from odse.embedding import compute_matrix, euclidean_distances
 from odse.entropy import EstimatorConfig
 from odse.errors import OdseError, TrainingError
 from odse.model import FitnessWeights, GaConfig, ga_optimize, train_inner
@@ -153,7 +153,7 @@ class TestKnnPredict:
         rng = np.random.default_rng(71)
         seqs = random_sequences(rng, 8, lo=4, hi=8)
         labels = [i % 2 for i in range(8)]
-        table = compute_matrix(seqs, RepresentationSet(tuple(seqs)), toy_cm).values
+        table = compute_matrix(seqs, seqs, toy_cm).values
         for row, lab in zip(table, labels):
             assert knn_label_from_distances(row, labels, k=1) == lab
 
@@ -186,7 +186,7 @@ class TestKernels:
     def test_levenshtein_kernel_diag_and_symmetry(self, toy_cm):
         rng = np.random.default_rng(79)
         seqs = random_sequences(rng, 5, lo=2, hi=7)
-        table = compute_matrix(seqs, RepresentationSet(tuple(seqs)), toy_cm).values
+        table = compute_matrix(seqs, seqs, toy_cm).values
         gram = np.exp(-0.5 * table * table)
         assert np.all(np.diag(gram) == 1.0)
         assert np.allclose(gram, gram.T, rtol=0.0, atol=1e-15)
@@ -194,7 +194,7 @@ class TestKernels:
     def test_levenshtein_kernel_matches_distance(self, toy_cm):
         s, t = Sequence("a", "ARND"), Sequence("b", "ARD")
         d = pair_dissimilarity(s, t, toy_cm)
-        row = compute_matrix([s], RepresentationSet((t,)), toy_cm).values[0]
+        row = compute_matrix([s], [t], toy_cm).values[0]
         assert svm_decision(single_support(2.0), row) == pytest.approx(
             math.exp(-2.0 * d * d), abs=1e-15
         )
@@ -361,7 +361,7 @@ class TestSvmDegenerateInputs:
         rng = np.random.default_rng(97)
         seqs = random_sequences(rng, 30, lo=3, hi=9)
         labels = [i % 2 for i in range(30)]
-        table = compute_matrix(seqs, RepresentationSet(tuple(seqs)), toy_cm).values
+        table = compute_matrix(seqs, seqs, toy_cm).values
         model = svm_train(table, labels, SvmConfig(c=2.0, max_passes=50))
         assert np.all(model.alphas >= 0.0)
         assert np.all(model.alphas <= 2.0 + 1e-12)

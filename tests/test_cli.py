@@ -11,7 +11,7 @@ from odse.alignment import RAW, build_cost_model
 from odse.classifiers import KnnConfig, SvmConfig
 from odse.cli import _SETTINGS, _experiment_config, _load_config, main
 from odse.datasets import DS200, SplitSpec, load_dataset, make_split
-from odse.embedding import RepresentationSet, compute_matrix
+from odse.embedding import compute_matrix
 from odse.entropy import EstimatorConfig
 from odse.experiment import ExperimentConfig, optimize_model, reference_cost_model
 from odse.model import GaConfig, classify_all, load_model, model_to_json, save_model
@@ -81,7 +81,7 @@ class TestMatrixCommand:
         got = parse_matrix_csv(out.read_text(encoding="utf-8"))
         seqs = read_fasta(workdir / "small.fasta")
         cm = build_cost_model(toy_sim, gap_weight=1.0, normalization=RAW)
-        want = compute_matrix(seqs, RepresentationSet(tuple(seqs)), cm, 1)
+        want = compute_matrix(seqs, seqs, cm, 1)
         assert got.row_ids == want.row_ids
         assert got.col_ids == want.col_ids
         assert np.array_equal(got.values, want.values)

@@ -18,7 +18,7 @@ from odse.datasets import (
     solubility_histogram_csv,
 )
 from odse.errors import DatasetError
-from odse.sequences import Sequence
+from odse.sequences import Sequence, csv_text
 
 from conftest import synthetic_proteins
 
@@ -140,6 +140,17 @@ class TestSolubilityTable:
         with pytest.raises(DatasetError, match="no rows"):
             read_solubility_table("# nothing\n")
 
+    def test_reads_the_csv_the_package_writes(self):
+        # a comma or a quote in an id is quoted, as csv_text writes it
+        text = csv_text(["id", "solubility"], [["q,1", 0.2], ['"q2', 0.9], ["plain", 0.5]])
+        assert read_solubility_table(text) == {"q,1": 0.2, '"q2': 0.9, "plain": 0.5}
+
+    @pytest.mark.parametrize("text", ['"a,0.5\n', 'b,0.2\n"a"x,0.5\n'])
+    def test_bad_quoting_rejected_with_line(self, text):
+        lineno = text.count("\n")
+        with pytest.raises(DatasetError, match=f"^line {lineno}: "):
+            read_solubility_table(text)
+
 
 class TestLoadDataset:
     def write_pair(self, tmp_path, fasta_text, table_text):
@@ -156,6 +167,12 @@ class TestLoadDataset:
         data = load_dataset(fasta, table)
         assert [d.sequence.id for d in data] == ["b", "a"]
         assert [d.label for d in data] == [0, 1]
+
+    def test_quoted_id_joined(self, tmp_path):
+        table_text = csv_text(["id", "solubility"], [["q,1", 0.9], ["b", 0.1]])
+        fasta, table = self.write_pair(tmp_path, ">q,1\nAR\n>b\nND\n", table_text)
+        data = load_dataset(fasta, table)
+        assert [(d.sequence.id, d.label) for d in data] == [("q,1", 1), ("b", 0)]
 
     def test_fasta_id_without_solubility_rejected(self, tmp_path):
         fasta, table = self.write_pair(tmp_path, ">a\nAR\n>b\nND\n", "a,0.5\n")

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from odse.alignment import dissimilarity_table
 from odse.embedding import (
     _BLOCK,
     EXPANSION_MEDOID,
@@ -23,14 +24,20 @@ from conftest import pair_dissimilarity, parse_matrix_csv, random_sequences
 def sample_sets(toy_cm):
     rng = np.random.default_rng(101)
     data = random_sequences(rng, 15, lo=2, hi=9, prefix="d")
-    protos = RepresentationSet(tuple(random_sequences(rng, 6, lo=2, hi=7, prefix="r")))
+    protos = random_sequences(rng, 6, lo=2, hi=7, prefix="r")
     return data, protos
 
 
+def initial_set(protos):
+    """The prototype set of protos, each tagged initial."""
+    return RepresentationSet(tuple(protos), (INITIAL,) * len(protos))
+
+
 class TestRepresentationSet:
-    def test_default_provenance_is_initial(self):
-        r = RepresentationSet((Sequence("a", "AR"), Sequence("b", "ND")))
-        assert r.provenance == (INITIAL, INITIAL)
+    def test_ids_and_length_follow_the_prototypes(self):
+        r = RepresentationSet(
+            (Sequence("a", "AR"), Sequence("b", "ND")), (INITIAL, EXPANSION_MEDOID)
+        )
         assert r.ids == ("a", "b")
         assert len(r) == 2
 
@@ -42,11 +49,13 @@ class TestRepresentationSet:
 
     def test_empty_rejected(self):
         with pytest.raises(OdseError, match="at least one"):
-            RepresentationSet(())
+            RepresentationSet((), ())
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(OdseError, match="duplicate prototype ids"):
-            RepresentationSet((Sequence("a", "AR"), Sequence("a", "ND")))
+            RepresentationSet(
+                (Sequence("a", "AR"), Sequence("a", "ND")), (INITIAL, INITIAL)
+            )
 
     def test_provenance_length_mismatch_rejected(self):
         with pytest.raises(OdseError, match="provenance"):
@@ -65,9 +74,9 @@ class TestRepresentationSet:
 class TestEmbedding:
     def test_embed_one_matches_pairwise_distance(self, toy_cm, sample_sets):
         data, protos = sample_sets
-        vec = embed_one(data[0], protos, toy_cm)
+        vec = embed_one(data[0], initial_set(protos), toy_cm)
         assert vec.shape == (len(protos),)
-        for j, p in enumerate(protos.prototypes):
+        for j, p in enumerate(protos):
             assert vec[j] == pair_dissimilarity(data[0], p, toy_cm)
 
     def test_matrix_rows_and_ids(self, toy_cm, sample_sets):
@@ -75,14 +84,28 @@ class TestEmbedding:
         d = compute_matrix(data, protos, toy_cm)
         assert d.values.shape == (len(data), len(protos))
         assert d.row_ids == tuple(s.id for s in data)
-        assert d.col_ids == protos.ids
+        assert d.col_ids == tuple(p.id for p in protos)
         for i, s in enumerate(data):
-            assert np.array_equal(d.values[i], embed_one(s, protos, toy_cm))
+            assert np.array_equal(d.values[i], embed_one(s, initial_set(protos), toy_cm))
 
     def test_empty_dataset_rejected(self, toy_cm, sample_sets):
         _, protos = sample_sets
         with pytest.raises(OdseError, match="empty dataset"):
             compute_matrix([], protos, toy_cm)
+
+    def test_columns_are_plain_sequences(self, toy_cm, sample_sets):
+        # the columns are read as sequences, as the rows are: ids in
+        # column order, values those of the table under it
+        data, protos = sample_sets
+        columns = protos[::-1] + data[:2]
+        d = compute_matrix(data, columns, toy_cm)
+        assert d.col_ids == tuple(s.id for s in columns)
+        assert np.array_equal(d.values, dissimilarity_table(data, columns, toy_cm))
+
+    def test_empty_columns_rejected(self, toy_cm, sample_sets):
+        data, _ = sample_sets
+        with pytest.raises(OdseError, match="empty column set"):
+            compute_matrix(data, [], toy_cm)
 
     def test_thread_count_never_changes_values(self, toy_cm, sample_sets):
         data, protos = sample_sets
@@ -96,7 +119,7 @@ class TestEmbedding:
     def test_self_matrix_zero_diagonal(self, toy_cm):
         rng = np.random.default_rng(103)
         seqs = random_sequences(rng, 8, prefix="z")
-        d = compute_matrix(seqs, RepresentationSet(tuple(seqs)), toy_cm)
+        d = compute_matrix(seqs, seqs, toy_cm)
         assert np.all(np.diagonal(d.values) == 0.0)
 
 

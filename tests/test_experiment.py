@@ -380,9 +380,9 @@ class TestOneInputTablePerResample:
         calls = []
         compute_matrix = odse.experiment.compute_matrix
 
-        def counting(data, r, cm, *args, **kwargs):
-            calls.append(([s.id for s in data], list(r.ids)))
-            return compute_matrix(data, r, cm, *args, **kwargs)
+        def counting(rows, columns, cm, *args, **kwargs):
+            calls.append(([s.id for s in rows], [s.id for s in columns]))
+            return compute_matrix(rows, columns, cm, *args, **kwargs)
 
         monkeypatch.setattr(odse.experiment, "compute_matrix", counting)
         cfg = dataclasses.replace(

@@ -28,7 +28,7 @@ from odse.alignment import (
     pam120_path,
 )
 from odse.classifiers import smo_solve
-from odse.embedding import RepresentationSet, compute_matrix
+from odse.embedding import compute_matrix
 from odse.entropy import QRE, EstimatorConfig, column_scores
 
 from conftest import RESIDUES, random_sequences
@@ -335,11 +335,10 @@ def test_chunks_and_threads_leave_the_table_unchanged(normalization, pam120, mon
 def test_fallback_gives_unchanged_results(pam120, monkeypatch):
     rng = np.random.default_rng(7)
     seqs = random_sequences(rng, 20, lo=0, hi=40, alphabet=RESIDUES)
-    r = RepresentationSet(tuple(seqs[:8]))
     cm = build_cost_model(pam120, gap_weight=1.3)
-    before = compute_matrix(seqs, r, cm, threads=2).values
+    before = compute_matrix(seqs, seqs[:8], cm, threads=2).values
     monkeypatch.setattr(_dp, "load", lambda: None)
-    after = compute_matrix(seqs, r, cm, threads=2).values
+    after = compute_matrix(seqs, seqs[:8], cm, threads=2).values
     assert np.array_equal(before, after)
 
 

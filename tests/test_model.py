@@ -202,7 +202,7 @@ def test_by_max_length_columns_score_in_between(toy_sim):
     # scores still vary with the column instead of saturating at 0 or 1
     seqs = random_sequences(np.random.default_rng(67), 24, lo=4, hi=12)
     cm = build_cost_model(toy_sim, normalization=BY_MAX_LENGTH)
-    d0 = compute_matrix(seqs, RepresentationSet(tuple(seqs)), cm).values
+    d0 = compute_matrix(seqs, seqs, cm).values
     assert float(np.ptp(d0, axis=0).max()) < 1.0
     scores = [normalized_column_entropy(d0[:, j], MST_EST).normalized for j in range(len(seqs))]
     assert len(set(scores)) > 2
@@ -274,7 +274,7 @@ class TestExpand:
 
     def table(self, train, toy_cm):
         seqs = [s for s, _ in train]
-        return compute_matrix(seqs, RepresentationSet(tuple(seqs)), toy_cm).values
+        return compute_matrix(seqs, seqs, toy_cm).values
 
     def labels(self, train):
         return [lab for _, lab in train]
@@ -368,8 +368,8 @@ def oracle_synthesis(g, train, sim, est):
 
     cm = build_cost_model(sim, gap_weight=g.gap_weight)
     train_seqs = [s for s, _ in train]
-    r0 = RepresentationSet(tuple(train_seqs))
-    d0 = compute_matrix(train_seqs, r0, cm)
+    r0 = RepresentationSet(tuple(train_seqs), (INITIAL,) * len(train_seqs))
+    d0 = compute_matrix(train_seqs, train_seqs, cm)
 
     def score(d, j):
         return normalized_column_entropy(d.values[:, j], est, g.sigma).normalized
@@ -586,7 +586,7 @@ def interior_score_data(toy_sim):
 
     cm = build_cost_model(toy_sim, gap_weight=1.0)
     train_seqs = [s for s, _ in train]
-    d = compute_matrix(train_seqs, RepresentationSet(tuple(train_seqs)), cm)
+    d = compute_matrix(train_seqs, train_seqs, cm)
     est = EstimatorConfig()
     scores = [
         normalized_column_entropy(d.values[:, j], est, 0.5).normalized
@@ -653,7 +653,7 @@ class TestSynthesize:
             EstimatorConfig(kind=MST),
         )
         fresh = compute_matrix(
-            [s for s, _ in train], model.representation, model.cost_model
+            [s for s, _ in train], model.representation.prototypes, model.cost_model
         )
         assert np.array_equal(model.inner.vectors, fresh.values)
 
@@ -887,9 +887,7 @@ def test_thread_count_checked(entry, threads, toy_sim, toy_cm):
     seqs = [s for s, _ in train]
     calls = {
         "dissimilarity_table": lambda: dissimilarity_table(seqs, seqs, toy_cm, threads),
-        "compute_matrix": lambda: compute_matrix(
-            seqs, RepresentationSet(tuple(seqs)), toy_cm, threads
-        ),
+        "compute_matrix": lambda: compute_matrix(seqs, seqs, toy_cm, threads),
         "classify_all": lambda: classify_all(
             built_model(toy_sim, KnnConfig(k=1)), seqs, threads=threads
         ),
@@ -956,10 +954,10 @@ class TestGaReuse:
         tables, columns = [], []
         compute, scorer = odse.model.compute_matrix, odse.model.column_scores
 
-        def counting_compute(data, r, cm, *args, **kwargs):
-            if r.ids == tuple(s.id for s in data):
+        def counting_compute(rows, cols, cm, *args, **kwargs):
+            if [s.id for s in cols] == [s.id for s in rows]:
                 tables.append(cm.gap_cost)
-            return compute(data, r, cm, *args, **kwargs)
+            return compute(rows, cols, cm, *args, **kwargs)
 
         def counting_scorer(table, cfg, sigma):
             n, m = table.shape
