@@ -14,40 +14,10 @@ from .alignment import (
 from .errors import OdseError
 from .sequences import Sequence, csv_text
 
-INITIAL = "initial"
-EXPANSION_MEDOID = "expansion-medoid"
-
 # euclidean_distances takes the rows of x in blocks of at most this many
 # differences (one row at least), so the memory of a call does not grow
 # with the product of its input sizes
 _BLOCK = 1 << 14
-
-
-@dataclass(frozen=True)
-class RepresentationSet:
-    """A model's prototype set: ordered prototypes and their provenance tags."""
-
-    prototypes: tuple[Sequence, ...]
-    provenance: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.prototypes) < 1:
-            raise OdseError("representation set must hold at least one prototype")
-        if len(self.provenance) != len(self.prototypes):
-            raise OdseError("provenance tags must match prototype count")
-        for tag in self.provenance:
-            if tag not in (INITIAL, EXPANSION_MEDOID):
-                raise OdseError(f"unknown provenance tag {tag!r}")
-        ids = [p.id for p in self.prototypes]
-        if len(set(ids)) != len(ids):
-            raise OdseError("duplicate prototype ids in representation set")
-
-    def __len__(self):
-        return len(self.prototypes)
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(p.id for p in self.prototypes)
 
 
 @dataclass(frozen=True)
@@ -64,9 +34,10 @@ class DissimilarityMatrix:
             raise OdseError("dissimilarity matrix ids do not match its shape")
 
 
-def embed_one(s: Sequence, r: RepresentationSet, cm: AlignmentCostModel) -> np.ndarray:
-    """Dissimilarity vector of one sequence against every prototype."""
-    return dissimilarities_to_targets(s, r.prototypes, cm)
+def embed_one(s: Sequence, prototypes: list[Sequence], cm: AlignmentCostModel) -> np.ndarray:
+    """Dissimilarity vector of one sequence against each of prototypes, in
+    their order."""
+    return dissimilarities_to_targets(s, prototypes, cm)
 
 
 def compute_matrix(

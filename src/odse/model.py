@@ -38,13 +38,7 @@ from .classifiers import (
     svm_train,
 )
 from .datasets import medoid
-from .embedding import (
-    EXPANSION_MEDOID,
-    INITIAL,
-    RepresentationSet,
-    compute_matrix,
-    euclidean_distances,
-)
+from .embedding import compute_matrix, euclidean_distances
 from .entropy import (
     MST,
     EstimatorConfig,
@@ -65,6 +59,10 @@ _GENE_BOUNDS = (
     (0.0, 1.0),
     (GAP_WEIGHT_FLOOR, GAP_WEIGHT_MAX),
 )
+# provenance tags of a model's prototypes: a training sequence of the
+# initial set, or a per-class medoid that expansion added
+INITIAL = "initial"
+EXPANSION_MEDOID = "expansion-medoid"
 
 
 @dataclass(frozen=True)
@@ -204,16 +202,38 @@ def train_inner(vectors: np.ndarray, labels, cfg):
     raise TrainingError(f"unknown inner classifier config {type(cfg).__name__}")
 
 
+def _check_representation(prototypes, provenance) -> None:
+    """Refuse a prototype set that is empty, whose tags do not pair one
+    known tag with each prototype, or whose ids repeat."""
+    if len(prototypes) < 1:
+        raise OdseError("representation set must hold at least one prototype")
+    if len(provenance) != len(prototypes):
+        raise OdseError("provenance tags must match prototype count")
+    for tag in provenance:
+        if tag not in (INITIAL, EXPANSION_MEDOID):
+            raise OdseError(f"unknown provenance tag {tag!r}")
+    ids = [p.id for p in prototypes]
+    if len(set(ids)) != len(ids):
+        raise OdseError("duplicate prototype ids in representation set")
+
+
 @dataclass(frozen=True, eq=False)
 class OdseModel:
+    """A synthesized classifier: its genome, its prototypes (the
+    representation set, in column order) with one provenance tag each,
+    the cost model that embeds a sequence against them, the inner
+    classifier of the embedded vectors and its fitness."""
+
     genome: OdseGenome
-    representation: RepresentationSet
+    representation: tuple[Sequence, ...]
+    provenance: tuple[str, ...]
     cost_model: AlignmentCostModel
     inner: object
     fitness: float
     synthesis_log: tuple[GenerationStat, ...] = ()
 
     def __post_init__(self):
+        _check_representation(self.representation, self.provenance)
         _check_fitness(self.fitness, "fitness")
 
 
@@ -326,21 +346,22 @@ def _synthesize(
     # with the initial prototypes equal to the training set, d0 doubles as
     # the input-space pairwise matrix the medoid search needs
     columns, provenance = expand(scores, kept, g.tau_e, sets.train_labels, d0)
-    r1 = RepresentationSet(tuple(sets.train[j] for j in columns), provenance)
-    # every prototype of r1 is a training sequence, so the embedded
+    prototypes = tuple(sets.train[j] for j in columns)
+    # every prototype is a training sequence, so the embedded
     # training matrix is a column selection of d0 (bit-identical to a
     # fresh computation; lanes of the batch kernel are independent)
     d1 = d0[:, list(columns)]
     inner = train_inner(d1, sets.train_labels, inner_cfg)
-    d_val = compute_matrix(sets.val, r1.prototypes, cm)
+    d_val = compute_matrix(sets.val, prototypes, cm)
     hits = int(np.count_nonzero(inner.predict(d_val.values) == sets.val_labels))
     pi = hits / len(sets.val)
     # the columns are distinct training items, so |R'| <= |train|
-    card = 1.0 - len(r1) / len(sets.train)
+    card = 1.0 - len(prototypes) / len(sets.train)
     h_norm = normalized_vector_entropy(d1, est.alpha).normalized
     return OdseModel(
         genome=g,
-        representation=r1,
+        representation=prototypes,
+        provenance=provenance,
         cost_model=cm,
         inner=inner,
         fitness=fw.w_acc * pi + fw.w_card * card + fw.w_ent * h_norm,
@@ -552,7 +573,7 @@ def ga_optimize(
 
 
 def classify_all(model: OdseModel, seqs, threads: int = 1) -> list[int]:
-    d = compute_matrix(list(seqs), model.representation.prototypes, model.cost_model, threads)
+    d = compute_matrix(list(seqs), model.representation, model.cost_model, threads)
     return model.inner.predict(d.values).tolist()
 
 
@@ -659,7 +680,7 @@ def model_to_json(model: OdseModel) -> str:
         "fitness": model.fitness,
         "representation": [
             {"id": p.id, "symbols": p.symbols, "provenance": tag}
-            for p, tag in zip(model.representation.prototypes, model.representation.provenance)
+            for p, tag in zip(model.representation, model.provenance)
         ],
         "cost_model": {
             "alphabet": "".join(model.cost_model.alphabet),
@@ -710,10 +731,11 @@ def _model_from_doc(doc) -> OdseModel:
     if doc.get("format") != _FORMAT:
         raise OdseError(f"unsupported model archive format {doc.get('format')!r}")
     genome = OdseGenome(**doc["genome"])
-    rep = RepresentationSet(
-        prototypes=tuple(Sequence(r["id"], r["symbols"]) for r in doc["representation"]),
-        provenance=tuple(r["provenance"] for r in doc["representation"]),
-    )
+    prototypes = tuple(Sequence(r["id"], r["symbols"]) for r in doc["representation"])
+    provenance = tuple(r["provenance"] for r in doc["representation"])
+    # checked before the inner classifier is read against their count,
+    # so a defect in them is named as such
+    _check_representation(prototypes, provenance)
     cmrec = doc["cost_model"]
     cm = AlignmentCostModel(
         alphabet=tuple(cmrec["alphabet"]),
@@ -721,7 +743,7 @@ def _model_from_doc(doc) -> OdseModel:
         gap_cost=float(cmrec["gap_cost"]),
         normalization=cmrec["normalization"],
     )
-    for p in rep.prototypes:
+    for p in prototypes:
         if not (isinstance(p.id, str) and p.id):
             raise OdseError(f"prototype id {p.id!r} must be non-empty text")
         if not (isinstance(p.symbols, str) and set(p.symbols) <= set(cm.alphabet)):
@@ -729,9 +751,10 @@ def _model_from_doc(doc) -> OdseModel:
     log = tuple(GenerationStat(**s) for s in doc["synthesis_log"])
     return OdseModel(
         genome=genome,
-        representation=rep,
+        representation=prototypes,
+        provenance=provenance,
         cost_model=cm,
-        inner=_inner_from_dict(doc["inner"], len(rep)),
+        inner=_inner_from_dict(doc["inner"], len(prototypes)),
         fitness=float(doc["fitness"]),
         synthesis_log=log,
     )

@@ -26,12 +26,7 @@ from odse.classifiers import (
     svm_train,
 )
 from odse.datasets import make_ds200, make_ds1811
-from odse.embedding import (
-    EXPANSION_MEDOID,
-    INITIAL,
-    compute_matrix,
-    euclidean_distances,
-)
+from odse.embedding import compute_matrix, euclidean_distances
 from odse.entropy import (
     EstimatorConfig,
     mst_entropy,
@@ -40,6 +35,8 @@ from odse.entropy import (
 from odse.errors import MatrixFormatError
 from odse.experiment import welch_t_test
 from odse.model import (
+    EXPANSION_MEDOID,
+    INITIAL,
     FitnessWeights,
     GaConfig,
     OdseGenome,
@@ -166,8 +163,8 @@ def test_criterion_05_prototype_compression_expansion_contracts(toy_cm):
     model, _ = synthesize_instance(
         g, train, val, sim, KnnConfig(k=1), FitnessWeights(), est
     )
-    assert model.representation.ids == tuple(s.id for s, _ in train)
-    assert all(tag == INITIAL for tag in model.representation.provenance)
+    assert tuple(p.id for p in model.representation) == tuple(s.id for s, _ in train)
+    assert all(tag == INITIAL for tag in model.provenance)
 
     # c) expansion medoids equal the brute-force summed-distance minimizers
     rng = np.random.default_rng(29)

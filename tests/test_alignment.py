@@ -19,7 +19,7 @@ from odse.alignment import (
     pam120_path,
     parse_similarity_matrix,
 )
-from odse.embedding import INITIAL, RepresentationSet, compute_matrix, embed_one
+from odse.embedding import compute_matrix, embed_one
 from odse.errors import CostModelError, MatrixFormatError, SymbolError
 from odse.sequences import Sequence
 
@@ -365,11 +365,10 @@ class TestDissimilarityTable:
         seqs = random_sequences(np.random.default_rng(53), 8, lo=0, hi=9)
         protos = seqs[3:]
         table = dissimilarity_table(seqs, protos, cm)
-        r = RepresentationSet(tuple(protos), (INITIAL,) * len(protos))
         assert np.array_equal(compute_matrix(seqs, protos, cm).values, table)
         for s, row in zip(seqs, table):
             assert np.array_equal(dissimilarities_to_targets(s, protos, cm), row)
-            assert np.array_equal(embed_one(s, r, cm), row)
+            assert np.array_equal(embed_one(s, protos, cm), row)
             assert [pair_dissimilarity(s, t, cm) for t in protos] == row.tolist()
 
 

@@ -195,7 +195,7 @@ class TestSynthesizeAndClassify:
         stdout = capsys.readouterr().out
         assert stdout.startswith(f"saved {out}")
         model = load_model(out)
-        assert model.representation.prototypes
+        assert model.representation
 
     def test_same_config_same_bytes(self, workdir):
         a, b = workdir / "ma.json", workdir / "mb.json"
@@ -456,6 +456,14 @@ class TestMalformedModelFiles:
         edit, named = self.PROTOTYPE_CHANGES[change]
         edit(doc["representation"][0])
         assert named in self.expect_one_error_line(workdir, json.dumps(doc), tmp_path, capsys)
+
+    def test_empty_representation_rejected(self, workdir, model_text, tmp_path, capsys):
+        # named before the inner classifier is read, whose rows it would
+        # otherwise find the wrong width
+        doc = json.loads(model_text)
+        doc["representation"] = []
+        err = self.expect_one_error_line(workdir, json.dumps(doc), tmp_path, capsys)
+        assert err.endswith("representation set must hold at least one prototype")
 
     # float() and float64 arrays parse numeric text, and nothing read the
     # synthesis log's values, so each of these archives once loaded and

@@ -316,6 +316,33 @@ class TestDs1811(object):
         b = make_ds1811(corpus, seed=6, cm=toy_cm, threads=4)
         assert [(s.id, lab) for s, lab in a[0]] == [(s.id, lab) for s, lab in b[0]]
 
+    def test_class_of_its_training_size_goes_to_training_whole(
+        self, corpus, toy_cm, monkeypatch
+    ):
+        # 110 insoluble proteins are exactly class 0's training count: they
+        # all train, with no table and no draw, so class 1's k-medoids
+        # pick sees the generator as seeded
+        import odse.datasets
+
+        insoluble = class_members(corpus, 0)[:110]
+        soluble = class_members(corpus, 1)[:80]
+        rows = []
+        real = odse.datasets.compute_matrix
+
+        def counting(seqs, columns, cm, threads=1):
+            rows.append(len(seqs))
+            return real(seqs, columns, cm, threads)
+
+        monkeypatch.setattr(odse.datasets, "compute_matrix", counting)
+        train, test = make_ds1811(insoluble + soluble, seed=3, cm=toy_cm)
+        assert rows == [80]
+        assert len(train) == 180 and len(test) == 10
+        assert [s.id for s, lab in train if lab == 0] == [d.sequence.id for d in insoluble]
+        assert all(lab == 1 for _, lab in test)
+        seqs = [d.sequence for d in soluble]
+        picks = k_medoids(real(seqs, seqs, toy_cm).values, 70, np.random.default_rng(3))
+        assert [s.id for s, lab in train if lab == 1] == [seqs[i].id for i in sorted(picks)]
+
     def test_insufficient_class_rejected(self, corpus, toy_cm):
         small = [d for d in corpus if d.label != 1][:150] + class_members(
             corpus, 1

@@ -6,16 +6,13 @@ import pytest
 from odse.alignment import dissimilarity_table
 from odse.embedding import (
     _BLOCK,
-    EXPANSION_MEDOID,
-    INITIAL,
-    RepresentationSet,
+    DissimilarityMatrix,
     compute_matrix,
     embed_one,
     euclidean_distances,
     matrix_to_csv,
 )
 from odse.errors import OdseError
-from odse.sequences import Sequence
 
 from conftest import pair_dissimilarity, parse_matrix_csv, random_sequences
 
@@ -28,53 +25,10 @@ def sample_sets(toy_cm):
     return data, protos
 
 
-def initial_set(protos):
-    """The prototype set of protos, each tagged initial."""
-    return RepresentationSet(tuple(protos), (INITIAL,) * len(protos))
-
-
-class TestRepresentationSet:
-    def test_ids_and_length_follow_the_prototypes(self):
-        r = RepresentationSet(
-            (Sequence("a", "AR"), Sequence("b", "ND")), (INITIAL, EXPANSION_MEDOID)
-        )
-        assert r.ids == ("a", "b")
-        assert len(r) == 2
-
-    def test_explicit_provenance_kept(self):
-        r = RepresentationSet(
-            (Sequence("a", "AR"),), provenance=(EXPANSION_MEDOID,)
-        )
-        assert r.provenance == (EXPANSION_MEDOID,)
-
-    def test_empty_rejected(self):
-        with pytest.raises(OdseError, match="at least one"):
-            RepresentationSet((), ())
-
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(OdseError, match="duplicate prototype ids"):
-            RepresentationSet(
-                (Sequence("a", "AR"), Sequence("a", "ND")), (INITIAL, INITIAL)
-            )
-
-    def test_provenance_length_mismatch_rejected(self):
-        with pytest.raises(OdseError, match="provenance"):
-            RepresentationSet(
-                (Sequence("a", "AR"), Sequence("b", "ND")),
-                provenance=(INITIAL,),
-            )
-
-
-    @pytest.mark.parametrize("tag", ["bogus", 5, None])
-    def test_unknown_provenance_tag_rejected(self, tag):
-        with pytest.raises(OdseError, match="unknown provenance tag"):
-            RepresentationSet((Sequence("a", "AR"),), provenance=(tag,))
-
-
 class TestEmbedding:
     def test_embed_one_matches_pairwise_distance(self, toy_cm, sample_sets):
         data, protos = sample_sets
-        vec = embed_one(data[0], initial_set(protos), toy_cm)
+        vec = embed_one(data[0], protos, toy_cm)
         assert vec.shape == (len(protos),)
         for j, p in enumerate(protos):
             assert vec[j] == pair_dissimilarity(data[0], p, toy_cm)
@@ -86,7 +40,7 @@ class TestEmbedding:
         assert d.row_ids == tuple(s.id for s in data)
         assert d.col_ids == tuple(p.id for p in protos)
         for i, s in enumerate(data):
-            assert np.array_equal(d.values[i], embed_one(s, initial_set(protos), toy_cm))
+            assert np.array_equal(d.values[i], embed_one(s, protos, toy_cm))
 
     def test_empty_dataset_rejected(self, toy_cm, sample_sets):
         _, protos = sample_sets
@@ -116,6 +70,15 @@ class TestEmbedding:
             assert other.row_ids == base.row_ids
             assert other.col_ids == base.col_ids
 
+    @pytest.mark.parametrize("row_ids, col_ids", [
+        (("r1",), ("c1", "c2")),
+        (("r1", "r2"), ("c1",)),
+        (("r1", "r2", "r3"), ("c1", "c2")),
+    ], ids=["rows", "columns", "extra"])
+    def test_ids_must_match_the_shape(self, row_ids, col_ids):
+        with pytest.raises(OdseError, match="ids do not match its shape"):
+            DissimilarityMatrix(np.zeros((2, 2)), row_ids, col_ids)
+
     def test_self_matrix_zero_diagonal(self, toy_cm):
         rng = np.random.default_rng(103)
         seqs = random_sequences(rng, 8, prefix="z")
@@ -134,8 +97,6 @@ class TestCsv:
 
     def test_round_trip_exact_for_awkward_floats(self):
         # values with no short decimal form survive repr round-tripping
-        from odse.embedding import DissimilarityMatrix
-
         values = np.array([[0.1 + 0.2, 1e-17], [np.pi, 2.0 / 3.0]])
         d = DissimilarityMatrix(values, ("r1", "r2"), ("c1", "c2"))
         back = parse_matrix_csv(matrix_to_csv(d))

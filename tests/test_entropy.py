@@ -222,6 +222,10 @@ class TestMstEntropy:
             values.append(mst_entropy(pts, alpha))
         assert max(values) - min(values) < 0.2
 
+    def test_three_dimensional_samples_rejected(self):
+        with pytest.raises(OdseError, match=r"samples must have shape \(N,\) or \(N, d\)"):
+            mst_entropy(np.zeros((3, 2, 2)), 0.5)
+
 
 class TestNormalizedColumn:
     def test_constant_column_is_zero(self):
@@ -268,6 +272,10 @@ class TestNormalizedColumn:
 
 
 class TestNormalizedVector:
+    def test_three_dimensional_samples_rejected(self):
+        with pytest.raises(OdseError, match=r"samples must have shape \(N,\) or \(N, d\)"):
+            normalized_vector_entropy(np.zeros((3, 2, 2)), 0.5)
+
     def test_all_constant_columns_zero(self):
         alpha = 0.5
         samples = np.ones((6, 3))

@@ -280,6 +280,23 @@ class TestRunExperimentResampled(object):
         text = report_to_text(resampled_report)
         assert "Welch" in text
         assert f"{INPUT_KNN} vs {INPUT_SVM}" in text
+        lines = text.splitlines()
+        for p in resampled_report.pairwise:
+            mark = "significant" if p.p_value < SIGNIFICANCE_ALPHA else "not significant"
+            assert f"  {p.system_a} vs {p.system_b}: p = {p.p_value:.3e} ({mark})" in lines
+
+    def test_json_pairwise_mirrors_the_report(self, resampled_report):
+        doc = json.loads(report_to_json(resampled_report))
+        assert doc["resamples"] == 2
+        assert doc["pairwise"] == [
+            {
+                "system_a": p.system_a,
+                "system_b": p.system_b,
+                "p_value": p.p_value,
+                "significant": p.p_value < SIGNIFICANCE_ALPHA,
+            }
+            for p in resampled_report.pairwise
+        ]
 
 
 class TestRunExperimentOptimized:

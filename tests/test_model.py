@@ -14,17 +14,13 @@ from odse.classifiers import (
     knn_label_from_distances,
     svm_predict,
 )
-from odse.embedding import (
-    EXPANSION_MEDOID,
-    INITIAL,
-    DissimilarityMatrix,
-    RepresentationSet,
-    compute_matrix,
-)
+from odse.embedding import DissimilarityMatrix, compute_matrix
 from odse.entropy import MST, QRE, EstimatorConfig, normalized_column_entropy
 from odse.errors import OdseError, SynthesisError, TrainingError
 from odse.alignment import BY_MAX_LENGTH, build_cost_model, dissimilarity_table
 from odse.model import (
+    EXPANSION_MEDOID,
+    INITIAL,
     FitnessWeights,
     GaConfig,
     GenerationStat,
@@ -359,37 +355,34 @@ class TestExpand:
 
 
 def oracle_synthesis(g, train, sim, est):
-    """Prototype set and embedded training matrix of the former two-pass,
-    id-based synthesis: compress scores every column of the train x train
-    table and returns a reduced set, expand re-scores the surviving
-    columns, adds medoid sequences by id, and the final columns are
-    looked up by prototype id."""
+    """Prototype ids, provenance tags and embedded training matrix of the
+    former two-pass, id-based synthesis: compress scores every column of
+    the train x train table and returns a reduced set, expand re-scores
+    the surviving columns, adds medoid sequences by id, and the final
+    columns are looked up by prototype id."""
     from odse.alignment import build_cost_model
 
     cm = build_cost_model(sim, gap_weight=g.gap_weight)
     train_seqs = [s for s, _ in train]
-    r0 = RepresentationSet(tuple(train_seqs), (INITIAL,) * len(train_seqs))
     d0 = compute_matrix(train_seqs, train_seqs, cm)
 
     def score(d, j):
         return normalized_column_entropy(d.values[:, j], est, g.sigma).normalized
 
     # compress
-    scores = np.array([score(d0, j) for j in range(len(r0))])
-    kept = [j for j in range(len(r0)) if scores[j] > g.tau_c]
+    scores = np.array([score(d0, j) for j in range(len(train_seqs))])
+    kept = [j for j in range(len(train_seqs)) if scores[j] > g.tau_c]
     if not kept:
         kept = [int(np.argmax(scores))]
-    rc = RepresentationSet(
-        tuple(r0.prototypes[j] for j in kept), tuple(r0.provenance[j] for j in kept)
-    )
-    dc = DissimilarityMatrix(d0.values[:, kept], d0.row_ids, rc.ids)
+    protos = [train_seqs[j] for j in kept]
+    tags = [INITIAL] * len(kept)
+    dc = DissimilarityMatrix(d0.values[:, kept], d0.row_ids, tuple(p.id for p in protos))
 
     # expand
-    removed = np.array([score(dc, j) for j in range(len(rc))]) >= g.tau_e
-    r1 = rc
+    removed = np.array([score(dc, j) for j in range(len(protos))]) >= g.tau_e
     if removed.any():
-        protos = [p for j, p in enumerate(rc.prototypes) if not removed[j]]
-        tags = [t for j, t in enumerate(rc.provenance) if not removed[j]]
+        protos = [p for j, p in enumerate(protos) if not removed[j]]
+        tags = [t for j, t in enumerate(tags) if not removed[j]]
         present = {p.id for p in protos}
         by_class = {}
         for i, (_, label) in enumerate(train):
@@ -403,10 +396,10 @@ def oracle_synthesis(g, train, sim, est):
             present.add(medoid.id)
             protos.append(medoid)
             tags.append(EXPANSION_MEDOID)
-        r1 = RepresentationSet(tuple(protos), tuple(tags))
 
-    col_of = {pid: j for j, pid in enumerate(r0.ids)}
-    return r1, d0.values[:, [col_of[pid] for pid in r1.ids]]
+    ids = tuple(p.id for p in protos)
+    col_of = {pid: j for j, pid in enumerate(d0.col_ids)}
+    return ids, tuple(tags), d0.values[:, [col_of[pid] for pid in ids]]
 
 
 class TestColumnSelection:
@@ -437,12 +430,12 @@ class TestColumnSelection:
             model, _ = synthesize_instance(
                 g, train, val, toy_sim, KnnConfig(k=1), FitnessWeights(), est
             )
-            want_r, want_d = oracle_synthesis(g, train, toy_sim, est)
-            assert model.representation.ids == want_r.ids, g
-            assert model.representation.provenance == want_r.provenance, g
+            want_ids, want_tags, want_d = oracle_synthesis(g, train, toy_sim, est)
+            assert tuple(p.id for p in model.representation) == want_ids, g
+            assert model.provenance == want_tags, g
             assert model.inner.vectors.tobytes() == want_d.tobytes(), g
-            compressed += INITIAL in want_r.provenance and len(want_r) < len(train)
-            expanded += EXPANSION_MEDOID in want_r.provenance
+            compressed += INITIAL in want_tags and len(want_ids) < len(train)
+            expanded += EXPANSION_MEDOID in want_tags
         # the genomes exercise both transformations
         assert compressed > 0 and expanded > 0
 
@@ -466,7 +459,7 @@ class TestColumnSelection:
                 g, train, val, toy_sim, KnnConfig(k=1), FitnessWeights(),
                 EstimatorConfig(),
             )
-            provenance.update(model.representation.provenance)
+            provenance.update(model.provenance)
         assert provenance == {INITIAL, EXPANSION_MEDOID}
         assert calls == [len(train)] * (len(train) * len(genomes))
 
@@ -608,8 +601,8 @@ class TestSynthesize:
             FitnessWeights(),
             EstimatorConfig(),
         )
-        assert model.representation.ids == tuple(s.id for s, _ in train)
-        assert all(tag == INITIAL for tag in model.representation.provenance)
+        assert tuple(p.id for p in model.representation) == tuple(s.id for s, _ in train)
+        assert all(tag == INITIAL for tag in model.provenance)
         assert 0.0 <= fitness <= 1.0
         assert model.fitness == fitness
 
@@ -653,7 +646,7 @@ class TestSynthesize:
             EstimatorConfig(kind=MST),
         )
         fresh = compute_matrix(
-            [s for s, _ in train], model.representation.prototypes, model.cost_model
+            [s for s, _ in train], model.representation, model.cost_model
         )
         assert np.array_equal(model.inner.vectors, fresh.values)
 
@@ -1079,8 +1072,8 @@ class TestPersistence:
         assert loaded.fitness == model.fitness
         assert loaded.genome == model.genome
         assert loaded.synthesis_log == model.synthesis_log
-        assert loaded.representation.ids == model.representation.ids
-        assert loaded.representation.provenance == model.representation.provenance
+        assert loaded.representation == model.representation
+        assert loaded.provenance == model.provenance
 
     def test_json_round_trip_is_idempotent(self):
         model = self.build_knn_model()
@@ -1113,7 +1106,8 @@ class TestPersistence:
             config=SvmConfig(),
         )
         model = OdseModel(
-            model.genome, model.representation, model.cost_model, empty, model.fitness
+            model.genome, model.representation, model.provenance, model.cost_model,
+            empty, model.fitness,
         )
         loaded = model_from_json(model_to_json(model))
         assert loaded.inner.support.shape == (0, len(model.representation))
@@ -1182,7 +1176,59 @@ class TestOdseModelValidation:
             OdseModel(
                 genome=model.genome,
                 representation=model.representation,
+                provenance=model.provenance,
                 cost_model=model.cost_model,
                 inner=model.inner,
                 fitness=1.5,
+            )
+
+
+class TestModelPrototypes:
+    """A model's prototypes: one known provenance tag each, distinct ids
+    and at least one prototype."""
+
+    @pytest.fixture(scope="class")
+    def model(self, toy_sim):
+        return built_model(toy_sim, KnnConfig(k=1))
+
+    def test_ids_and_length_follow_the_prototypes(self, model):
+        m = dataclasses.replace(
+            model,
+            representation=(Sequence("a", "AR"), Sequence("b", "ND")),
+            provenance=(INITIAL, EXPANSION_MEDOID),
+        )
+        assert tuple(p.id for p in m.representation) == ("a", "b")
+        assert len(m.representation) == 2
+
+    def test_explicit_provenance_kept(self, model):
+        m = dataclasses.replace(
+            model, representation=(Sequence("a", "AR"),), provenance=(EXPANSION_MEDOID,)
+        )
+        assert m.provenance == (EXPANSION_MEDOID,)
+
+    def test_empty_rejected(self, model):
+        with pytest.raises(OdseError, match="at least one"):
+            dataclasses.replace(model, representation=(), provenance=())
+
+    def test_duplicate_ids_rejected(self, model):
+        with pytest.raises(OdseError, match="duplicate prototype ids"):
+            dataclasses.replace(
+                model,
+                representation=(Sequence("a", "AR"), Sequence("a", "ND")),
+                provenance=(INITIAL, INITIAL),
+            )
+
+    def test_provenance_length_mismatch_rejected(self, model):
+        with pytest.raises(OdseError, match="provenance"):
+            dataclasses.replace(
+                model,
+                representation=(Sequence("a", "AR"), Sequence("b", "ND")),
+                provenance=(INITIAL,),
+            )
+
+    @pytest.mark.parametrize("tag", ["bogus", 5, None])
+    def test_unknown_provenance_tag_rejected(self, model, tag):
+        with pytest.raises(OdseError, match="unknown provenance tag"):
+            dataclasses.replace(
+                model, representation=(Sequence("a", "AR"),), provenance=(tag,)
             )
