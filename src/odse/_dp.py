@@ -15,6 +15,10 @@ of earlier sources there; `~/.cache/odse` is left alone, since installs
 of other versions share it.  When no compiler is found or no build
 succeeds, `load` returns None and each caller runs its numpy loop
 instead.
+
+Only this module speaks C: callers pass each kernel C-contiguous arrays
+of its C parameter's dtype, and `_open` alone writes out the argument
+order, pointers, sizes, stride, status and bias out-parameter.
 """
 
 from __future__ import annotations
@@ -91,10 +95,14 @@ def _build(cc: str, target: Path) -> None:
 
 
 class Kernels(NamedTuple):
-    """The ctypes functions of one loaded library."""
+    """The kernels of one loaded library, called with numpy arrays of
+    each C parameter's dtype, C-contiguous except for the strided Parzen
+    column, and plain scalars.  `cost_table` raises MemoryError when the
+    kernel cannot allocate its scratch; `smo_sweep` returns the new bias
+    and the number of pair steps."""
 
-    cost_table: Callable[..., int]
-    smo_sweep: Callable[..., int]
+    cost_table: Callable[..., None]
+    smo_sweep: Callable[..., tuple[float, int]]
     parzen_exponents: Callable[..., None]
 
 
@@ -102,19 +110,35 @@ def _open(path: Path) -> Kernels:
     lib = ctypes.CDLL(str(path))
     ptr, size, real = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
     cost_table = lib.odse_cost_table
-    cost_table.argtypes = (
-        ptr, ptr, size, ptr, ptr, size, size, ptr, size, real, ptr, size, ptr,
-    )
+    cost_table.argtypes = (ptr, ptr, size, ptr, ptr, size, size, ptr, size, real, ptr, size, ptr)
     cost_table.restype = ctypes.c_int
     smo_sweep = lib.odse_smo_sweep
-    smo_sweep.argtypes = (
-        ptr, ptr, ptr, size, real, real, real, ptr, ptr, ctypes.POINTER(real),
-    )
+    smo_sweep.argtypes = (ptr, ptr, ptr, size, real, real, real, ptr, ptr, ctypes.POINTER(real))
     smo_sweep.restype = size
     parzen_exponents = lib.odse_parzen_exponents
     parzen_exponents.argtypes = (ptr, size, size, real, ptr)
     parzen_exponents.restype = None
-    return Kernels(cost_table, smo_sweep, parzen_exponents)
+
+    # .ctypes.data, not ndpointer argtypes, which cost more per call
+    def table(codes, starts, targets, lens, sub, gap, cols, out):
+        if cost_table(codes.ctypes.data, starts.ctypes.data, len(starts) - 1, targets.ctypes.data,
+                      lens.ctypes.data, *targets.shape, sub.ctypes.data, len(sub), float(gap),
+                      cols.ctypes.data, out.shape[1], out.ctypes.data):
+            raise MemoryError("alignment kernel could not allocate its scratch")
+
+    def sweep(k, y, eta, c, tol, step_eps, alphas, errors, b):
+        bias = real(b)
+        changed = smo_sweep(
+            k.ctypes.data, y.ctypes.data, eta.ctypes.data, len(y), float(c), float(tol),
+            step_eps, alphas.ctypes.data, errors.ctypes.data, ctypes.byref(bias),
+        )
+        return bias.value, changed
+
+    def parzen(column, scale, out):
+        stride = column.strides[0] // column.itemsize
+        parzen_exponents(column.ctypes.data, stride, len(column), scale, out.ctypes.data)
+
+    return Kernels(table, sweep, parzen)
 
 
 def _find_or_build():

@@ -257,15 +257,7 @@ def _cost_table(kernels, codes, starts, proto_mat, proto_lens, sub_cost, gap, co
         for q, (lo, hi) in enumerate(zip(starts, starts[1:])):
             out[q, cols] = numpy_cost_rows(codes[lo:hi], proto_mat, proto_lens, sub_cost, gap)
         return
-    n_targets, width = proto_mat.shape
-    status = kernels.cost_table(
-        codes.ctypes.data, starts.ctypes.data, len(starts) - 1,
-        proto_mat.ctypes.data, proto_lens.ctypes.data, n_targets, width,
-        sub_cost.ctypes.data, sub_cost.shape[0], float(gap),
-        cols.ctypes.data, out.shape[1], out.ctypes.data,
-    )
-    if status != 0:
-        raise MemoryError("alignment kernel could not allocate its scratch")
+    kernels.cost_table(codes, starts, proto_mat, proto_lens, sub_cost, gap, cols, out)
 
 
 def alignment_cost_rows(

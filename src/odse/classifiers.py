@@ -14,8 +14,6 @@ internally and a decision value of exactly zero resolves to class 0.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
 from dataclasses import dataclass
 
@@ -143,12 +141,12 @@ def smo_solve(gram, targets, c: float, tol: float, max_passes: int):
     ever move again under the same order) or after max_passes sweeps.
 
     Each sweep runs in the compiled kernel `odse_smo_sweep` in `_dp.c`,
-    or in the numpy loop `numpy_smo_sweep` when the kernel cannot be
-    built; the two do the same floating-point operations in the same
-    order, so they agree bit for bit.  The per-sweep error vector, every
-    pair's curvature and the final bias stay in numpy on both paths.  A
-    gram that is not a finite (n, n) array or targets that are not a
-    finite (n,) array raise ValueError before either path runs.
+    or in the numpy loop `numpy_smo_sweep` without one; both take
+    step_eps = _STEP_EPS and do the same floating-point operations in
+    the same order, so they agree bit for bit.  The per-sweep errors,
+    every pair's curvature and the final bias stay in numpy.  A gram
+    that is not a finite (n, n) array or targets that are not a finite
+    (n,) array raise ValueError before either path runs.
     """
     k = np.asarray(gram, dtype=np.float64)
     y = np.ascontiguousarray(targets, dtype=np.float64)
@@ -161,10 +159,7 @@ def smo_solve(gram, targets, c: float, tol: float, max_passes: int):
     # every pair's curvature K_ii + K_jj - 2 K_ij, computed once per solve
     eta_all = np.ascontiguousarray((diag[:, None] + diag[None, :]) - 2.0 * k)
     kernels = _dp.load()
-    if kernels is None:
-        sweep = numpy_smo_sweep
-    else:
-        sweep = functools.partial(_compiled_smo_sweep, kernels.smo_sweep)
+    sweep = numpy_smo_sweep if kernels is None else kernels.smo_sweep
     # the sweeps read k row-major; the matrix-vector products below keep
     # the caller's layout, whose BLAS summation order they always had
     k_rows = np.ascontiguousarray(k)
@@ -172,7 +167,7 @@ def smo_solve(gram, targets, c: float, tol: float, max_passes: int):
     b = 0.0
     for _ in range(max_passes):
         errors = k @ (alphas * y) + b - y
-        b, changed = sweep(k_rows, y, eta_all, c, tol, alphas, errors, b)
+        b, changed = sweep(k_rows, y, eta_all, c, tol, _STEP_EPS, alphas, errors, b)
         if changed == 0:
             break
     # recompute the bias from the free support vectors when there are any;
@@ -184,22 +179,10 @@ def smo_solve(gram, targets, c: float, tol: float, max_passes: int):
     return alphas, b
 
 
-def _compiled_smo_sweep(kernel, k, y, eta_all, c, tol, alphas, errors, b):
-    """`numpy_smo_sweep` through the compiled kernel; every array must be
-    C-contiguous float64."""
-    bias = ctypes.c_double(b)
-    changed = kernel(
-        k.ctypes.data, y.ctypes.data, eta_all.ctypes.data, y.shape[0],
-        float(c), float(tol), _STEP_EPS, alphas.ctypes.data, errors.ctypes.data,
-        ctypes.byref(bias),
-    )
-    return bias.value, changed
-
-
-def numpy_smo_sweep(k, y, eta_all, c, tol, alphas, errors, b):
+def numpy_smo_sweep(k, y, eta_all, c, tol, step_eps, alphas, errors, b):
     """One sweep of `smo_solve` over i = 0..n-1 in numpy: the fallback
     without a C compiler, and the reference the compiled sweep is tested
-    against.
+    against.  A clipped step below step_eps makes a partner infeasible.
 
     alphas and errors are updated in place; returns the new bias and the
     number of pair steps taken.
@@ -220,7 +203,7 @@ def numpy_smo_sweep(k, y, eta_all, c, tol, alphas, errors, b):
         # infeasible partners may divide by zero or overflow; they are masked
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             a_new = np.minimum(np.maximum(alphas + y * (e_i - errors) / eta, lo), hi)
-        feasible = (lo < hi) & (eta > 0.0) & ~(np.abs(a_new - alphas) < _STEP_EPS)
+        feasible = (lo < hi) & (eta > 0.0) & ~(np.abs(a_new - alphas) < step_eps)
         feasible[i] = False
         if not feasible.any():
             continue

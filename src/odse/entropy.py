@@ -199,7 +199,7 @@ def column_scores(table, cfg: EstimatorConfig, sigma=None) -> list[EntropyValue]
         c = x[:, j]
         if cfg.kind == QRE:
             if kernels is not None:
-                kernels.parzen_exponents(c.ctypes.data, m, n, scale, terms.ctypes.data)
+                kernels.parzen_exponents(c, scale, terms)
             else:
                 np.subtract(c[:, None], c[None, :], out=terms)
                 np.multiply(terms, terms, out=terms)

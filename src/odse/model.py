@@ -733,8 +733,11 @@ def _model_from_doc(doc) -> OdseModel:
     genome = OdseGenome(**doc["genome"])
     prototypes = tuple(Sequence(r["id"], r["symbols"]) for r in doc["representation"])
     provenance = tuple(r["provenance"] for r in doc["representation"])
-    # checked before the inner classifier is read against their count,
-    # so a defect in them is named as such
+    # checked before the duplicate-id set hashes the ids, and the set before
+    # the inner classifier is read against its count, so each defect is named
+    for p in prototypes:
+        if not (isinstance(p.id, str) and p.id):
+            raise OdseError(f"prototype id {p.id!r} must be non-empty text")
     _check_representation(prototypes, provenance)
     cmrec = doc["cost_model"]
     cm = AlignmentCostModel(
@@ -744,8 +747,6 @@ def _model_from_doc(doc) -> OdseModel:
         normalization=cmrec["normalization"],
     )
     for p in prototypes:
-        if not (isinstance(p.id, str) and p.id):
-            raise OdseError(f"prototype id {p.id!r} must be non-empty text")
         if not (isinstance(p.symbols, str) and set(p.symbols) <= set(cm.alphabet)):
             raise OdseError(f"prototype {p.id!r}: symbols must be text over the alphabet")
     log = tuple(GenerationStat(**s) for s in doc["synthesis_log"])

@@ -11,6 +11,7 @@ from odse.alignment import (
     RAW,
     AlignmentCostModel,
     SimilarityMatrix,
+    alignment_cost_rows,
     build_cost_model,
     dissimilarities_to_targets,
     dissimilarity_table,
@@ -93,6 +94,10 @@ class TestMatrixParsing:
         # built in Python meets the same rule
         with pytest.raises(MatrixFormatError, match="empty alphabet"):
             SimilarityMatrix((), np.zeros((0, 0), dtype=np.int64))
+
+    def test_table_of_another_size_rejected(self):
+        with pytest.raises(MatrixFormatError, match=r"score table is \(3, 3\), expected \(2, 2\)"):
+            SimilarityMatrix(("A", "B"), np.zeros((3, 3), dtype=np.int64))
 
 
 class TestCostModel:
@@ -264,6 +269,16 @@ class TestDpProperties:
 
 
 class TestBatch:
+    @pytest.mark.parametrize("part", ["lengths", "cost-table"])
+    def test_batch_that_does_not_fit_rejected(self, part, toy_cm):
+        mat, lens, sub = np.zeros((2, 3), dtype=np.intp), np.array([3, 1]), toy_cm.sub_cost
+        if part == "lengths":
+            lens = np.array([3, 1, 2])
+        else:
+            sub = sub[:, :-1]
+        with pytest.raises(ValueError, match="cost table or target lengths do not match the batch"):
+            alignment_cost_rows(np.array([0, 1]), mat, lens, sub, toy_cm.gap_cost)
+
     def test_batch_equals_scalar_calls(self, toy_cm):
         rng = np.random.default_rng(29)
         targets = random_sequences(rng, 12, lo=0, hi=9, prefix="t")

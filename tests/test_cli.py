@@ -338,6 +338,14 @@ class TestMalformedModelFiles:
         doc["cost_model"]["gap_cost"] = gap_cost
         assert "gap cost" in self.expect_one_error_line(workdir, json.dumps(doc), tmp_path, capsys)
 
+    def test_non_finite_cost_table_rejected(self, workdir, model_text, tmp_path, capsys):
+        # one symmetric pair, so the table fails on finiteness alone
+        doc = json.loads(model_text)
+        sub = doc["cost_model"]["sub_cost"]
+        sub[0][1] = sub[1][0] = float("nan")
+        err = self.expect_one_error_line(workdir, json.dumps(doc), tmp_path, capsys)
+        assert err == "error: cost table has non-finite entries"
+
     def test_repeated_alphabet_symbol_rejected(self, workdir, model_text, tmp_path, capsys):
         # with the last symbol replaced by A, every A once took the costs
         # of that last place (as PAM120's unused X, replaced by A, would)
@@ -379,6 +387,9 @@ class TestMalformedModelFiles:
         # k of 3.0 once ended in a TypeError traceback, and true ran as k = 1
         "knn-k-float": (lambda inner: inner["config"].update(k=3.0), "odd integer, got 3.0"),
         "knn-k-true": (lambda inner: inner["config"].update(k=True), "odd integer, got True"),
+        "kind-unknown": (
+            lambda inner: inner.update(kind="tree"), "error: unknown inner classifier kind 'tree'"
+        ),
     }
     SVM_CHANGES = {
         "svm-targets-cut": (lambda inner: inner.update(targets=inner["targets"][:1]), "targets"),
@@ -441,6 +452,10 @@ class TestMalformedModelFiles:
         "id-number": (lambda rec: rec.update(id=5), "prototype id 5 must be non-empty text"),
         "id-null": (lambda rec: rec.update(id=None), "prototype id None must be"),
         "id-empty": (lambda rec: rec.update(id=""), "prototype id '' must be"),
+        # a list or object id once reached the duplicate-id set first, and
+        # was named only as an unhashable type
+        "id-list": (lambda rec: rec.update(id=[1]), "prototype id [1] must be non-empty text"),
+        "id-object": (lambda rec: rec.update(id={"a": 1}), "prototype id {'a': 1} must be"),
         "provenance-number": (lambda rec: rec.update(provenance=5), "provenance tag 5"),
         "provenance-null": (lambda rec: rec.update(provenance=None), "provenance tag None"),
         "provenance-bogus": (

@@ -267,7 +267,7 @@ def test_column_scores_use_the_compiled_parzen_exponents(monkeypatch):
     kernels = _dp.load()
     calls = []
     counted = kernels._replace(
-        parzen_exponents=lambda *args: calls.append(args[2]) or kernels.parzen_exponents(*args)
+        parzen_exponents=lambda *args: calls.append(len(args[0])) or kernels.parzen_exponents(*args)
     )
     monkeypatch.setattr(_dp, "load", lambda: counted)
     table = np.random.default_rng(31).uniform(0.0, 9.0, size=(7, 3))
@@ -322,7 +322,7 @@ def test_chunks_and_threads_leave_the_table_unchanged(normalization, pam120, mon
     kernels = _dp.load()
     if kernels is not None:
         counted = kernels._replace(
-            cost_table=lambda *args: calls.append(args[2]) or kernels.cost_table(*args)
+            cost_table=lambda *args: calls.append(len(args[1]) - 1) or kernels.cost_table(*args)
         )
         monkeypatch.setattr(_dp, "load", lambda: counted)
     monkeypatch.setattr(alignment, "CHUNK_ROWS", 3)

@@ -1114,6 +1114,11 @@ class TestPersistence:
         _, val = separable_data()
         assert [classify_all(loaded, [s])[0] for s, _ in val] == [0] * len(val)
 
+    def test_unknown_inner_classifier_not_serialized(self, toy_sim):
+        model = dataclasses.replace(self.build_svm_model(toy_sim), inner=object())
+        with pytest.raises(OdseError, match="cannot serialize inner classifier object"):
+            model_to_json(model)
+
     def test_cost_model_round_trip_bit_exact(self, toy_sim):
         model = self.build_svm_model(toy_sim)
         loaded = model_from_json(model_to_json(model))

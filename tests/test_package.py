@@ -3,7 +3,8 @@
 The package namespace holds the modules and `__version__` only, every
 import between the package's modules names the module that defines what
 it imports, and README's examples import from modules that hold the
-names they use.
+names they use.  The C calling convention of the compiled kernels has
+one home too: `_dp` alone imports ctypes or reads a `.ctypes` attribute.
 """
 
 import ast
@@ -71,6 +72,30 @@ def test_package_imports_name_the_defining_module():
     assert len(imports) > 50
     wrong = [(where, why) for where, m, name in imports if (why := homeless(m, name))]
     assert wrong == []
+
+
+def speaks_c(path):
+    """Lines of path that import ctypes or read a `.ctypes` attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        if any(n.split(".")[0] == "ctypes" for n in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_dp_speaks_c():
+    # callers pass arrays; pointers, strides, status and out-parameters
+    # are written out in `_dp` alone
+    speakers = {path.name for path in SRC.glob("*.py") if speaks_c(path)}
+    assert speakers == {"_dp.py"}
 
 
 def readme_imports():
