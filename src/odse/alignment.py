@@ -248,18 +248,6 @@ def _checked_batch(codes, proto_mat, proto_lens, sub_cost):
     return codes, proto_mat, proto_lens, sub_cost
 
 
-def _cost_table(kernels, codes, starts, proto_mat, proto_lens, sub_cost, gap, cols, out):
-    """The raw costs of query q, the codes codes[starts[q]:starts[q + 1]],
-    to target k, written to out[q, cols[k]] on checked, contiguous
-    arrays: one call of the compiled kernel, or one `numpy_cost_rows`
-    call per query when `kernels` is None.  The one place that chooses."""
-    if kernels is None:
-        for q, (lo, hi) in enumerate(zip(starts, starts[1:])):
-            out[q, cols] = numpy_cost_rows(codes[lo:hi], proto_mat, proto_lens, sub_cost, gap)
-        return
-    kernels.cost_table(codes, starts, proto_mat, proto_lens, sub_cost, gap, cols, out)
-
-
 def alignment_cost_rows(
     query: np.ndarray,
     proto_mat: np.ndarray,
@@ -268,51 +256,19 @@ def alignment_cost_rows(
     gap: float,
 ) -> np.ndarray:
     """Global-alignment costs of one encoded query against a batch of
-    encoded, padded targets: the one-query case of the `_cost_table`
-    call behind `dissimilarity_table`, after the same checks (IndexError
-    for a symbol code outside the cost table, ValueError for a target
-    length outside the padded width or a cost table that does not fit).
-    The compiled kernel in `_dp.c` and the numpy loop `numpy_cost_rows`
-    agree bit for bit whatever the batch's order or size.
+    encoded, padded targets: the one-query case of the `cost_table` call
+    behind `dissimilarity_table`, after the same checks (IndexError for a
+    symbol code outside the cost table, ValueError for a target length
+    outside the padded width or a cost table that does not fit).  Both
+    of `_dp`'s kernel sets agree bit for bit whatever the batch's order
+    or size.
     """
     query, proto_mat, proto_lens, sub_cost = _checked_batch(query, proto_mat, proto_lens, sub_cost)
     out = np.empty((1, len(proto_lens)), dtype=np.float64)
     starts = np.array([0, len(query)], dtype=np.intp)
     cols = np.arange(len(proto_lens), dtype=np.intp)
-    _cost_table(_dp.load(), query, starts, proto_mat, proto_lens, sub_cost, gap, cols, out)
+    _dp.load().cost_table(query, starts, proto_mat, proto_lens, sub_cost, gap, cols, out)
     return out[0]
-
-
-def numpy_cost_rows(
-    query: np.ndarray,
-    proto_mat: np.ndarray,
-    proto_lens: np.ndarray,
-    sub_cost: np.ndarray,
-    gap: float,
-) -> np.ndarray:
-    """The numpy form of `alignment_cost_rows`: the fallback without a C
-    compiler, and the reference the compiled kernel is tested against.
-
-    Runs the classic dynamic program one query symbol at a time across the
-    whole batch.  The within-row insertion recurrence
-    cur[j] = min(m[j], cur[j-1] + gap) is solved as a prefix minimum of
-    m[k] - k*gap, which keeps every step vectorized.  Padded columns never
-    influence the value gathered at each target's true length.
-    """
-    n_targets, width = proto_mat.shape
-    jg = gap * np.arange(width + 1, dtype=np.float64)
-    state = np.tile(jg, (n_targets, 1))
-    cand = np.empty((n_targets, width + 1), dtype=np.float64)
-    for i, a in enumerate(query):
-        np.minimum(
-            state[:, :-1] + sub_cost[a, proto_mat],
-            state[:, 1:] + gap,
-            out=cand[:, 1:],
-        )
-        cand[:, 0] = (i + 1) * gap
-        np.minimum.accumulate(cand - jg, axis=1, out=state)
-        state += jg
-    return state[np.arange(n_targets), proto_lens]
 
 
 def dissimilarity_table(
@@ -328,7 +284,7 @@ def dissimilarity_table(
     batch is checked once.  The queries are then cut into contiguous
     chunks of nearly equal size and at most CHUNK_ROWS queries, a
     multiple of `threads` of them (or one per query, if there are
-    fewer), and each chunk is one `_cost_table` call, which writes its
+    fewer), and each chunk is one `cost_table` kernel call, which writes its
     rows straight into the caller's column order.  Each cost depends on
     one query and one target alone, so neither the order, the chunks nor
     the number of worker threads changes a result.  threads must be an
@@ -349,11 +305,10 @@ def dissimilarity_table(
         flat[starts[i]:starts[i + 1]] = cm.encode(q)
     flat, mat, sorted_lens, sub = _checked_batch(flat, mat, lens[order], cm.sub_cost)
     out = np.empty((len(qlens), len(codes)), dtype=np.float64)
-    kernels = _dp.load()
+    cost_table = _dp.load().cost_table
 
     def fill(lo, hi):
-        _cost_table(kernels, flat, starts[lo:hi + 1], mat, sorted_lens, sub, cm.gap_cost,
-                    order, out[lo:hi])
+        cost_table(flat, starts[lo:hi + 1], mat, sorted_lens, sub, cm.gap_cost, order, out[lo:hi])
         if cm.normalization == BY_MAX_LENGTH:
             denom = np.maximum(qlens[lo:hi, None], lens).astype(np.float64)
             with np.errstate(invalid="ignore"):

@@ -140,13 +140,12 @@ def smo_solve(gram, targets, c: float, tol: float, max_passes: int):
     stay in [0, C].  Stops after a sweep with no step (no alpha would
     ever move again under the same order) or after max_passes sweeps.
 
-    Each sweep runs in the compiled kernel `odse_smo_sweep` in `_dp.c`,
-    or in the numpy loop `numpy_smo_sweep` without one; both take
-    step_eps = _STEP_EPS and do the same floating-point operations in
-    the same order, so they agree bit for bit.  The per-sweep errors,
-    every pair's curvature and the final bias stay in numpy.  A gram
-    that is not a finite (n, n) array or targets that are not a finite
-    (n,) array raise ValueError before either path runs.
+    Each sweep is the `smo_sweep` of `_dp.load()`, compiled or numpy;
+    both take step_eps = _STEP_EPS and do the same floating-point
+    operations in the same order, so they agree bit for bit.  The
+    per-sweep errors, every pair's curvature and the final bias stay in
+    numpy.  A gram that is not a finite (n, n) array or targets that are
+    not a finite (n,) array raise ValueError before any sweep runs.
     """
     k = np.asarray(gram, dtype=np.float64)
     y = np.ascontiguousarray(targets, dtype=np.float64)
@@ -158,8 +157,7 @@ def smo_solve(gram, targets, c: float, tol: float, max_passes: int):
     diag = k.diagonal()
     # every pair's curvature K_ii + K_jj - 2 K_ij, computed once per solve
     eta_all = np.ascontiguousarray((diag[:, None] + diag[None, :]) - 2.0 * k)
-    kernels = _dp.load()
-    sweep = numpy_smo_sweep if kernels is None else kernels.smo_sweep
+    sweep = _dp.load().smo_sweep
     # the sweeps read k row-major; the matrix-vector products below keep
     # the caller's layout, whose BLAS summation order they always had
     k_rows = np.ascontiguousarray(k)
@@ -177,54 +175,6 @@ def smo_solve(gram, targets, c: float, tol: float, max_passes: int):
         f_wo_b = k[free] @ (alphas * y)
         b = float(np.mean(y[free] - f_wo_b))
     return alphas, b
-
-
-def numpy_smo_sweep(k, y, eta_all, c, tol, step_eps, alphas, errors, b):
-    """One sweep of `smo_solve` over i = 0..n-1 in numpy: the fallback
-    without a C compiler, and the reference the compiled sweep is tested
-    against.  A clipped step below step_eps makes a partner infeasible.
-
-    alphas and errors are updated in place; returns the new bias and the
-    number of pair steps taken.
-    """
-    n = y.shape[0]
-    changed = 0
-    for i in range(n):
-        e_i = errors[i]
-        r_i = e_i * y[i]
-        if not ((r_i < -tol and alphas[i] < c) or (r_i > tol and alphas[i] > 0)):
-            continue
-        # every partner at once, in the operand order of the pair update
-        a_i = alphas[i]
-        same = y == y[i]
-        lo = np.maximum(0.0, np.where(same, (a_i + alphas) - c, alphas - a_i))
-        hi = np.minimum(c, np.where(same, a_i + alphas, (c + alphas) - a_i))
-        eta = eta_all[i]
-        # infeasible partners may divide by zero or overflow; they are masked
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            a_new = np.minimum(np.maximum(alphas + y * (e_i - errors) / eta, lo), hi)
-        feasible = (lo < hi) & (eta > 0.0) & ~(np.abs(a_new - alphas) < step_eps)
-        feasible[i] = False
-        if not feasible.any():
-            continue
-        j = int(np.argmax(np.where(feasible, np.abs(errors - e_i), -1.0)))
-        a_j, a_j_new = alphas[j], a_new[j]
-        a_i_new = a_i + y[i] * y[j] * (a_j - a_j_new)
-        d_i = y[i] * (a_i_new - a_i)
-        d_j = y[j] * (a_j_new - a_j)
-        b1 = b - e_i - d_i * k[i, i] - d_j * k[i, j]
-        b2 = b - errors[j] - d_i * k[i, j] - d_j * k[j, j]
-        if 0.0 < a_i_new < c:
-            b_new = b1
-        elif 0.0 < a_j_new < c:
-            b_new = b2
-        else:
-            b_new = 0.5 * (b1 + b2)
-        errors += d_i * k[:, i] + d_j * k[:, j] + (b_new - b)
-        alphas[i], alphas[j] = a_i_new, a_j_new
-        b = b_new
-        changed += 1
-    return b, changed
 
 
 def svm_train(dist, labels, cfg: SvmConfig) -> TrainedSvm:

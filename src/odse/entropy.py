@@ -175,7 +175,7 @@ def column_scores(table, cfg: EstimatorConfig, sigma=None) -> list[EntropyValue]
     A column is one-dimensional, and so is its work.  QRE: each
     column's Parzen terms are computed in one N x N buffer reused for
     every column, their exponents -(a - b)**2 / (4 sigma**2) by the
-    compiled kernel when there is one and by numpy otherwise.  MST: the
+    `parzen_exponents` of `_dp.load()`, compiled or numpy.  MST: the
     sorted column's adjacent gaps form a minimum spanning tree, since
     rounded distances are monotone along a sorted axis, and every
     minimum spanning tree has the edge lengths Prim's finds.
@@ -190,7 +190,7 @@ def column_scores(table, cfg: EstimatorConfig, sigma=None) -> list[EntropyValue]
         terms = np.empty((n, n))
         # (-s) / c == s / (-c) exactly
         scale = -(4.0 * sigma * sigma)
-        kernels = _dp.load()
+        parzen_exponents = _dp.load().parzen_exponents
     scores = []
     for j in range(m):
         if not ranges[j] > 0.0:
@@ -198,12 +198,7 @@ def column_scores(table, cfg: EstimatorConfig, sigma=None) -> list[EntropyValue]
             continue
         c = x[:, j]
         if cfg.kind == QRE:
-            if kernels is not None:
-                kernels.parzen_exponents(c, scale, terms)
-            else:
-                np.subtract(c[:, None], c[None, :], out=terms)
-                np.multiply(terms, terms, out=terms)
-                np.divide(terms, scale, out=terms)
+            parzen_exponents(c, scale, terms)
             np.exp(terms, out=terms)
             raw = _qre_value(float(terms.sum()), n, 1, sigma)
         else:

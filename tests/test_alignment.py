@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from odse._dp import numpy_cost_rows
 from odse.alignment import (
     BY_MAX_LENGTH,
     GAP_WEIGHT_MAX,
@@ -16,7 +17,6 @@ from odse.alignment import (
     dissimilarities_to_targets,
     dissimilarity_table,
     load_similarity_matrix,
-    numpy_cost_rows,
     pam120_path,
     parse_similarity_matrix,
 )

@@ -579,4 +579,4 @@ class TestSmoPartnerRuleNumpy(TestSmoPartnerRule):
 
     @pytest.fixture(autouse=True)
     def numpy_sweep(self, monkeypatch):
-        monkeypatch.setattr(_dp, "load", lambda: None)
+        monkeypatch.setattr(_dp, "load", lambda: _dp.NUMPY)

@@ -395,7 +395,7 @@ def scored_tables(draw):
 def numpy_path():
     """Score columns without the compiled kernels, as where no C
     compiler exists."""
-    return mock.patch.object(_dp, "load", lambda: None)
+    return mock.patch.object(_dp, "load", lambda: _dp.NUMPY)
 
 
 class TestColumnScores:

@@ -2,6 +2,7 @@
 against their numpy reference loops, the fallbacks when they cannot be
 built, and how and when they are built."""
 
+import inspect
 import platform
 import subprocess
 import sys
@@ -15,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import odse
-from odse import _dp, alignment, classifiers
+from odse import _dp, alignment
+from odse._dp import numpy_cost_rows
 from odse.alignment import (
     BY_MAX_LENGTH,
     GAP_WEIGHT_MAX,
@@ -24,18 +26,18 @@ from odse.alignment import (
     build_cost_model,
     dissimilarities_to_targets,
     load_similarity_matrix,
-    numpy_cost_rows,
     pam120_path,
 )
-from odse.classifiers import smo_solve
+from odse.classifiers import KnnConfig, SvmConfig, smo_solve
 from odse.embedding import compute_matrix
-from odse.entropy import QRE, EstimatorConfig, column_scores
+from odse.entropy import MST, QRE, EstimatorConfig, column_scores
+from odse.model import FitnessWeights, GaConfig, ga_optimize, model_to_json
 
 from conftest import RESIDUES, random_sequences
 from test_classifiers import random_gram
 
 needs_kernel = pytest.mark.skipif(
-    _dp.load() is None, reason="no C compiler to build the compiled kernels"
+    _dp.load() is _dp.NUMPY, reason="no C compiler to build the compiled kernels"
 )
 
 
@@ -47,7 +49,7 @@ def pam120():
 @pytest.fixture
 def fresh_build(monkeypatch, tmp_path):
     """Forget the loaded kernel and cache new builds under tmp_path."""
-    monkeypatch.setattr(_dp, "_kernel", _dp._UNSET)
+    monkeypatch.setattr(_dp, "_kernel", None)
     monkeypatch.setattr(_dp, "cache_dirs", lambda: (tmp_path / "a", tmp_path / "b"))
     return tmp_path
 
@@ -100,17 +102,17 @@ def assert_kernels_agree(rows, query, mat, lens, cm):
 
 
 def assert_table_agrees(kernels, queries, mat, lens, cm, cols=None):
-    """One `_cost_table` call over every query (the compiled kernel, or
-    the numpy loop when kernels is None), each row against
-    numpy_cost_rows: target k's cost must land in column cols[k], the
-    identity columns when cols is None."""
+    """One `kernels.cost_table` call over every query (compiled, or the
+    numpy loop of `_dp.NUMPY`), each row against numpy_cost_rows: target
+    k's cost must land in column cols[k], the identity columns when cols
+    is None."""
     codes = np.concatenate([np.asarray(q, dtype=np.intp) for q in queries] or [np.zeros(0)])
     starts = np.cumsum([0] + [len(q) for q in queries]).astype(np.intp)
     codes, mat, lens, sub = alignment._checked_batch(codes, mat, lens, cm.sub_cost)
     if cols is None:
         cols = np.arange(len(lens), dtype=np.intp)
     out = np.full((len(queries), len(lens)), np.nan)
-    alignment._cost_table(kernels, codes, starts, mat, lens, sub, cm.gap_cost, cols, out)
+    kernels.cost_table(codes, starts, mat, lens, sub, cm.gap_cost, cols, out)
     for q, row in zip(queries, out):
         want = numpy_cost_rows(np.asarray(q, dtype=np.intp), mat, lens, sub, cm.gap_cost)
         assert np.array_equal(row[cols], want)
@@ -122,7 +124,7 @@ class TestCompiledKernel:
         def reference_called(*args):
             raise AssertionError("the numpy loop ran with a compiled kernel available")
 
-        monkeypatch.setattr(alignment, "numpy_cost_rows", reference_called)
+        monkeypatch.setattr(_dp, "numpy_cost_rows", reference_called)
         out = alignment_cost_rows(
             np.array([0, 1]), np.array([[1, 0, 2]]), np.array([3]),
             np.zeros((3, 3)), 1.0,
@@ -143,7 +145,7 @@ class TestCompiledKernel:
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
     def test_equals_numpy_reference_on_drawn_batches(self, data, pam120, plain_kernels):
-        kernels = data.draw(st.sampled_from((_dp.load(), plain_kernels, None)))
+        kernels = data.draw(st.sampled_from((_dp.load(), plain_kernels, _dp.NUMPY)))
         cm = build_cost_model(pam120, gap_weight=data.draw(st.floats(1e-3, GAP_WEIGHT_MAX)))
         codes = st.integers(0, len(cm.alphabet) - 1)
         queries = data.draw(st.lists(st.lists(codes, max_size=50), max_size=5))
@@ -189,7 +191,7 @@ class TestCompiledKernel:
         queries = random_sequences(rng, 6, lo=0, hi=60, alphabet=RESIDUES, prefix="q")
         cm = build_cost_model(pam120, gap_weight=0.7, normalization=normalization)
         compiled = [dissimilarities_to_targets(q, targets, cm) for q in queries]
-        monkeypatch.setattr(_dp, "load", lambda: None)
+        monkeypatch.setattr(_dp, "load", lambda: _dp.NUMPY)
         for q, got in zip(queries, compiled):
             assert np.array_equal(got, dissimilarities_to_targets(q, targets, cm))
 
@@ -208,7 +210,7 @@ class TestCompiledKernel:
             for pad in (0, 1, 10):
                 mat = rng.integers(0, len(cm.alphabet), size=(n_targets, int(lens.max(initial=0)) + pad))
                 queries = [rng.integers(0, len(cm.alphabet), size=n) for n in (0, 1, 30, 0)]
-                for kernels in (_dp.load(), plain_kernels, None):
+                for kernels in (_dp.load(), plain_kernels, _dp.NUMPY):
                     assert_table_agrees(kernels, queries, mat, lens, cm)
                 for query in queries[:3]:
                     for rows in (alignment_cost_rows, plain_kernel):
@@ -222,7 +224,7 @@ class TestCompiledKernel:
         for t in threads:
             t.join(timeout=120)
         assert not any(t.is_alive() for t in threads)
-        assert len(loaded) == 4 and loaded[0] is not None
+        assert len(loaded) == 4 and loaded[0] is not _dp.NUMPY
         assert all(k is loaded[0] for k in loaded)
         assert [p.name for p in (fresh_build / "a").iterdir()] == [_dp.library_name()]
 
@@ -258,7 +260,7 @@ class TestCompiledKernel:
 
     def test_unwritable_cache_dir_falls_through_to_the_next(self, fresh_build):
         (fresh_build / "a").write_text("not a directory", encoding="utf-8")
-        assert _dp.load() is not None
+        assert _dp.load() is not _dp.NUMPY
         assert (fresh_build / "b" / _dp.library_name()).exists()
 
 
@@ -284,7 +286,7 @@ def test_numpy_table_writes_each_row_into_its_columns(pam120):
     mat = rng.integers(0, len(cm.alphabet), size=(11, int(lens.max()) + 2))
     queries = [rng.integers(0, len(cm.alphabet), size=n) for n in (0, 7, 33)]
     for cols in (None, rng.permutation(11)):
-        assert_table_agrees(None, queries, mat, lens, cm, cols)
+        assert_table_agrees(_dp.NUMPY, queries, mat, lens, cm, cols)
 
 
 @pytest.mark.parametrize("path", [pytest.param("compiled", marks=needs_kernel), "numpy"])
@@ -292,7 +294,7 @@ def test_bad_codes_and_lengths_rejected(path, toy_cm, monkeypatch):
     # both paths check the batch before either runs: unchecked, the numpy
     # loop would read code -1 as the table's last column
     if path == "numpy":
-        monkeypatch.setattr(_dp, "load", lambda: None)
+        monkeypatch.setattr(_dp, "load", lambda: _dp.NUMPY)
     sub, gap = toy_cm.sub_cost, toy_cm.gap_cost
     with pytest.raises(IndexError):
         alignment_cost_rows(np.array([4]), np.array([[0]]), np.array([1]), sub, gap)
@@ -320,16 +322,15 @@ def test_chunks_and_threads_leave_the_table_unchanged(normalization, pam120, mon
     assert np.array_equal(whole, rows)
     calls = []
     kernels = _dp.load()
-    if kernels is not None:
-        counted = kernels._replace(
-            cost_table=lambda *args: calls.append(len(args[1]) - 1) or kernels.cost_table(*args)
-        )
-        monkeypatch.setattr(_dp, "load", lambda: counted)
+    counted = kernels._replace(
+        cost_table=lambda *args: calls.append(len(args[1]) - 1) or kernels.cost_table(*args)
+    )
+    monkeypatch.setattr(_dp, "load", lambda: counted)
     monkeypatch.setattr(alignment, "CHUNK_ROWS", 3)
     for threads, sizes in ((1, [3, 3, 3, 2]), (2, [3, 3, 3, 2]), (3, [2] * 5 + [1])):
         calls.clear()
         assert np.array_equal(alignment.dissimilarity_table(queries, targets, cm, threads), whole)
-        assert kernels is None or sorted(calls, reverse=True) == sizes
+        assert sorted(calls, reverse=True) == sizes
 
 
 def test_fallback_gives_unchanged_results(pam120, monkeypatch):
@@ -337,14 +338,14 @@ def test_fallback_gives_unchanged_results(pam120, monkeypatch):
     seqs = random_sequences(rng, 20, lo=0, hi=40, alphabet=RESIDUES)
     cm = build_cost_model(pam120, gap_weight=1.3)
     before = compute_matrix(seqs, seqs[:8], cm, threads=2).values
-    monkeypatch.setattr(_dp, "load", lambda: None)
+    monkeypatch.setattr(_dp, "load", lambda: _dp.NUMPY)
     after = compute_matrix(seqs, seqs[:8], cm, threads=2).values
     assert np.array_equal(before, after)
 
 
 def test_failed_build_falls_back_to_numpy(fresh_build, monkeypatch, toy_cm):
     monkeypatch.setattr(_dp, "compiler", lambda: "false")
-    assert _dp.load() is None
+    assert _dp.load() is _dp.NUMPY
     query, mat, lens = np.array([0, 3]), np.array([[1, 2]]), np.array([2])
     got = alignment_cost_rows(query, mat, lens, toy_cm.sub_cost, toy_cm.gap_cost)
     want = numpy_cost_rows(query, mat, lens, toy_cm.sub_cost, toy_cm.gap_cost)
@@ -355,21 +356,46 @@ def test_compiler_on_path_means_compiled_kernel():
     # a build that breaks would otherwise fall back to numpy unnoticed
     if _dp.compiler() is None:
         pytest.skip("no C compiler on PATH")
-    assert _dp.load() is not None
+    assert _dp.load() is not _dp.NUMPY
+
+
+@needs_kernel
+def test_both_kernel_sets_take_the_same_parameters():
+    # a parameter added to or renamed in one set only fails here
+    compiled = _dp.load()
+    for field in _dp.Kernels._fields:
+        want = list(inspect.signature(getattr(compiled, field)).parameters)
+        assert list(inspect.signature(getattr(_dp.NUMPY, field)).parameters) == want, field
+
+
+@needs_kernel
+@pytest.mark.parametrize("inner", [SvmConfig(c=2.0), KnnConfig(k=3)], ids=["svm", "knn"])
+@pytest.mark.parametrize("kind", [QRE, MST])
+def test_saved_model_is_the_same_whichever_kernels_ran(inner, kind, pam120, monkeypatch):
+    # a GA run calls all three kernels; its saved model must not show
+    # which set ran them
+    rng = np.random.default_rng(43)
+    seqs = random_sequences(rng, 40, lo=12, hi=30, alphabet=RESIDUES)
+    train = [(s, i % 2) for i, s in enumerate(seqs)]
+    cfg = GaConfig(population_size=6, max_generations=2, rng_seed=5)
+    args = (train, None, pam120, inner, FitnessWeights(), EstimatorConfig(kind=kind), cfg)
+    compiled = model_to_json(ga_optimize(*args))
+    monkeypatch.setattr(_dp, "load", lambda: _dp.NUMPY)
+    assert model_to_json(ga_optimize(*args)) == compiled
 
 
 def test_import_builds_no_kernel():
     src = str(Path(odse.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import odse; "
-        "from odse import _dp; assert _dp._kernel is _dp._UNSET"
+        "from odse import _dp; assert _dp._kernel is None"
     )
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 
 
 def solve_with(kernels, gram, y, c, max_passes):
-    """`smo_solve` with `_dp.load` giving kernels: None runs the numpy
-    sweep."""
+    """`smo_solve` with `_dp.load` giving kernels: `_dp.NUMPY` runs the
+    numpy sweep."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_dp, "load", lambda: kernels)
         return smo_solve(gram, y, c, 1e-3, max_passes)
@@ -387,7 +413,8 @@ def never_called(*args):
 @needs_kernel
 class TestCompiledSmoSweep:
     def test_compiled_sweep_is_the_one_in_use(self, monkeypatch):
-        monkeypatch.setattr(classifiers, "numpy_smo_sweep", never_called)
+        monkeypatch.setattr(_dp, "numpy_smo_sweep", never_called)
+        monkeypatch.setattr(_dp, "NUMPY", _dp.NUMPY._replace(smo_sweep=never_called))
         alphas, _ = smo_solve(np.eye(2), np.array([1.0, -1.0]), 1.0, 1e-3, 10)
         assert alphas.tolist() == [1.0, 1.0]
 
@@ -402,7 +429,7 @@ class TestCompiledSmoSweep:
         c = 10.0 ** data.draw(st.floats(-7.0, 2.0))
         max_passes = data.draw(st.integers(1, 200))
         gram = random_gram(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), n, kind)
-        want = solve_with(None, gram, y, c, max_passes)
+        want = solve_with(_dp.NUMPY, gram, y, c, max_passes)
         assert_same_bits(solve_with(kernels, gram, y, c, max_passes), want)
 
     def test_threads_solving_at_once_give_serial_results(self):
@@ -426,12 +453,8 @@ def test_bad_smo_inputs_rejected(path, monkeypatch):
     # both paths check gram and targets before any sweep runs: unchecked,
     # a mis-shaped gram is an out-of-bounds read in C, and a NaN makes
     # numpy's argmax and the C scan pick partners by different rules
-    if path == "numpy":
-        monkeypatch.setattr(_dp, "load", lambda: None)
-        monkeypatch.setattr(classifiers, "numpy_smo_sweep", never_called)
-    else:
-        kernels = _dp.load()._replace(smo_sweep=never_called)
-        monkeypatch.setattr(_dp, "load", lambda: kernels)
+    kernels = (_dp.NUMPY if path == "numpy" else _dp.load())._replace(smo_sweep=never_called)
+    monkeypatch.setattr(_dp, "load", lambda: kernels)
     y = np.array([1.0, -1.0, 1.0])
     gram = np.eye(3)
     for bad_gram, bad_y in [
