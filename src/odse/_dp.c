@@ -17,19 +17,19 @@
  * is fused.
  *
  * The targets are aligned LANES at a time (inter-sequence lanes, as in
- * Rognes 2011, SWIPE).  For each block of LANES targets the codes are
- * transposed lane-major once, and the block's substitution profile
+ * Rognes 2011, SWIPE).  For each block of LANES targets the substitution
+ * profile
  *     prof[a][j-1][l] = sub[a][t_l[j-1]]
- * is built once; then every query runs through the block.  A query row
- * reads one contiguous profile row, prof[a], instead of gathering
- * sub[a][t] per cell, and each lane does exactly the scalar operations
- * above on its own target: the profile entry is the same double as
- * sub[a][t], and the two selects `a < b ? a : b` are x86 minpd, signed
- * zeros and NaN operands included.  A block runs to its longest target
- * and each lane reads its result at its own length, which the padded
- * cells past it never reach.  Lanes past the last target align code 0
- * and are never read.  Callers that order targets by length keep the
- * lanes full.
+ * is built once, straight from the padded targets; then every query runs
+ * through the block.  A query row reads one contiguous profile row,
+ * prof[a], instead of gathering sub[a][t] per cell, and each lane does
+ * exactly the scalar operations above on its own target: the profile
+ * entry is the same double as sub[a][t], and the two selects
+ * `a < b ? a : b` are x86 minpd, signed zeros and NaN operands included.
+ * A block runs to its longest target and each lane reads its result at
+ * its own length, which the padded cells past it never reach.  Lanes
+ * past the last target align code 0 and are never read.  Callers that
+ * order targets by length keep the lanes full.
  *
  * On x86-64 ELF builds with a GNU-compatible compiler the block loop is
  * also written with AVX2 intrinsics, eight lanes as two vectors of four
@@ -39,14 +39,13 @@
  *
  * Inputs are validated by the caller (codes in range, lengths within the
  * padded width).  Query q is codes[starts[q] .. starts[q+1]-1]; its cost
- * to target k is written to out[q*n_cols + cols[k]].  The scratch is
- * allocated per call and sized by the padded width, so concurrent callers
+ * to target k is written to out[q*n_cols + cols[k]].  The scratch is one
+ * aligned block per call, sized by the padded width, so concurrent callers
  * share no state and a call's memory does not grow with its query count.
  */
 
 #include <math.h>
 #include <stddef.h>
-#include <stdint.h>
 #include <stdlib.h>
 
 #define LANES 8
@@ -150,12 +149,6 @@ static void query_avx2(const ptrdiff_t *query, ptrdiff_t n, const double *prof,
 }
 #endif
 
-/* 32-byte aligned pointer into buf, which holds 4 doubles of slack. */
-static double *aligned32(double *buf)
-{
-    return (double *)(((uintptr_t)buf + 31) & ~(uintptr_t)31);
-}
-
 int odse_cost_table(const ptrdiff_t *codes, const ptrdiff_t *starts,
                     ptrdiff_t n_queries, const ptrdiff_t *targets,
                     const ptrdiff_t *lens, ptrdiff_t n_targets,
@@ -169,20 +162,14 @@ int odse_cost_table(const ptrdiff_t *codes, const ptrdiff_t *starts,
     if (__builtin_cpu_supports("avx2"))
         run = query_avx2;
 #endif
-    size_t cols_w = (size_t)width + 1;
-    /* jg, the DP row and the profile, each 32-byte aligned */
-    size_t row = LANES * cols_w, prof_n = (size_t)n_alpha * LANES * (size_t)width;
-    size_t n = (cols_w + 4) + (row + 4) + (prof_n + 4);
-    double *buf = malloc(n * sizeof(double));
-    ptrdiff_t *tt = malloc((LANES * (size_t)width + 1) * sizeof(ptrdiff_t));
-    if (buf == NULL || tt == NULL) {
-        free(buf);
-        free(tt);
+    /* jg | DP row | profile in one block; jg's width+1 doubles are rounded
+     * up to whole vectors of 4, so each part starts 32-byte aligned */
+    size_t jg_n = ((size_t)width + 4) & ~(size_t)3, row = LANES * ((size_t)width + 1);
+    size_t prof_n = (size_t)n_alpha * LANES * (size_t)width;
+    void *block;
+    if (posix_memalign(&block, 32, (jg_n + row + prof_n) * sizeof(double)))
         return -1;
-    }
-    double *jg = aligned32(buf);
-    double *state = aligned32(jg + cols_w);
-    double *prof = aligned32(state + row);
+    double *jg = block, *state = jg + jg_n, *prof = state + row;
     for (ptrdiff_t j = 0; j <= width; j++)
         jg[j] = gap * (double)j;
 
@@ -192,14 +179,12 @@ int odse_cost_table(const ptrdiff_t *codes, const ptrdiff_t *starts,
         for (ptrdiff_t l = 0; l < nl; l++)
             if (lens[k0 + l] > len)
                 len = lens[k0 + l];
-        for (ptrdiff_t j = 0; j < len; j++)
-            for (ptrdiff_t l = 0; l < LANES; l++)
-                tt[j * LANES + l] = l < nl ? targets[(k0 + l) * width + j] : 0;
         for (ptrdiff_t a = 0; a < n_alpha; a++) {
             const double *sa = sub + a * n_alpha;
             double *pa = prof + a * len * LANES;
-            for (ptrdiff_t j = 0; j < len * LANES; j++)
-                pa[j] = sa[tt[j]];
+            for (ptrdiff_t j = 0; j < len; j++)
+                for (ptrdiff_t l = 0; l < LANES; l++)
+                    pa[j * LANES + l] = sa[l < nl ? targets[(k0 + l) * width + j] : 0];
         }
         for (ptrdiff_t q = 0; q < n_queries; q++) {
             run(codes + starts[q], starts[q + 1] - starts[q], prof, len, jg, gap, state);
@@ -208,13 +193,12 @@ int odse_cost_table(const ptrdiff_t *codes, const ptrdiff_t *starts,
                 row_q[cols[k0 + l]] = state[lens[k0 + l] * LANES + l];
         }
     }
-    free(buf);
-    free(tt);
+    free(block);
     return 0;
 }
 
 /* One sweep of odse.classifiers.smo_solve over i = 0..n-1: the loop body
- * of odse.classifiers.numpy_smo_sweep, operation for operation.
+ * of odse._dp.numpy_smo_sweep, operation for operation.
  *
  * k and eta are row-major n x n (the Gram matrix and every pair's
  * curvature K_ii + K_jj - 2 K_ij); alphas and errors are updated in

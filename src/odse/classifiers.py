@@ -99,7 +99,7 @@ def knn_label_from_distances(distances, labels, k: int) -> int:
         raise TrainingError("kNN needs a non-empty training set")
     if n < k:
         raise TrainingError(f"kNN needs at least k={k} training items, got {n}")
-    order = np.lexsort((np.arange(n), dist))[:k]
+    order = np.argsort(dist, kind="stable")[:k]
     votes: dict[int, list[float]] = {}
     for idx in order:
         votes.setdefault(int(labels[idx]), []).append(float(dist[idx]))

@@ -3,6 +3,7 @@ against their numpy reference loops, the fallbacks when they cannot be
 built, and how and when they are built."""
 
 import inspect
+import os
 import platform
 import subprocess
 import sys
@@ -382,6 +383,139 @@ def test_saved_model_is_the_same_whichever_kernels_ran(inner, kind, pam120, monk
     compiled = model_to_json(ga_optimize(*args))
     monkeypatch.setattr(_dp, "load", lambda: _dp.NUMPY)
     assert model_to_json(ga_optimize(*args)) == compiled
+
+
+SANITIZE = (
+    "-g", "-fno-omit-frame-pointer", "-fsanitize=address,undefined",
+    "-fno-sanitize-recover=undefined",
+)
+
+
+def sanitizer_runtime():
+    """Path of the kernel compiler's AddressSanitizer runtime on Linux,
+    or None."""
+    cc = _dp.compiler()
+    if cc is None or not sys.platform.startswith("linux"):
+        return None
+    printed = subprocess.run(
+        [cc, "-print-file-name=libasan.so"], capture_output=True, text=True, timeout=60,
+    ).stdout.strip()
+    # a compiler without the runtime prints the bare name back
+    return printed if os.path.isabs(printed) and os.path.isfile(printed) else None
+
+
+def check_kernels_against_numpy(path):
+    """Require each kernel of the library at path to equal `_dp.NUMPY`
+    bit for bit: the edge cases first, then 100 seeded random ones per
+    kernel.  A sanitized child interpreter runs this function's
+    source, so it imports what it uses."""
+    import numpy as np
+
+    from odse import _dp
+
+    kernels = _dp._open(path)
+    rng = np.random.default_rng(0)
+
+    def cost_table(queries, lens, pad, n_alpha, permute):
+        lens = np.asarray(lens, dtype=np.intp)
+        width = int(lens.max(initial=0)) + pad
+        targets = rng.integers(0, n_alpha, size=(len(lens), width)).astype(np.intp)
+        codes = np.concatenate([np.zeros(0), *queries]).astype(np.intp)
+        starts = np.cumsum([0, *map(len, queries)]).astype(np.intp)
+        cols = (rng.permutation(len(lens)) if permute else np.arange(len(lens))).astype(np.intp)
+        sub = rng.uniform(0.0, 4.0, size=(n_alpha, n_alpha))
+        gap = float(rng.uniform(0.01, 4.0))
+        got, want = (np.full((len(queries), len(lens)), np.nan) for _ in range(2))
+        kernels.cost_table(codes, starts, targets, lens, sub, gap, cols, got)
+        _dp.NUMPY.cost_table(codes, starts, targets, lens, sub, gap, cols, want)
+        assert got.tobytes() == want.tobytes()
+
+    def queries(n_alpha, n, max_len):
+        return [rng.integers(0, n_alpha, size=int(rng.integers(0, max_len + 1))) for _ in range(n)]
+
+    def smo_sweeps(n, kind, c):
+        # psd: Gaussian kernel of points with the first one repeated, so
+        # some pairs have zero curvature; indefinite: Gaussian kernel of
+        # a symmetric non-metric distance table
+        if kind == "psd":
+            x = rng.normal(size=(n, 2))
+            x[-1] = x[0]
+            d = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+        else:
+            d = np.triu(rng.uniform(0.0, 3.0, size=(n, n)), 1)
+            d = d + d.T
+        k = np.exp(-float(rng.uniform(0.05, 2.0)) * d)
+        y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        diag = np.diag(k)
+        eta = np.ascontiguousarray((diag[:, None] + diag[None, :]) - 2.0 * k)
+        runs = []
+        for sweep in (kernels.smo_sweep, _dp.NUMPY.smo_sweep):
+            alphas, b, trail = np.zeros(n), 0.0, []
+            for _ in range(50):
+                errors = k @ (alphas * y) + b - y
+                b, changed = sweep(k, y, eta, c, 1e-3, 1e-7, alphas, errors, b)
+                trail.append((alphas.tobytes(), errors.tobytes(), np.float64(b).tobytes(), changed))
+                if not changed:
+                    break
+            runs.append(trail)
+        assert runs[0] == runs[1]
+
+    def parzen_exponents(n):
+        column = rng.normal(size=(n, 3))[:, 1]
+        scale = float(rng.uniform(0.1, 4.0))
+        got, want = np.empty((n, n)), np.empty((n, n))
+        kernels.parzen_exponents(column, scale, got)
+        _dp.NUMPY.parzen_exponents(column, scale, want)
+        assert got.tobytes() == want.tobytes()
+
+    for n_targets in (0, 1, 7, 8, 9, 17):
+        lens = rng.integers(0, 30, size=n_targets)
+        for pad in (0, 3):
+            for permute in (False, True):
+                cost_table([[], *queries(24, 2, 30)], lens, pad, 24, permute)
+        # padded width 0
+        cost_table(queries(24, 3, 10), [0] * n_targets, 0, 24, True)
+    for n in (2, 3, 17, 40):
+        for kind in ("psd", "indefinite"):
+            smo_sweeps(n, kind, 1.0)
+    for n in (0, 1, 2, 7, 8):
+        parzen_exponents(n)
+    for _ in range(100):
+        n_alpha = int(rng.choice([1, 4, 24]))
+        lens = rng.integers(0, 40, size=int(rng.integers(0, 18)))
+        cost_table(queries(n_alpha, int(rng.integers(0, 5)), 40), lens,
+                   int(rng.integers(0, 4)), n_alpha, bool(rng.random() < 0.5))
+        smo_sweeps(int(rng.integers(2, 60)), str(rng.choice(["psd", "indefinite"])),
+                   float(10.0 ** rng.uniform(-2.0, 2.0)))
+        parzen_exponents(int(rng.integers(1, 50)))
+    return "checked"
+
+
+@pytest.mark.parametrize("extra", [(), ("-U__ELF__",)], ids=["default", "plain"])
+def test_kernels_agree_under_sanitizers(extra, tmp_path):
+    # an out-of-bounds access or undefined behaviour that leaves the
+    # results unchanged passes every equality test; AddressSanitizer and
+    # UBSan stop the child at the first one
+    runtime = sanitizer_runtime()
+    if runtime is None:
+        pytest.skip("no C compiler with an AddressSanitizer runtime on Linux")
+    path = tmp_path / "sanitized.so"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_dp, "FLAGS", (*_dp.FLAGS, *extra, *SANITIZE))
+        _dp._build(_dp.compiler(), path)
+    assert b"__asan" in path.read_bytes()
+    src = str(Path(odse.__file__).resolve().parents[1])
+    code = "\n".join((
+        f"import sys; sys.path.insert(0, {src!r})",
+        inspect.getsource(check_kernels_against_numpy),
+        f"print(check_kernels_against_numpy({str(path)!r}))",
+    ))
+    env = {**os.environ, "LD_PRELOAD": runtime, "ASAN_OPTIONS": "detect_leaks=0"}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["checked"]
 
 
 def test_import_builds_no_kernel():
