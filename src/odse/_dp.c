@@ -34,24 +34,37 @@
  * On x86-64 ELF builds with a GNU-compatible compiler the block loop is
  * also written with AVX2 intrinsics, eight lanes as two vectors of four
  * so two independent prefix-minimum chains hide each other's latency;
- * it is chosen at run time when the processor has AVX2.  Both loops do
- * the same IEEE operations, so the choice never changes a result.
+ * it is chosen at run time when the processor has AVX2.  The same builds
+ * hold a third loop, chosen before it when the processor has AVX-512F:
+ * it runs two neighbouring queries of the call through the block at
+ * once, each query's eight lanes in one 8-double register with its own
+ * DP row, so the two queries' chains hide each other's latency.  Rows
+ * past the shorter query, and an odd last query, run alone.  All three
+ * loops do the same IEEE operations per lane, so the choice never changes
+ * a result.  ODSE_NO_AVX512 is a test seam, not a build option: the
+ * library odse builds never defines it, and the tests define it to build
+ * a second library in which the AVX2 loop runs on AVX-512 machines.
  *
  * Inputs are validated by the caller (codes in range, lengths within the
  * padded width).  Query q is codes[starts[q] .. starts[q+1]-1]; its cost
  * to target k is written to out[q*n_cols + cols[k]].  The scratch is one
- * aligned block per call, sized by the padded width, so concurrent callers
- * share no state and a call's memory does not grow with its query count.
+ * 64-byte aligned block per call, sized by the padded width, so
+ * concurrent callers share no state and a call's memory does not grow
+ * with its query count.
  */
 
 #include <math.h>
 #include <stddef.h>
+#include <stdint.h>
 #include <stdlib.h>
 
 #define LANES 8
 
 #if defined(__x86_64__) && defined(__GNUC__) && defined(__ELF__)
 #define ODSE_AVX2 1
+#ifndef ODSE_NO_AVX512
+#define ODSE_AVX512 1
+#endif
 #include <immintrin.h>
 #endif
 
@@ -149,6 +162,80 @@ static void query_avx2(const ptrdiff_t *query, ptrdiff_t n, const double *prof,
 }
 #endif
 
+#ifdef ODSE_AVX512
+/* query_plain's recurrence for one query's eight lanes in one AVX-512
+ * register.  row_start512 begins row i: diag takes the old state[0] and
+ * the running minimum is returned.  cell512 does column j of the row at
+ * s, with profile entries p and jg[j] in g, and returns the running
+ * minimum.  _mm512_min_pd(x, y) is x < y ? x : y, lane by lane. */
+__attribute__((target("avx512f"), always_inline))
+static inline __m512d row_start512(double *state, __m512d *diag, ptrdiff_t i,
+                                   const double *jg, double gap)
+{
+    __m512d m = _mm512_set1_pd((double)(i + 1) * gap - jg[0]);
+    *diag = _mm512_load_pd(state);
+    _mm512_store_pd(state, _mm512_add_pd(m, _mm512_set1_pd(jg[0])));
+    return m;
+}
+
+__attribute__((target("avx512f"), always_inline))
+static inline __m512d cell512(double *s, const double *p, __m512d *diag,
+                              __m512d m, __m512d g, __m512d vgap)
+{
+    __m512d up = _mm512_load_pd(s);
+    __m512d c = _mm512_add_pd(*diag, _mm512_load_pd(p));
+    c = _mm512_min_pd(_mm512_add_pd(up, vgap), c);
+    m = _mm512_min_pd(_mm512_sub_pd(c, g), m);
+    _mm512_store_pd(s, _mm512_add_pd(m, g));
+    *diag = up;
+    return m;
+}
+
+/* query_plain for two queries a and b at once, each with its own DP row,
+ * state_a and state_b, so their two running-minimum chains hide each
+ * other's latency; an empty b leaves state_b holding the empty query's
+ * row. */
+__attribute__((target("avx512f")))
+static void query_pair_avx512(const ptrdiff_t *qa, ptrdiff_t na,
+                              const ptrdiff_t *qb, ptrdiff_t nb,
+                              const double *prof, ptrdiff_t len,
+                              const double *jg, double gap,
+                              double *state_a, double *state_b)
+{
+    const __m512d vgap = _mm512_set1_pd(gap);
+    for (ptrdiff_t j = 0; j <= len; j++) {
+        __m512d g = _mm512_set1_pd(jg[j]);
+        _mm512_store_pd(state_a + j * LANES, g);
+        _mm512_store_pd(state_b + j * LANES, g);
+    }
+    ptrdiff_t both = na < nb ? na : nb;
+    for (ptrdiff_t i = 0; i < both; i++) {
+        const double *pa = prof + qa[i] * len * LANES;
+        const double *pb = prof + qb[i] * len * LANES;
+        __m512d diag_a, diag_b;
+        __m512d m_a = row_start512(state_a, &diag_a, i, jg, gap);
+        __m512d m_b = row_start512(state_b, &diag_b, i, jg, gap);
+        for (ptrdiff_t j = 1; j <= len; j++) {
+            __m512d g = _mm512_set1_pd(jg[j]);
+            m_a = cell512(state_a + j * LANES, pa + (j - 1) * LANES, &diag_a, m_a, g, vgap);
+            m_b = cell512(state_b + j * LANES, pb + (j - 1) * LANES, &diag_b, m_b, g, vgap);
+        }
+    }
+    /* the longer query's last rows, alone */
+    const ptrdiff_t *q = na > nb ? qa : qb;
+    ptrdiff_t n = na > nb ? na : nb;
+    double *state = na > nb ? state_a : state_b;
+    for (ptrdiff_t i = both; i < n; i++) {
+        const double *p = prof + q[i] * len * LANES;
+        __m512d diag;
+        __m512d m = row_start512(state, &diag, i, jg, gap);
+        for (ptrdiff_t j = 1; j <= len; j++)
+            m = cell512(state + j * LANES, p + (j - 1) * LANES, &diag, m,
+                        _mm512_set1_pd(jg[j]), vgap);
+    }
+}
+#endif
+
 int odse_cost_table(const ptrdiff_t *codes, const ptrdiff_t *starts,
                     ptrdiff_t n_queries, const ptrdiff_t *targets,
                     const ptrdiff_t *lens, ptrdiff_t n_targets,
@@ -162,14 +249,19 @@ int odse_cost_table(const ptrdiff_t *codes, const ptrdiff_t *starts,
     if (__builtin_cpu_supports("avx2"))
         run = query_avx2;
 #endif
-    /* jg | DP row | profile in one block; jg's width+1 doubles are rounded
-     * up to whole vectors of 4, so each part starts 32-byte aligned */
-    size_t jg_n = ((size_t)width + 4) & ~(size_t)3, row = LANES * ((size_t)width + 1);
+#ifdef ODSE_AVX512
+    int pairs = __builtin_cpu_supports("avx512f");
+#endif
+    /* jg | two DP rows | profile in one block; jg's width+1 doubles are
+     * rounded up to whole 8-double vectors, and a row is a whole number of
+     * them, so each part starts 64-byte aligned */
+    size_t jg_n = ((size_t)width + 8) & ~(size_t)7, row = LANES * ((size_t)width + 1);
     size_t prof_n = (size_t)n_alpha * LANES * (size_t)width;
-    void *block;
-    if (posix_memalign(&block, 32, (jg_n + row + prof_n) * sizeof(double)))
+    void *block = malloc((jg_n + 2 * row + prof_n) * sizeof(double) + 63);
+    if (block == NULL)
         return -1;
-    double *jg = block, *state = jg + jg_n, *prof = state + row;
+    double *jg = (double *)(((uintptr_t)block + 63) & ~(uintptr_t)63);
+    double *state = jg + jg_n, *prof = state + 2 * row;
     for (ptrdiff_t j = 0; j <= width; j++)
         jg[j] = gap * (double)j;
 
@@ -186,11 +278,27 @@ int odse_cost_table(const ptrdiff_t *codes, const ptrdiff_t *starts,
                 for (ptrdiff_t l = 0; l < LANES; l++)
                     pa[j * LANES + l] = sa[l < nl ? targets[(k0 + l) * width + j] : 0];
         }
-        for (ptrdiff_t q = 0; q < n_queries; q++) {
-            run(codes + starts[q], starts[q + 1] - starts[q], prof, len, jg, gap, state);
-            double *row_q = out + q * n_cols;
-            for (ptrdiff_t l = 0; l < nl; l++)
-                row_q[cols[k0 + l]] = state[lens[k0 + l] * LANES + l];
+        /* queries q and q+1 into rows state and state + row; past the last
+         * query, b is empty and its row is not read */
+        for (ptrdiff_t q = 0; q < n_queries; q += 2) {
+            const ptrdiff_t *qa = codes + starts[q], *qb = codes + starts[q + 1];
+            ptrdiff_t na = starts[q + 1] - starts[q];
+            ptrdiff_t nb = q + 1 < n_queries ? starts[q + 2] - starts[q + 1] : 0;
+#ifdef ODSE_AVX512
+            if (pairs)
+                query_pair_avx512(qa, na, qb, nb, prof, len, jg, gap, state, state + row);
+            else
+#endif
+            {
+                run(qa, na, prof, len, jg, gap, state);
+                run(qb, nb, prof, len, jg, gap, state + row);
+            }
+            for (ptrdiff_t h = q; h < q + 2 && h < n_queries; h++) {
+                const double *s = state + (h - q) * row;
+                double *row_h = out + h * n_cols;
+                for (ptrdiff_t l = 0; l < nl; l++)
+                    row_h[cols[k0 + l]] = s[lens[k0 + l] * LANES + l];
+            }
         }
     }
     free(block);

@@ -6,7 +6,7 @@ program behind `alignment.dissimilarity_table` and
 `classifiers.smo_solve`, and the Parzen kernel exponents of one column
 for `entropy.column_scores`.  It is compiled with the system C compiler
 on the first kernel call, never at import.  It is cached under a name
-keyed by a hash of the source and the compiler flags, first in the
+keyed by a checksum of the source and the compiler flags, first in the
 package's `__pycache__` directory and, when that is not writable, in
 `~/.cache/odse`.  Each build writes a temporary file and moves it into
 place with `os.replace`, so a concurrent process never loads a partial
@@ -25,7 +25,6 @@ stride, status and bias out-parameter.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import logging
 import os
 import re
@@ -33,6 +32,7 @@ import shutil
 import subprocess
 import tempfile
 import threading
+import zlib
 from collections.abc import Callable
 from pathlib import Path
 from typing import NamedTuple
@@ -59,8 +59,10 @@ def compiler() -> str | None:
 
 
 def library_name() -> str:
-    digest = hashlib.sha256(SOURCE.read_bytes() + " ".join(FLAGS).encode()).hexdigest()
-    return f"_dp-{digest[:16]}.so"
+    # CRC-32 of the even and of the odd bytes, as cffi names its modules:
+    # zlib is loaded with numpy, where hashlib would load OpenSSL
+    key = SOURCE.read_bytes() + " ".join(FLAGS).encode()
+    return f"_dp-{zlib.crc32(key[0::2]):08x}{zlib.crc32(key[1::2]):08x}.so"
 
 
 def cache_dirs() -> tuple[Path, ...]:

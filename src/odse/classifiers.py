@@ -122,7 +122,11 @@ def median_heuristic_gamma(distances: np.ndarray) -> float:
     n = distances.shape[0]
     if n < 2:
         return 1.0
-    med = float(np.median(distances[np.triu_indices(n, k=1)]))
+    # np.median's own steps, one or two middle values after np.partition
+    # and their np.mean; np.median's first call imports numpy.ma
+    values = distances[np.triu_indices(n, k=1)]
+    lo, hi = (len(values) - 1) // 2, len(values) // 2
+    med = float(np.mean(np.partition(values, (lo, hi))[lo : hi + 1]))
     if med <= 0.0:
         return 1.0
     return 1.0 / (2.0 * med * med)

@@ -254,7 +254,9 @@ def compress(scores, tau_c: float) -> tuple[int, ...]:
 def _per_class_medoids(labels, pairwise: np.ndarray) -> list[int]:
     """Index of one medoid per class on pairwise, in label order."""
     labels = np.asarray(labels)
-    return [medoid(pairwise, np.flatnonzero(labels == label)) for label in np.unique(labels)]
+    # sorted(set()), not np.unique, whose first call imports numpy.ma
+    classes = sorted(set(labels.tolist()))
+    return [medoid(pairwise, np.flatnonzero(labels == label)) for label in classes]
 
 
 def expand(

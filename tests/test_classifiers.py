@@ -209,6 +209,18 @@ class TestMedianHeuristic:
         assert median_heuristic_gamma(np.zeros((3, 3))) == 1.0
         assert median_heuristic_gamma(np.zeros((1, 1))) == 1.0
 
+    def test_equals_numpy_median_bit_for_bit(self):
+        # an odd and an even count of pairs, ties, and values whose two
+        # middle ones differ by many orders of magnitude
+        rng = np.random.default_rng(53)
+        for t in range(600):
+            n = int(rng.integers(2, 30))
+            table = (rng.uniform(0.0, 5.0, size=(n, n)), rng.integers(0, 4, size=(n, n)) * 0.5,
+                     np.exp(rng.normal(0.0, 30.0, size=(n, n))))[t % 3]
+            med = float(np.median(table[np.triu_indices(n, k=1)]))
+            want = 1.0 if med <= 0.0 else 1.0 / (2.0 * med * med)
+            assert np.float64(median_heuristic_gamma(table)).tobytes() == np.float64(want).tobytes()
+
 
 class TestSvmConfig:
     def test_validation(self):

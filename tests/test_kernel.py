@@ -66,21 +66,38 @@ def random_batch(rng, n_alpha, max_len=120):
     return query, mat, lens
 
 
-@pytest.fixture(scope="module")
-def plain_library(tmp_path_factory):
-    """A second build of `_dp.c` with __ELF__ undefined: the AVX2 guard
-    is off, so only the plain lane loop is compiled, as on platforms
-    other than x86-64 ELF."""
-    path = tmp_path_factory.mktemp("plain") / "plain.so"
+def build_variant(tmp_path_factory, name, flag):
+    """A second build of `_dp.c` at tmp/name.so, with flag added."""
+    path = tmp_path_factory.mktemp(name) / f"{name}.so"
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_dp, "FLAGS", (*_dp.FLAGS, "-U__ELF__"))
+        mp.setattr(_dp, "FLAGS", (*_dp.FLAGS, flag))
         _dp._build(_dp.compiler(), path)
     return path
 
 
 @pytest.fixture(scope="module")
+def plain_library(tmp_path_factory):
+    """`_dp.c` with __ELF__ undefined: the AVX2 guard is off, so only the
+    plain lane loop is compiled, as on platforms other than x86-64 ELF."""
+    return build_variant(tmp_path_factory, "plain", "-U__ELF__")
+
+
+@pytest.fixture(scope="module")
 def plain_kernels(plain_library):
     return _dp._open(plain_library)
+
+
+@pytest.fixture(scope="module")
+def avx2_library(tmp_path_factory):
+    """`_dp.c` with ODSE_NO_AVX512 defined: the AVX-512 query-pair loop
+    is left out, so on a processor with AVX2 the AVX2 loop runs, which
+    the library in use skips on a processor with AVX-512."""
+    return build_variant(tmp_path_factory, "avx2", "-DODSE_NO_AVX512")
+
+
+@pytest.fixture(scope="module")
+def avx2_kernels(avx2_library):
+    return _dp._open(avx2_library)
 
 
 @pytest.fixture(scope="module")
@@ -145,8 +162,9 @@ class TestCompiledKernel:
 
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
-    def test_equals_numpy_reference_on_drawn_batches(self, data, pam120, plain_kernels):
-        kernels = data.draw(st.sampled_from((_dp.load(), plain_kernels, _dp.NUMPY)))
+    def test_equals_numpy_reference_on_drawn_batches(self, data, pam120, plain_kernels,
+                                                      avx2_kernels):
+        kernels = data.draw(st.sampled_from((_dp.load(), avx2_kernels, plain_kernels, _dp.NUMPY)))
         cm = build_cost_model(pam120, gap_weight=data.draw(st.floats(1e-3, GAP_WEIGHT_MAX)))
         codes = st.integers(0, len(cm.alphabet) - 1)
         queries = data.draw(st.lists(st.lists(codes, max_size=50), max_size=5))
@@ -163,16 +181,21 @@ class TestCompiledKernel:
         cols = None if cols is None else np.array(cols, dtype=np.intp)
         assert_table_agrees(kernels, queries, mat, lens, cm, cols)
 
-    def test_plain_build_has_no_clones(self, plain_library):
-        # on x86-64 ELF the library in use holds the AVX2 query loop
-        # beside the plain one; the plain build must not hold it, or the
-        # tests that call both builds would compare the same code twice
-        plain, avx2 = b"query_plain", b"query_avx2"
+    def test_plain_build_has_no_clones(self, plain_library, avx2_library):
+        # on x86-64 ELF the library in use holds the AVX2 query loop and
+        # the AVX-512 query-pair loop beside the plain one; the plain
+        # build must hold neither and the avx2 build not the pair loop,
+        # or the tests that call several builds would compare the same
+        # code twice
+        plain, avx2, avx512 = b"query_plain", b"query_avx2", b"query_pair_avx512"
         if platform.machine() == "x86_64" and sys.platform.startswith("linux"):
             in_use = _dp.cache_dirs()[0] / _dp.library_name()
             if in_use.exists():
-                assert plain in in_use.read_bytes() and avx2 in in_use.read_bytes()
+                assert all(name in in_use.read_bytes() for name in (plain, avx2, avx512))
+            assert avx2 in avx2_library.read_bytes()
         assert avx2 not in plain_library.read_bytes()
+        for library in (plain_library, avx2_library):
+            assert avx512 not in library.read_bytes()
 
     def test_empty_query_and_empty_targets(self, toy_cm):
         sub, gap = toy_cm.sub_cost, toy_cm.gap_cost
@@ -197,7 +220,7 @@ class TestCompiledKernel:
             assert np.array_equal(got, dissimilarities_to_targets(q, targets, cm))
 
     @pytest.mark.parametrize("n_targets", [0, *range(1, 10), 15, 16, 17])
-    def test_lane_edges(self, n_targets, pam120, plain_kernel, plain_kernels):
+    def test_lane_edges(self, n_targets, pam120, plain_kernel, plain_kernels, avx2_kernels):
         # blocks of eight lanes: 0-9 and 15-17 targets leave every count
         # of idle lanes in a first or a later block; lengths in no order,
         # empty targets and queries, and widths padded past the longest
@@ -211,11 +234,49 @@ class TestCompiledKernel:
             for pad in (0, 1, 10):
                 mat = rng.integers(0, len(cm.alphabet), size=(n_targets, int(lens.max(initial=0)) + pad))
                 queries = [rng.integers(0, len(cm.alphabet), size=n) for n in (0, 1, 30, 0)]
-                for kernels in (_dp.load(), plain_kernels, _dp.NUMPY):
+                for kernels in (_dp.load(), avx2_kernels, plain_kernels, _dp.NUMPY):
                     assert_table_agrees(kernels, queries, mat, lens, cm)
                 for query in queries[:3]:
                     for rows in (alignment_cost_rows, plain_kernel):
                         assert_kernels_agree(rows, query, mat, lens, cm)
+
+    def test_query_pair_edges(self, pam120, plain_kernels, avx2_kernels):
+        # the AVX-512 loop runs the queries of a call two at a time: 0-3
+        # queries give no pair, a query alone, a pair, and a pair and a
+        # query alone; an empty query beside a long one, and pairs whose
+        # lengths differ by 0, 1 and 50, put either query of a pair
+        # through rows alone
+        rng = np.random.default_rng(47)
+        cm = build_cost_model(pam120, gap_weight=0.6)
+        n_alpha = len(cm.alphabet)
+        lens = rng.integers(0, 60, size=11)
+        mat = rng.integers(0, n_alpha, size=(11, int(lens.max()) + 2))
+
+        def query(n):
+            return rng.integers(0, n_alpha, size=n)
+
+        calls = [[query(25) for _ in range(n)] for n in range(4)]
+        calls += [[query(0), query(70)], [query(70), query(0)], [query(0), query(70), query(0)]]
+        for n, diff in ((30, 0), (30, 1), (7, 50)):
+            calls += [[query(n), query(n + diff)], [query(n + diff), query(n), query(n + diff)]]
+        for queries in calls:
+            for kernels in (_dp.load(), avx2_kernels, plain_kernels, _dp.NUMPY):
+                assert_table_agrees(kernels, queries, mat, lens, cm)
+
+    @pytest.mark.parametrize(
+        "n_queries", [2 * alignment.CHUNK_ROWS - 1, 2 * alignment.CHUNK_ROWS + 1]
+    )
+    def test_odd_chunks_on_two_threads(self, n_queries, pam120, monkeypatch):
+        # two threads cut 511 queries into calls of 255 and 256 queries,
+        # and 513 into 128, 128, 128 and 129: a call with an odd query
+        # count, running beside another
+        rng = np.random.default_rng(n_queries)
+        queries = random_sequences(rng, n_queries, lo=0, hi=20, alphabet=RESIDUES, prefix="q")
+        targets = random_sequences(rng, 9, lo=0, hi=20, alphabet=RESIDUES, prefix="t")
+        cm = build_cost_model(pam120, gap_weight=1.2)
+        compiled = alignment.dissimilarity_table(queries, targets, cm, threads=2)
+        monkeypatch.setattr(_dp, "load", lambda: _dp.NUMPY)
+        assert np.array_equal(compiled, alignment.dissimilarity_table(queries, targets, cm))
 
     def test_concurrent_first_calls_build_once(self, fresh_build):
         loaded = []
@@ -409,6 +470,8 @@ def check_kernels_against_numpy(path):
     bit for bit: the edge cases first, then 100 seeded random ones per
     kernel.  A sanitized child interpreter runs this function's
     source, so it imports what it uses."""
+    from concurrent.futures import ThreadPoolExecutor
+
     import numpy as np
 
     from odse import _dp
@@ -416,15 +479,15 @@ def check_kernels_against_numpy(path):
     kernels = _dp._open(path)
     rng = np.random.default_rng(0)
 
-    def cost_table(queries, lens, pad, n_alpha, permute):
+    def cost_table(queries, lens, pad, n_alpha, permute, gen=rng):
         lens = np.asarray(lens, dtype=np.intp)
         width = int(lens.max(initial=0)) + pad
-        targets = rng.integers(0, n_alpha, size=(len(lens), width)).astype(np.intp)
+        targets = gen.integers(0, n_alpha, size=(len(lens), width)).astype(np.intp)
         codes = np.concatenate([np.zeros(0), *queries]).astype(np.intp)
         starts = np.cumsum([0, *map(len, queries)]).astype(np.intp)
-        cols = (rng.permutation(len(lens)) if permute else np.arange(len(lens))).astype(np.intp)
-        sub = rng.uniform(0.0, 4.0, size=(n_alpha, n_alpha))
-        gap = float(rng.uniform(0.01, 4.0))
+        cols = (gen.permutation(len(lens)) if permute else np.arange(len(lens))).astype(np.intp)
+        sub = gen.uniform(0.0, 4.0, size=(n_alpha, n_alpha))
+        gap = float(gen.uniform(0.01, 4.0))
         got, want = (np.full((len(queries), len(lens)), np.nan) for _ in range(2))
         kernels.cost_table(codes, starts, targets, lens, sub, gap, cols, got)
         _dp.NUMPY.cost_table(codes, starts, targets, lens, sub, gap, cols, want)
@@ -475,6 +538,20 @@ def check_kernels_against_numpy(path):
                 cost_table([[], *queries(24, 2, 30)], lens, pad, 24, permute)
         # padded width 0
         cost_table(queries(24, 3, 10), [0] * n_targets, 0, 24, True)
+    # the AVX-512 loop's query pairs: 0-3 queries, an empty query beside a
+    # long one, lengths that differ by 0, 1 and 50, and a call of 129
+    # queries beside one of 128 on another thread, the last of the four
+    # calls that two threads make of 513 queries
+    lens = rng.integers(0, 60, size=11)
+    for n in range(4):
+        cost_table(queries(24, n, 40), lens, 1, 24, True)
+    for a, b in ((0, 70), (70, 0), (30, 30), (30, 31), (57, 7)):
+        pair = [rng.integers(0, 24, size=a), rng.integers(0, 24, size=b)]
+        cost_table(pair, lens, 1, 24, False)
+        cost_table([*pair, pair[0]], lens, 1, 24, True)
+    calls = [(queries(24, n, 20), np.random.default_rng(n)) for n in (128, 129)]
+    with ThreadPoolExecutor(2) as pool:
+        list(pool.map(lambda call: cost_table(call[0], lens, 0, 24, False, call[1]), calls))
     for n in (2, 3, 17, 40):
         for kind in ("psd", "indefinite"):
             smo_sweeps(n, kind, 1.0)
@@ -491,7 +568,9 @@ def check_kernels_against_numpy(path):
     return "checked"
 
 
-@pytest.mark.parametrize("extra", [(), ("-U__ELF__",)], ids=["default", "plain"])
+@pytest.mark.parametrize(
+    "extra", [(), ("-DODSE_NO_AVX512",), ("-U__ELF__",)], ids=["default", "avx2", "plain"]
+)
 def test_kernels_agree_under_sanitizers(extra, tmp_path):
     # an out-of-bounds access or undefined behaviour that leaves the
     # results unchanged passes every equality test; AddressSanitizer and
@@ -523,6 +602,20 @@ def test_import_builds_no_kernel():
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import odse; "
         "from odse import _dp; assert _dp._kernel is None"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
+def test_library_name_loads_no_hashlib():
+    # hashlib loads OpenSSL's libcrypto; naming the library uses zlib,
+    # which numpy has loaded.  Some numpy versions import hashlib
+    # themselves (numpy.random -> secrets -> hmac), so the child blocks
+    # any further import of it after numpy's, and odse must not need one
+    src = str(Path(odse.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import numpy; "
+        "sys.modules['hashlib'] = None; import odse; from odse import _dp; "
+        "_dp.library_name()"
     )
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 

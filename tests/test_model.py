@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1237,3 +1240,40 @@ class TestModelPrototypes:
             dataclasses.replace(
                 model, representation=(Sequence("a", "AR"),), provenance=(tag,)
             )
+
+
+def test_synthesis_leaves_numpy_ma_unloaded():
+    # np.unique and np.median import numpy.ma on their first call, about
+    # 10 ms and 1.3 MB in the middle of a synthesis; a GA run with the
+    # median-heuristic SVM, and an expansion that adds class medoids,
+    # must not.  numpy 1.x imports numpy.ma with numpy itself, so there
+    # the task has nothing to leave unloaded
+    src = str(Path(odse.model.__file__).resolve().parents[1])
+    code = "\n".join((
+        f"import sys; sys.path.insert(0, {src!r})",
+        "import numpy as np",
+        "if 'numpy.ma' in sys.modules: print('eager'); sys.exit()",
+        "from odse.alignment import load_similarity_matrix, pam120_path",
+        "from odse.classifiers import SvmConfig",
+        "from odse.entropy import EstimatorConfig",
+        "from odse.model import FitnessWeights, GaConfig, expand, ga_optimize",
+        "from odse.sequences import Sequence",
+        "rng = np.random.default_rng(3)",
+        "seqs = [''.join(rng.choice(list('ARNDCQEGHILKMFPSTWYV'), size=int(n)))",
+        "        for n in rng.integers(12, 30, size=30)]",
+        "train = [(Sequence(f's{i}', s), i % 2) for i, s in enumerate(seqs)]",
+        "ga_optimize(train, None, load_similarity_matrix(pam120_path()), SvmConfig(),",
+        "            FitnessWeights(), EstimatorConfig(), GaConfig(population_size=4,",
+        "            max_generations=1, rng_seed=5))",
+        "pairwise = rng.uniform(size=(6, 6))",
+        "assert expand([0.0, 1.0, 0.0, 0.0, 0.0, 0.0], (0, 1), 0.5, [0, 1, 0, 1, 0, 1],",
+        "              pairwise)[1][-1] == 'expansion-medoid'",
+        "loaded = [m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')]",
+        "assert not loaded, loaded",
+    ))
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    if run.stdout.split() == ["eager"]:
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
