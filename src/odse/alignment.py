@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -173,20 +174,38 @@ class AlignmentCostModel:
                 f"gap cost must be in [0, {GAP_WEIGHT_MAX:g}], got {self.gap_cost}"
             )
         check_normalization(self.normalization)
-        object.__setattr__(
-            self, "_index", {a: i for i, a in enumerate(self.alphabet)}
-        )
 
-    def encode(self, seq: Sequence) -> np.ndarray:
-        """Map symbols to alphabet indices, rejecting foreign symbols."""
-        idx = self._index
-        try:
-            return np.array([idx[ch] for ch in seq.symbols], dtype=np.intp)
-        except KeyError:
-            for pos, ch in enumerate(seq.symbols):
-                if ch not in idx:
-                    raise SymbolError(seq.id, pos, ch) from None
-            raise
+    def encode(self, *seqs: Sequence) -> np.ndarray:
+        """Alphabet indices of the symbols of seqs, concatenated, in one
+        pass: the code points go through a lookup table, and a foreign
+        symbol raises SymbolError naming its sequence and position."""
+        # made intp here so the bytes are freed before the lookup, which
+        # would otherwise convert the indices itself while they are alive
+        points = np.frombuffer(
+            "".join([s.symbols for s in seqs]).encode("utf-32-le", "surrogatepass"), "<u4"
+        ).astype(np.intp)
+        # a code point past the table clips to its last entry, a miss
+        codes = _code_table(tuple(self.alphabet)).take(points, mode="clip")
+        if codes.size and codes.min() < 0:
+            at = int(np.argmax(codes < 0))
+            for s in seqs:
+                if at < len(s.symbols):
+                    raise SymbolError(s.id, at, s.symbols[at])
+                at -= len(s.symbols)
+        return codes
+
+
+# a table is max(ord) + 2 entries, 8.9 MB for an alphabet holding
+# U+10FFFF, so only the last few alphabets keep theirs
+@lru_cache(maxsize=8)
+def _code_table(alphabet: tuple[str, ...]) -> np.ndarray:
+    """Alphabet index of each code point up to max(ord) + 1, -1 for a
+    symbol outside alphabet; one table per alphabet, shared by every cost
+    model over it."""
+    points = [ord(a) for a in alphabet]
+    table = np.full(max(points) + 2, -1, dtype=np.intp)
+    table[points] = np.arange(len(points))
+    return table
 
 
 def build_cost_model(
@@ -291,20 +310,18 @@ def dissimilarity_table(
     integer of at least 1.
     """
     check_threads(threads)
-    codes = [cm.encode(t) for t in targets]
-    lens = np.array([len(c) for c in codes], dtype=np.intp)
+    lens = np.array([len(t.symbols) for t in targets], dtype=np.intp)
     order = np.argsort(lens, kind="stable")
-    mat = np.zeros((len(codes), int(lens.max(initial=0))), dtype=np.intp)
-    for row, k in enumerate(order):
-        mat[row, : lens[k]] = codes[k]
+    width = int(lens.max(initial=0))
+    mat = np.zeros((len(lens), width), dtype=np.intp)
+    mat[np.arange(width) < lens[:, None]] = cm.encode(*targets)
+    mat = mat[order]
     qlens = np.array([len(q.symbols) for q in queries], dtype=np.intp)
     starts = np.zeros(len(qlens) + 1, dtype=np.intp)
     np.cumsum(qlens, out=starts[1:])
-    flat = np.empty(starts[-1], dtype=np.intp)
-    for i, q in enumerate(queries):
-        flat[starts[i]:starts[i + 1]] = cm.encode(q)
+    flat = cm.encode(*queries)
     flat, mat, sorted_lens, sub = _checked_batch(flat, mat, lens[order], cm.sub_cost)
-    out = np.empty((len(qlens), len(codes)), dtype=np.float64)
+    out = np.empty((len(qlens), len(lens)), dtype=np.float64)
     cost_table = _dp.load().cost_table
 
     def fill(lo, hi):

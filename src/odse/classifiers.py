@@ -79,30 +79,48 @@ class TrainedSvm:
     gamma: float
 
 
+def _distance_rows(distances) -> np.ndarray:
+    """distances as float64, one query's (n,) row or an (m, n) array of
+    rows; any other number of dimensions raises OdseError."""
+    dist = np.asarray(distances, dtype=np.float64)
+    if dist.ndim not in (1, 2):
+        raise OdseError(f"expected (n,) or (m, n) distances, got {dist.ndim} dimensions")
+    return dist
+
+
 # --------------------------------------------------------------------------
 # kNN
 
 
-def knn_label_from_distances(distances, labels, k: int) -> int:
-    """Majority label of the k closest items given precomputed distances.
+def knn_label_from_distances(distances, labels, k: int):
+    """Majority label of the k closest items given precomputed distances:
+    an int for one row of distances, an int64 array with one label per
+    row for an (m, n) array.
 
     Ties in distance at rank k go to the lower training index.  A tied
     vote goes to the class with the smaller mean distance among its
     voting neighbors, then to the lower class label.
     """
-    dist = np.asarray(distances, dtype=np.float64)
+    dist = _distance_rows(distances)
     labels = np.asarray(labels)
-    n = dist.shape[0]
+    n = dist.shape[-1]
     if k < 1:
         raise TrainingError(f"kNN needs k >= 1, got {k}")
     if n == 0:
         raise TrainingError("kNN needs a non-empty training set")
     if n < k:
         raise TrainingError(f"kNN needs at least k={k} training items, got {n}")
-    order = np.argsort(dist, kind="stable")[:k]
+    order = np.argsort(dist, axis=-1, kind="stable")[..., :k]
+    voted = [_vote(labels[o], d[o]) for d, o in zip(np.atleast_2d(dist), np.atleast_2d(order))]
+    return voted[0] if dist.ndim == 1 else np.array(voted, dtype=np.int64)
+
+
+def _vote(voters, dists) -> int:
+    """The kNN vote of one row: its k nearest labels and their distances,
+    nearest first."""
     votes: dict[int, list[float]] = {}
-    for idx in order:
-        votes.setdefault(int(labels[idx]), []).append(float(dist[idx]))
+    for lab, d in zip(voters, dists):
+        votes.setdefault(int(lab), []).append(float(d))
     best_count = max(len(v) for v in votes.values())
     tied = [lab for lab, v in votes.items() if len(v) == best_count]
     if len(tied) == 1:
@@ -207,15 +225,27 @@ def svm_train(dist, labels, cfg: SvmConfig) -> TrainedSvm:
                       targets=y[keep], bias=float(bias), gamma=float(gamma))
 
 
-def svm_decision(model: TrainedSvm, distances) -> float:
-    """Decision value of one query given its distances to the support
-    items, in the order of model.support."""
-    dist = np.asarray(distances, dtype=np.float64)
-    if dist.shape != model.alphas.shape:
+def svm_decision(model: TrainedSvm, distances):
+    """Decision values given distances to the support items, in the order
+    of model.support: a float for one row of distances, an array with one
+    value per row for an (m, n) array.  Each row sums in the same order
+    in both forms, so the two agree bit for bit."""
+    dist = _distance_rows(distances)
+    if dist.shape[-1:] != model.alphas.shape:
         raise OdseError("expected one distance per support item")
-    kvals = np.exp(-model.gamma * dist * dist)
-    return float(np.dot(model.alphas * model.targets, kvals) + model.bias)
+    # one temporary the size of dist, worked in place
+    kvals = -model.gamma * dist
+    kvals *= dist
+    np.exp(kvals, out=kvals)
+    kvals *= model.alphas * model.targets
+    values = kvals.sum(axis=-1) + model.bias
+    return float(values) if dist.ndim == 1 else values
 
 
-def svm_predict(model: TrainedSvm, distances) -> int:
-    return 1 if svm_decision(model, distances) > 0.0 else 0
+def svm_predict(model: TrainedSvm, distances):
+    """Label 1 where the decision value is positive, else 0: an int for
+    one row of distances, an int64 array for an (m, n) array."""
+    values = svm_decision(model, distances)
+    if isinstance(values, float):
+        return 1 if values > 0.0 else 0
+    return (values > 0.0).astype(np.int64)

@@ -199,10 +199,10 @@ def _run_system(system, train, test, sim, cfg, d_train, d_test, seed) -> np.ndar
         model = optimize_model(train, sim, cfg, inner, seed)
         preds = classify_all(model, [s for s, _ in test], threads=cfg.threads)
     elif system == INPUT_KNN:
-        preds = [knn_label_from_distances(row, train_labels, cfg.input_knn.k) for row in d_test]
+        preds = knn_label_from_distances(d_test, train_labels, cfg.input_knn.k)
     else:
         svm = svm_train(d_train, train_labels, cfg.svm)
-        preds = [svm_predict(svm, row[svm.support]) for row in d_test]
+        preds = svm_predict(svm, d_test[:, svm.support])
     return np.array(preds)
 
 

@@ -168,10 +168,7 @@ class KnnInner:
     def predict(self, rows) -> np.ndarray:
         """One label per row of rows, an (m, |R|) array of embedded vectors."""
         dist = euclidean_distances(rows, self.vectors)
-        return np.array(
-            [knn_label_from_distances(d, self.labels, self.config.k) for d in dist],
-            dtype=np.int64,
-        )
+        return knn_label_from_distances(dist, self.labels, self.config.k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,7 +183,7 @@ class SvmInner:
     def predict(self, rows) -> np.ndarray:
         """One label per row of rows, an (m, |R|) array of embedded vectors."""
         dist = euclidean_distances(rows, self.support)
-        return np.array([svm_predict(self.model, d) for d in dist], dtype=np.int64)
+        return svm_predict(self.model, dist)
 
 
 def train_inner(vectors: np.ndarray, labels, cfg):

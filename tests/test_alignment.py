@@ -9,9 +9,11 @@ from odse._dp import numpy_cost_rows
 from odse.alignment import (
     BY_MAX_LENGTH,
     GAP_WEIGHT_MAX,
+    NORMALIZATIONS,
     RAW,
     AlignmentCostModel,
     SimilarityMatrix,
+    _code_table,
     alignment_cost_rows,
     build_cost_model,
     dissimilarities_to_targets,
@@ -160,6 +162,80 @@ class TestCostModel:
         assert exc.value.sequence_id == "bad"
         assert exc.value.position == 2
         assert exc.value.symbol == "Q"
+
+
+def flat_cost_model(alphabet):
+    """A valid cost model over any alphabet: every substitution costs 1."""
+    n = len(alphabet)
+    return AlignmentCostModel(tuple(alphabet), 1.0 - np.eye(n), 0.5)
+
+
+@st.composite
+def alphabet_and_sequences(draw):
+    """An alphabet of distinct code points, one of them above U+FFFF and
+    any of them non-ASCII or a lone surrogate, and sequences over it."""
+    points = draw(st.lists(st.integers(0, 0x2FFFF), min_size=1, max_size=12))
+    points.append(draw(st.integers(0x10000, 0x2FFFF)))
+    alphabet = tuple(dict.fromkeys(chr(p) for p in points))
+    words = st.text(alphabet=st.sampled_from(alphabet), max_size=20)
+    seqs = [Sequence(f"s{i}", w) for i, w in enumerate(draw(st.lists(words, max_size=6)))]
+    return alphabet, seqs
+
+
+class TestEncode:
+    @settings(max_examples=200, deadline=None)
+    @given(alphabet_and_sequences())
+    def test_many_sequences_encode_as_their_concatenation(self, case):
+        alphabet, seqs = case
+        cm = flat_cost_model(alphabet)
+        got = cm.encode(*seqs)
+        want = [alphabet.index(ch) for s in seqs for ch in s.symbols]
+        assert got.dtype == np.intp
+        assert got.tolist() == want
+        singles = [cm.encode(s) for s in seqs]
+        assert np.array_equal(got, np.concatenate(singles) if singles else np.zeros(0))
+
+    def test_surrogate_pair_symbols_stay_two_code_points(self):
+        hi, lo = chr(0xD83D), chr(0xDE00)
+        cm = flat_cost_model(("A", hi, lo, chr(0x1F600)))
+        assert cm.encode(seq("A" + hi + lo), seq(chr(0x1F600))).tolist() == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    @pytest.mark.parametrize("pos", [0, 2, 4])
+    @pytest.mark.parametrize(
+        "foreign",
+        ["Q", "\ud800", "Z", chr(0x10FFFF)],
+        ids=["inside-range", "lone-surrogate", "above-largest", "U+10FFFF"],
+    )
+    def test_foreign_symbol_named_in_any_sequence(self, toy_cm, where, pos, foreign):
+        seqs = [seq("ARND", "first"), seq("DNRA", "middle"), seq("AARN", "last")]
+        bad = seqs[where]
+        seqs[where] = seq(bad.symbols[:pos] + foreign + bad.symbols[pos:], bad.id)
+        with pytest.raises(SymbolError) as exc:
+            toy_cm.encode(*seqs)
+        assert (exc.value.sequence_id, exc.value.position, exc.value.symbol) == (
+            bad.id, pos, foreign)
+
+    def test_first_foreign_symbol_is_named(self, toy_cm):
+        with pytest.raises(SymbolError) as exc:
+            toy_cm.encode(seq("AR", "a"), seq("", "b"), seq("AQ", "c"), seq("Z", "d"))
+        assert (exc.value.sequence_id, exc.value.position, exc.value.symbol) == ("c", 1, "Q")
+
+    def test_no_sequences_encode_empty(self, toy_cm):
+        for seqs in [(), (seq(""), seq(""))]:
+            out = toy_cm.encode(*seqs)
+            assert out.dtype == np.intp
+            assert out.shape == (0,)
+
+    def test_cost_models_over_one_alphabet_share_one_table(self):
+        # an alphabet no other test uses, so its table is built here
+        sim = SimilarityMatrix(tuple(chr(0x1F680 + i) for i in range(3)),
+                               np.array([[4, 1, 0], [1, 4, 1], [0, 1, 4]]))
+        built = _code_table.cache_info().misses
+        cms = [build_cost_model(sim, w, n) for w in (0.5, 1.0, 2.0) for n in NORMALIZATIONS]
+        for cm in cms:
+            assert cm.encode(seq(sim.alphabet[2] + sim.alphabet[0])).tolist() == [2, 0]
+        assert _code_table.cache_info().misses == built + 1
 
 
 class TestLevenshtein:

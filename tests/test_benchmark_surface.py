@@ -12,6 +12,11 @@ longer loads, would fail the benchmark run, so each call site is bound
 to its callee's signature here and each callee is reached from a fresh
 `import odse`.  Everything is read from the benchmark's source; none of
 its code runs here.
+
+A traced function the program stops calling reads 0 in its metrics just
+as silently, so the batched entry points are spied on where their
+callers look them up: one `encode` per side of a table, one decision
+call per `predict`.
 """
 
 import ast
@@ -21,9 +26,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import odse.embedding
+import odse.model
+from odse.alignment import AlignmentCostModel, dissimilarity_table
+from odse.classifiers import KnnConfig, SvmConfig
+from odse.model import train_inner
+
+from conftest import random_sequences
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
@@ -136,3 +148,41 @@ def test_import_odse_alone_reaches_every_benchmark_callee():
         f"odse.{name}" for name in names
     )
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
+def spy(fn, calls):
+    """fn, appending the output of each call to calls."""
+
+    def spied(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        calls.append(out)
+        return out
+
+    return spied
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_table_encodes_each_side_in_one_call(monkeypatch, toy_cm, threads):
+    rng = np.random.default_rng(7)
+    queries = random_sequences(rng, 300, lo=0, hi=12, prefix="q")
+    targets = random_sequences(rng, 9, lo=0, hi=12, prefix="t")
+    calls = []
+    monkeypatch.setattr(AlignmentCostModel, "encode", spy(AlignmentCostModel.encode, calls))
+    dissimilarity_table(queries, targets, toy_cm, threads)
+    assert len(calls) == 2
+    assert sum(len(c) for c in calls) == sum(len(s) for s in queries + targets)
+
+
+@pytest.mark.parametrize(
+    "cfg, name", [(KnnConfig(k=3), "knn_label_from_distances"), (SvmConfig(), "svm_predict")]
+)
+def test_an_inner_predict_decides_in_one_call(monkeypatch, cfg, name):
+    rng = np.random.default_rng(11)
+    vectors = rng.normal(size=(12, 4))
+    inner = train_inner(vectors, np.arange(12) % 2, cfg)
+    calls = []
+    monkeypatch.setattr(odse.model, name, spy(getattr(odse.model, name), calls))
+    rows = rng.normal(size=(40, 4))
+    labels = inner.predict(rows)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], labels)

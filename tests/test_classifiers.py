@@ -415,6 +415,66 @@ class TestSvmDegenerateInputs:
             svm_decision(model, np.zeros(3))
 
 
+def random_svm(rng, n):
+    """A trained-SVM record with n support items and random parameters."""
+    return TrainedSvm(
+        support=np.arange(n),
+        alphas=rng.uniform(0.01, 2.0, size=n),
+        targets=rng.choice([-1.0, 1.0], size=n),
+        bias=float(rng.normal()),
+        gamma=float(rng.uniform(0.05, 3.0)),
+    )
+
+
+class TestBatchEqualsRows:
+    """An (m, n) array of distances gives exactly the per-row results."""
+
+    @pytest.mark.parametrize("m", [0, 1, 5])
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 64, 129])
+    def test_svm(self, m, n):
+        rng = np.random.default_rng(1000 * m + n)
+        model = random_svm(rng, n)
+        dist = rng.uniform(0.0, 2.0, size=(m, n))
+        values = svm_decision(model, dist)
+        labels = svm_predict(model, dist)
+        assert values.shape == labels.shape == (m,)
+        assert labels.dtype == np.int64
+        assert values.tolist() == [svm_decision(model, row) for row in dist]
+        assert labels.tolist() == [svm_predict(model, row) for row in dist]
+        # a strided view of the same distances decides the same
+        wide = np.zeros((m, 2 * n))
+        wide[:, ::2] = dist
+        assert np.array_equal(svm_decision(model, wide[:, ::2]), values)
+
+    @pytest.mark.parametrize("m", [0, 1, 5])
+    @pytest.mark.parametrize(
+        "n, k", [(n, k) for n in (1, 7, 8, 9, 64, 129) for k in (1, 3, 5) if k <= n]
+    )
+    def test_knn(self, m, n, k):
+        rng = np.random.default_rng(1000 * m + 10 * n + k)
+        # few distinct distances, so ties at rank k and tied votes occur
+        dist = rng.integers(0, 4, size=(m, n)).astype(float)
+        labels = rng.integers(0, 3, size=n)
+        got = knn_label_from_distances(dist, labels, k)
+        assert got.dtype == np.int64
+        assert got.tolist() == [knn_label_from_distances(row, labels, k) for row in dist]
+
+    def test_row_forms_keep_their_types(self):
+        model = random_svm(np.random.default_rng(3), 4)
+        assert type(svm_decision(model, np.ones(4))) is float
+        assert type(svm_predict(model, np.ones(4))) is int
+        assert type(knn_label_from_distances(np.ones(4), [0, 1, 1, 0], 3)) is int
+
+    @pytest.mark.parametrize("shape", [(), (2, 3, 4), (1, 1, 1, 4)])
+    def test_other_dimensions_rejected(self, shape):
+        model = random_svm(np.random.default_rng(5), 4)
+        dist = np.ones(shape)
+        for call in (lambda: svm_decision(model, dist), lambda: svm_predict(model, dist),
+                     lambda: knn_label_from_distances(dist, [0, 1, 1, 0], 1)):
+            with pytest.raises(OdseError):
+                call()
+
+
 class TestSmoDirect:
     def test_deterministic_given_same_inputs(self):
         rng = np.random.default_rng(101)
