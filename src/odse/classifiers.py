@@ -8,8 +8,8 @@ The SVM kernel is exp(-gamma * d^2) in both spaces, used without any
 positive-definiteness correction.  The SVM is trained by a deterministic
 SMO loop so that training is reproducible bit for bit.
 
-Class labels are 0 and 1 throughout; the SVM maps them to -1/+1
-internally and a decision value of exactly zero resolves to class 0.
+Class labels are 0 and 1 throughout and the kNN's k is odd; the SVM maps
+the labels to -1/+1 internally and a decision value of 0 is class 0.
 """
 
 from __future__ import annotations
@@ -97,35 +97,36 @@ def knn_label_from_distances(distances, labels, k: int):
     an int for one row of distances, an int64 array with one label per
     row for an (m, n) array.
 
-    Ties in distance at rank k go to the lower training index.  A tied
-    vote goes to the class with the smaller mean distance among its
-    voting neighbors, then to the lower class label.
+    labels are n values, each 0 or 1, and k is odd, so a vote never ties:
+    the label is 1 when more than half of the k nearest are 1.  Ties in
+    distance at rank k go to the lower training index.  Any other labels,
+    an even k or a k below 1 raise TrainingError.
     """
     dist = _distance_rows(distances)
-    labels = np.asarray(labels)
     n = dist.shape[-1]
     if k < 1:
         raise TrainingError(f"kNN needs k >= 1, got {k}")
+    if k % 2 != 1:
+        raise TrainingError(f"kNN needs an odd k, got {k}")
+    labels = _class_labels(labels, n)
     if n == 0:
         raise TrainingError("kNN needs a non-empty training set")
     if n < k:
         raise TrainingError(f"kNN needs at least k={k} training items, got {n}")
-    order = np.argsort(dist, axis=-1, kind="stable")[..., :k]
-    voted = [_vote(labels[o], d[o]) for d, o in zip(np.atleast_2d(dist), np.atleast_2d(order))]
-    return voted[0] if dist.ndim == 1 else np.array(voted, dtype=np.int64)
+    nearest = np.argsort(dist, axis=-1, kind="stable")[..., :k]
+    voted = 2 * labels[nearest].sum(axis=-1) > k
+    return int(voted) if dist.ndim == 1 else voted.astype(np.int64)
 
 
-def _vote(voters, dists) -> int:
-    """The kNN vote of one row: its k nearest labels and their distances,
-    nearest first."""
-    votes: dict[int, list[float]] = {}
-    for lab, d in zip(voters, dists):
-        votes.setdefault(int(lab), []).append(float(d))
-    best_count = max(len(v) for v in votes.values())
-    tied = [lab for lab, v in votes.items() if len(v) == best_count]
-    if len(tied) == 1:
-        return tied[0]
-    return min(tied, key=lambda lab: (math.fsum(votes[lab]) / len(votes[lab]), lab))
+def _class_labels(labels, n: int) -> np.ndarray:
+    """labels as an (n,) array of values equal to 0 or 1, else TrainingError."""
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise TrainingError(f"expected {n} labels, got an array of shape {labels.shape}")
+    foreign = (labels != 0) & (labels != 1)
+    if np.any(foreign):
+        raise TrainingError(f"labels must be 0/1, got {labels[foreign].tolist()[0]!r}")
+    return labels
 
 
 # --------------------------------------------------------------------------
@@ -204,13 +205,11 @@ def svm_train(dist, labels, cfg: SvmConfig) -> TrainedSvm:
 
     The Gram matrix exp(-gamma * d^2) and the median-heuristic width are
     both derived from dist, so training is the same in every space.
+    Labels other than n values of 0 and 1, both present, raise TrainingError.
     """
-    labels = np.asarray(labels)
-    n = labels.shape[0]
-    classes = set(int(v) for v in labels)
-    if not classes <= {0, 1}:
-        raise TrainingError(f"labels must be 0/1, got {sorted(classes)}")
-    if len(classes) != 2:
+    labels = _class_labels(labels, np.size(labels))
+    n = len(labels)
+    if not (np.any(labels == 0) and np.any(labels == 1)):
         raise TrainingError("training set must contain both classes")
     dist = np.asarray(dist, dtype=np.float64)
     if dist.shape != (n, n):

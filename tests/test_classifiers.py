@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odse.classifiers import (
     KnnConfig,
@@ -79,13 +81,33 @@ class TestKnnTieRules:
         label = knn_label_from_distances([2.0, 0.5, 0.5], [0, 1, 0], k=1)
         assert label == 1
 
-    def test_vote_tie_broken_by_mean_distance(self):
-        # three singleton classes: the closest one wins
-        assert knn_label_from_distances([1.0, 2.0, 3.0], [0, 1, 2], k=3) == 0
-        assert knn_label_from_distances([3.0, 2.0, 1.0], [0, 1, 2], k=3) == 2
+    def test_labels_other_than_0_and_1_rejected(self):
+        # the vote once took any labels and broke a tie by mean distance;
+        # 0.9 and 1.5 voted as int() made them, and NaN raised ValueError
+        for labels in ([0, 1, 2], [2, 0, 1], [0, 0.5, 1], [0, 1, -1], [0, 1, np.nan],
+                       [0.9, 1, 0], [1.5, 0, 1]):
+            with pytest.raises(TrainingError, match="0/1"):
+                knn_label_from_distances([1.0, 2.0, 3.0], labels, k=3)
+            with pytest.raises(TrainingError, match="0/1"):
+                knn_label_from_distances(np.ones((2, 3)), labels, k=1)
 
-    def test_full_tie_goes_to_lower_label(self):
-        assert knn_label_from_distances([2.0, 2.0, 2.0], [2, 0, 1], k=3) == 0
+    def test_even_k_rejected(self):
+        # a 2-2 vote once fell to the class of smaller mean distance
+        for k in (2, 4):
+            with pytest.raises(TrainingError, match=f"odd k, got {k}$"):
+                knn_label_from_distances([1.0, 2.0, 3.0, 4.0], [0, 1, 1, 0], k=k)
+
+    @pytest.mark.parametrize("labels", [[0, 1], [0, 1, 1, 0, 1], [[0, 1, 1, 0]], 1])
+    def test_label_count_must_match_row_width(self, labels):
+        # [0, 1] against four distances once returned a label
+        with pytest.raises(TrainingError, match="expected 4 labels"):
+            knn_label_from_distances([1.0, 2.0, 3.0, 4.0], labels, k=1)
+        with pytest.raises(TrainingError, match="expected 4 labels"):
+            knn_label_from_distances(np.ones((3, 4)), labels, k=3)
+
+    def test_bool_and_float_labels_vote_as_0_and_1(self):
+        assert knn_label_from_distances([3.0, 1.0, 2.0], [True, False, True], k=3) == 1
+        assert knn_label_from_distances([3.0, 1.0, 2.0], [1.0, 0.0, 0.0], k=3) == 0
 
     def test_majority_beats_distance(self):
         # class 1 holds two of three votes even though class 0 is closest
@@ -98,7 +120,7 @@ class TestKnnTieRules:
             n = int(rng.integers(5, 20))
             # quantized coordinates force frequent exact distance ties
             x = rng.integers(0, 4, size=(n, 2)).astype(float)
-            labels = rng.integers(0, 3, size=n)
+            labels = rng.integers(0, 2, size=n)
             q = rng.integers(0, 4, size=2).astype(float)
             dist = np.sqrt(((x - q) ** 2).sum(axis=1))
             k = int(rng.choice([1, 3, 5]))
@@ -135,6 +157,48 @@ class TestKnnTieRules:
     def test_k_below_one_rejected(self, k):
         with pytest.raises(TrainingError, match=f"k >= 1, got {k}$"):
             knn_label_from_distances([1.0, 2.0, 3.0], [0, 1, 1], k=k)
+
+
+# few values, so rank-k ties are common, with both zeros, both infinities
+# and NaN, which argsort places after every number
+KNN_DISTANCES = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, np.inf, -np.inf, np.nan])
+
+
+@st.composite
+def knn_cases(draw):
+    """(distances, labels, k): an (n,) row or an (m, n) array of rows,
+    n labels of 0 and 1 and an odd k of at most n."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.sampled_from(range(1, n + 1, 2)))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    shape = draw(st.sampled_from([(n,), (draw(st.integers(0, 4)), n)]))
+    size = int(np.prod(shape))
+    cells = draw(st.lists(KNN_DISTANCES, min_size=size, max_size=size))
+    return np.array(cells, dtype=np.float64).reshape(shape), labels, k
+
+
+def brute_force_vote(row, labels, k):
+    """Majority of the k nearest items, sorted by (distance, index) with
+    NaN after every number and -0.0 equal to 0.0."""
+    def key(i):
+        return (math.isnan(row[i]), 0.0 if math.isnan(row[i]) else row[i], i)
+
+    ones = sum(labels[i] for i in sorted(range(len(row)), key=key)[:k])
+    return 1 if ones > k - ones else 0
+
+
+class TestKnnVote:
+    @settings(max_examples=400, deadline=None)
+    @given(knn_cases())
+    def test_equals_brute_force_majority(self, case):
+        dist, labels, k = case
+        got = knn_label_from_distances(dist, labels, k)
+        if dist.ndim == 1:
+            assert type(got) is int
+            assert got == brute_force_vote(dist, labels, k)
+        else:
+            assert got.dtype == np.int64
+            assert got.tolist() == [brute_force_vote(row, labels, k) for row in dist]
 
 
 class TestKnnPredict:
@@ -388,6 +452,22 @@ class TestSvmDegenerateInputs:
         with pytest.raises(TrainingError, match="0/1"):
             svm_train(np.zeros((2, 2)), [0, 2], SvmConfig())
 
+    @pytest.mark.parametrize("labels", [[0, 1.5], [0.9, 1], [0, np.nan], [0, "1"]])
+    def test_labels_not_equal_to_0_or_1_rejected(self, labels):
+        # 1.5 once trained as class 1 with target -1, 0.9 as class 0, and
+        # NaN raised a bare ValueError
+        with pytest.raises(TrainingError, match="0/1"):
+            svm_train(np.zeros((2, 2)), labels, SvmConfig())
+
+    def test_empty_training_set_rejected(self):
+        with pytest.raises(TrainingError, match="both classes"):
+            svm_train(np.zeros((0, 0)), [], SvmConfig())
+
+    @pytest.mark.parametrize("labels", [[[0, 1]], 1])
+    def test_labels_must_be_one_row(self, labels):
+        with pytest.raises(TrainingError, match="labels, got an array of shape"):
+            svm_train(np.zeros((2, 2)), labels, SvmConfig())
+
     def test_wrong_pairwise_shape_rejected(self):
         with pytest.raises(TrainingError, match="shape"):
             svm_train(np.zeros((3, 3)), [0, 1], SvmConfig())
@@ -452,9 +532,9 @@ class TestBatchEqualsRows:
     )
     def test_knn(self, m, n, k):
         rng = np.random.default_rng(1000 * m + 10 * n + k)
-        # few distinct distances, so ties at rank k and tied votes occur
+        # few distinct distances, so ties at rank k occur
         dist = rng.integers(0, 4, size=(m, n)).astype(float)
-        labels = rng.integers(0, 3, size=n)
+        labels = rng.integers(0, 2, size=n)
         got = knn_label_from_distances(dist, labels, k)
         assert got.dtype == np.int64
         assert got.tolist() == [knn_label_from_distances(row, labels, k) for row in dist]
